@@ -29,6 +29,7 @@ from .linalg3 import (
     hermitian_psd_check,
     pauli_matrices,
     sym3_eigen_jacobi,
+    sym3_spectrum,
     sym3_traces,
     tensor_product,
 )

@@ -8,7 +8,9 @@ Subcommands:
     steer      EPR-steering test on a two-qubit state
 
 Exit codes: 0 success, 1 input/validation error, 3 verify failure,
-4 --assert-violation failed.
+4 --assert-violation failed. An ArithmeticError (the closed form disagreeing
+with the eigensolver cross-check inside the library) is a verify failure:
+it is reported as `error: ...` with exit code 3, never as a traceback.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .incompat import (
     directions_from_angles,
     incompatibility,
     incompatibility_from_angles,
+    moment_matrix,
+    validate_directions,
 )
 from .linalg3 import sym3_eigen_jacobi
 from .oracle import mixed_sample_floor, sphere_grid_min
@@ -37,6 +41,12 @@ EXIT_VERIFY_FAIL = 3
 EXIT_ASSERTION = 4
 
 _DEFAULT_GRID = ["pi/9", "2*pi/9", "pi/3", "4*pi/9", "5*pi/9"]
+
+# verify's lattice and sample searches hold K x N float64 products for K
+# points and N directions, next to K x 3 coordinates. Capping K * max(N, 3)
+# at 3.2e7 keeps each such array within 256 MB; a search holds about two
+# of them at once (measured peak ~300 MB at K = 1e6, N = 16).
+MAX_SEARCH_FLOATS = 32_000_000
 
 _ANGLE_RE = re.compile(r"^\s*(?:(\d+)\s*\*\s*)?pi\s*(?:/\s*(\d+))?\s*$")
 
@@ -68,8 +78,9 @@ def round5(x: float) -> float:
     return math.copysign(math.floor(abs(x) * 1e5 + 0.5) / 1e5, x)
 
 
-def load_directions(path: str) -> list[np.ndarray]:
-    """Read `{"directions": [[x,y,z], ...]}` from a JSON file."""
+def load_directions(path: str) -> np.ndarray:
+    """Read `{"directions": [[x,y,z], ...]}` from a JSON file as an N x 3
+    array of finite, nonzero directions."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -79,7 +90,7 @@ def load_directions(path: str) -> list[np.ndarray]:
     if not isinstance(dirs, list) or not dirs:
         raise InputError(f"{path}: expected a non-empty 'directions' list")
     try:
-        return [np.asarray(d, dtype=float) for d in dirs]
+        return validate_directions(dirs)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed direction entry: {exc}") from exc
 
@@ -163,10 +174,8 @@ def cmd_incompat(args) -> int:
     if args.dirs is not None:
         dirs = load_directions(args.dirs)
     else:
-        t1, t2, t3 = (parse_angle(t) for t in args.angles)
         # materialize vectors so the full result (optimizer etc.) is available
-        incompatibility_from_angles(t1, t2, t3)
-        dirs = directions_from_angles(t1, t2, t3)
+        dirs = directions_from_angles(*(parse_angle(t) for t in args.angles))
     res = incompatibility(dirs)
     if args.json:
         print(json.dumps(_result_payload(res)))
@@ -212,12 +221,18 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     dirs = load_directions(args.dirs)
+    for flag, count in (("--grid-points", args.grid_points), ("--samples", args.samples)):
+        floats = count * max(len(dirs), 3)
+        if floats > MAX_SEARCH_FLOATS:
+            raise InputError(
+                f"{flag} {count} with {len(dirs)} directions needs {floats:.3g} floats; "
+                f"the limit is {MAX_SEARCH_FLOATS:.3g} (256 MB)"
+            )
     res = incompatibility(dirs)
-    a = np.zeros((3, 3))
-    for v in dirs:
-        a += np.outer(v, v)
+    # independent path: the hand-written Jacobi solver, not eigh or the closed form
+    a, traces = moment_matrix(dirs)
     w, _ = sym3_eigen_jacobi(a)
-    jacobi_value = res.traces[0] - w[0]
+    jacobi_value = traces[0] - w[0]
     oracle = sphere_grid_min(dirs, args.grid_points)
     floor = mixed_sample_floor(dirs, args.samples, args.seed)
 
@@ -347,6 +362,9 @@ def main(argv=None) -> int:
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
 
 
 if __name__ == "__main__":

@@ -4,24 +4,27 @@ observables ("incompatibility").
 For directions n_1..n_N the minimum over all qubit states of
 sum_i Var(n_i . sigma) equals tau1 - lambda_max(A), where
 A = sum_i n_i n_i^T and tau1 = tr A. lambda_max has a closed form via the
-trigonometric solution of the depressed characteristic cubic.
+trigonometric solution of the depressed characteristic cubic
+(`linalg3.sym3_spectrum`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import acos, cos, sqrt
+from math import cos, sqrt
 
 import numpy as np
 
-from .linalg3 import as_sym3, as_vec3, sym3_eigen_jacobi, sym3_traces
+from .linalg3 import Sym3Spectrum, cubic_roots, sym3_spectrum, sym3_traces
 
-# alpha below this (relative) scale means a triple eigenvalue tau1/3; the
+# alpha below this fraction of tau1 means a triple eigenvalue tau1/3; the
 # trig ratio beta/alpha^3 is then numerically 0/0 and must be bypassed.
 _ALPHA_DEGENERATE = 1e-12
 _UNIT_TOL = 1e-9
 _GRAM_PSD_TOL = 1e-9
+# The closed form must match numpy's eigh to this fraction of tr A.
+_CROSS_CHECK_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -42,25 +45,27 @@ class IncompatibilityResult:
     method: str = "closed_form"
 
 
-def validate_directions(directions) -> list[np.ndarray]:
-    """Validate a direction list: each a finite nonzero 3-vector, N >= 1."""
-    vecs = [as_vec3(d) for d in directions]
-    if not vecs:
+def validate_directions(directions) -> np.ndarray:
+    """Validate a direction list as an N x 3 float array: N >= 1, finite,
+    no zero row."""
+    d = np.asarray(directions, dtype=float)
+    if d.size == 0:
         raise ValueError("need at least one direction")
-    for i, v in enumerate(vecs):
-        if np.dot(v, v) == 0.0:
-            raise ValueError(f"direction {i} has zero length")
-    return vecs
+    if d.ndim != 2 or d.shape[1] != 3:
+        raise ValueError(f"expected N x 3 directions, got shape {d.shape}")
+    if not np.isfinite(d).all():
+        raise ValueError("directions have non-finite components")
+    nonzero = d.any(axis=1)
+    if not nonzero.all():
+        raise ValueError(f"direction {int(np.argmin(nonzero))} has zero length")
+    return d
 
 
 def moment_matrix(directions) -> tuple[np.ndarray, tuple[float, float, float]]:
-    """Second-moment matrix A = sum_i n_i n_i^T and its trace powers."""
-    vecs = validate_directions(directions)
-    a = np.zeros((3, 3))
-    for v in vecs:
-        a += np.outer(v, v)
-    a = as_sym3(a)
-    return a, sym3_traces(a)
+    """Second-moment matrix A = sum_i n_i n_i^T = D^T D and its trace powers."""
+    d = validate_directions(directions)
+    a = d.T @ d  # exactly symmetric: numpy evaluates X.T @ X as one triangle (syrk)
+    return a, sym3_traces(a)  # sym3_traces also rejects an A that overflowed
 
 
 def cubic_coefficients(traces: tuple[float, float, float]) -> CubicCoefficients:
@@ -108,54 +113,47 @@ def cubic_coefficients_unit(directions) -> CubicCoefficients:
 def lambda_max_from_traces(traces: tuple[float, float, float]) -> float:
     """Largest eigenvalue of a 3x3 symmetric PSD matrix from its traces.
 
-    tau1/3 + 2 alpha cos(acos(beta/alpha^3) / 3); the ratio is clamped to
-    [-1, 1] because roundoff can push it marginally outside the
-    all-real-roots region.
+    tau1/3 + 2 alpha cos(acos(beta/alpha^3) / 3), the same trig root as
+    `sym3_spectrum`. For callers that hold only traces; the trace
+    coefficients cancel at extreme scales, so a matrix in hand should go
+    through `sym3_spectrum` instead.
     """
     t1 = traces[0]
     coeff = cubic_coefficients(traces)
-    if coeff.alpha <= _ALPHA_DEGENERATE * (1.0 + abs(t1)):
+    if coeff.alpha <= _ALPHA_DEGENERATE * abs(t1):
         return t1 / 3.0
-    ratio = min(1.0, max(-1.0, coeff.beta / coeff.alpha**3))
-    return t1 / 3.0 + 2.0 * coeff.alpha * cos(acos(ratio) / 3.0)
+    return t1 / 3.0 + cubic_roots(coeff.alpha, coeff.beta / coeff.alpha**3)[0]
 
 
 def optimal_bloch(directions) -> np.ndarray:
-    """Unit Bloch vector of a pure state attaining the minimum variance sum.
-
-    A top eigenvector of the moment matrix, sign-fixed so the first
-    nonzero component is positive (both signs are physically equivalent).
-    """
-    a, _ = moment_matrix(directions)
-    _, v = sym3_eigen_jacobi(a)
-    top = v[:, 0]
-    for comp in top:
-        if comp != 0.0:
-            if comp < 0.0:
-                top = -top
-            break
-    return top / np.linalg.norm(top)
+    """Unit Bloch vector of a pure state attaining the minimum variance sum
+    (see `IncompatibilityResult.optimizer`)."""
+    return incompatibility(directions).optimizer
 
 
 def incompatibility(directions) -> IncompatibilityResult:
     """Minimum over all qubit states of the summed variances of n_i . sigma.
 
-    Closed-form spectral value, cross-checked against the Jacobi
-    eigensolver; the two must agree to 1e-9.
+    Closed-form spectral value, cross-checked against numpy's eigh; the
+    two must agree to 1e-9 of tr A. The optimizer is eigh's top
+    eigenvector, sign-fixed so its first nonzero component is positive
+    (both signs are physically equivalent).
     """
     a, traces = moment_matrix(directions)
-    coeff = cubic_coefficients(traces)
-    lam = lambda_max_from_traces(traces)
-    w, _ = sym3_eigen_jacobi(a)
-    if abs(lam - w[0]) > 1e-9 * (1.0 + abs(traces[0])):
+    spec = sym3_spectrum(a)
+    w, v = np.linalg.eigh(a)
+    if abs(spec.lam_max - w[-1]) > _CROSS_CHECK_RTOL * traces[0]:
         raise ArithmeticError(
-            f"closed-form eigenvalue {lam!r} disagrees with Jacobi {w[0]!r}"
+            f"closed-form eigenvalue {spec.lam_max!r} disagrees with eigh {w[-1]!r}"
         )
+    top = v[:, -1]
+    if top[top != 0.0][0] < 0.0:
+        top = -top
     return IncompatibilityResult(
-        value=traces[0] - lam,
-        lambda_max=lam,
-        optimizer=optimal_bloch(directions),
-        coefficients=coeff,
+        value=traces[0] - spec.lam_max,
+        lambda_max=spec.lam_max,
+        optimizer=top,
+        coefficients=CubicCoefficients(spec.alpha, spec.beta),
         traces=traces,
     )
 
@@ -174,50 +172,45 @@ def incompatibility_pair(n1, n2) -> float:
     return s1 + s2 - lam
 
 
+def _gram_spectrum(c1: float, c2: float, c3: float) -> Sym3Spectrum:
+    """Spectrum of the Gram matrix of three unit vectors whose pairwise
+    angles have cosines c1, c2, c3; raises unless it is PSD (the triple is
+    realizable)."""
+    spec = sym3_spectrum(np.array([[1.0, c3, c2], [c3, 1.0, c1], [c2, c1, 1.0]]))
+    if spec.lam_min < -_GRAM_PSD_TOL:
+        raise ValueError(
+            f"angle triple is not realizable by unit vectors: "
+            f"Gram eigenvalue {spec.lam_min:.6g} < 0"
+        )
+    return spec
+
+
 def incompatibility_from_angles(theta1: float, theta2: float, theta3: float) -> float:
     """Bound for three unit directions given only their pairwise angles.
 
     The moment matrix and the Gram matrix share their nonzero spectrum, so
-    tau2 and tau3 follow directly from the cosines without reconstructing
-    vectors. Rejects angle triples not realizable by unit vectors in
-    3-space (Gram matrix not PSD).
+    the bound is 3 - lambda_max(Gram), without reconstructing vectors.
+    Rejects angle triples not realizable by unit vectors in 3-space (Gram
+    matrix not PSD).
     """
-    c1, c2, c3 = cos(theta1), cos(theta2), cos(theta3)
-    gram = np.array([[1.0, c3, c2], [c3, 1.0, c1], [c2, c1, 1.0]])
-    w, _ = sym3_eigen_jacobi(gram)
-    if w[-1] < -_GRAM_PSD_TOL:
-        raise ValueError(
-            f"angle triple is not realizable by unit vectors: "
-            f"Gram eigenvalue {w[-1]:.6g} < 0"
-        )
-    sq = c1 * c1 + c2 * c2 + c3 * c3
-    tau2 = 3.0 + 2.0 * sq
-    tau3 = 3.0 + 6.0 * sq + 6.0 * c1 * c2 * c3
-    return 3.0 - lambda_max_from_traces((3.0, tau2, tau3))
+    return 3.0 - _gram_spectrum(cos(theta1), cos(theta2), cos(theta3)).lam_max
 
 
-def directions_from_angles(theta1: float, theta2: float, theta3: float) -> list[np.ndarray]:
-    """Explicit unit vectors with the given pairwise angles (one choice).
+def directions_from_angles(theta1: float, theta2: float, theta3: float) -> np.ndarray:
+    """Explicit unit vectors (rows) with the given pairwise angles (one choice).
 
     Raises for non-realizable triples, same condition as
     `incompatibility_from_angles`.
     """
     c1, c2, c3 = cos(theta1), cos(theta2), cos(theta3)
-    gram = np.array([[1.0, c3, c2], [c3, 1.0, c1], [c2, c1, 1.0]])
-    w, _ = sym3_eigen_jacobi(gram)
-    if w[-1] < -_GRAM_PSD_TOL:
-        raise ValueError(
-            f"angle triple is not realizable by unit vectors: "
-            f"Gram eigenvalue {w[-1]:.6g} < 0"
-        )
-    n1 = np.array([1.0, 0.0, 0.0])
+    _gram_spectrum(c1, c2, c3)
+    n1 = (1.0, 0.0, 0.0)
     s3 = sqrt(max(1.0 - c3 * c3, 0.0))
     if s3 == 0.0:
-        n2 = np.array([np.sign(c3) or 1.0, 0.0, 0.0])
+        n2 = (np.sign(c3) or 1.0, 0.0, 0.0)
     else:
-        n2 = np.array([c3, s3, 0.0])
+        n2 = (c3, s3, 0.0)
     x = c2
     y = (c1 - c3 * c2) / s3 if s3 > 0.0 else 0.0
     z = sqrt(max(1.0 - x * x - y * y, 0.0))
-    n3 = np.array([x, y, z])
-    return [n1, n2, n3]
+    return np.array([n1, n2, (x, y, z)])

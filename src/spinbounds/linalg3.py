@@ -7,10 +7,18 @@ complex Hermitian matrices are complex128 numpy arrays.
 
 from __future__ import annotations
 
+from math import acos, cos, hypot, pi, sqrt
+from typing import NamedTuple
+
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-9
+
+_TWO_PI_3 = 2.0 * pi / 3.0
+# Deflate when 1 - |beta/alpha^3| falls below this: outside the band the
+# trig roots of the closest pair lose at most ~1e-16/sqrt(band) of alpha.
+_DEFLATE_BAND = 1e-4
 
 # Jacobi sweep termination: off-diagonal Frobenius norm relative to the
 # matrix scale, with a hard sweep cap (a 3x3 converges in a handful).
@@ -47,12 +55,117 @@ def sym3_traces(a: np.ndarray) -> tuple[float, float, float]:
 
     Computed directly from the entries, not via eigenvalues.
     """
-    a = as_sym3(a)
-    t1 = float(np.trace(a))
-    a2 = a @ a
-    t2 = float(np.trace(a2))
-    t3 = float(np.trace(a2 @ a))
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = as_sym3(a).tolist()
+    d2 = a01 * a01, a02 * a02, a12 * a12
+    t1 = a00 + a11 + a22
+    t2 = a00 * a00 + a11 * a11 + a22 * a22 + 2.0 * (d2[0] + d2[1] + d2[2])
+    t3 = (
+        a00**3 + a11**3 + a22**3
+        + 3.0 * (d2[0] * (a00 + a11) + d2[1] * (a00 + a22) + d2[2] * (a11 + a22))
+        + 6.0 * a01 * a02 * a12
+    )
     return t1, t2, t3
+
+
+class Sym3Spectrum(NamedTuple):
+    """Eigenvalues of a symmetric 3x3 matrix A, descending, and the
+    coefficients (alpha, beta) of its depressed characteristic cubic
+    z^3 - 3 alpha^2 z - 2 beta, z = lambda - tr A / 3."""
+
+    lam_max: float
+    lam_mid: float
+    lam_min: float
+    alpha: float
+    beta: float
+
+
+def cubic_roots(alpha: float, ratio: float) -> tuple[float, float, float]:
+    """Roots, descending, of z^3 - 3 alpha^2 z - 2 alpha^3 ratio.
+
+    Trigonometric solution z_k = 2 alpha cos((acos(ratio) - 2 pi k)/3);
+    the ratio is clamped to [-1, 1] because roundoff can push it
+    marginally outside the all-real-roots region.
+    """
+    phi = acos(min(1.0, max(-1.0, ratio))) / 3.0
+    two_alpha = 2.0 * alpha
+    return (
+        two_alpha * cos(phi),
+        two_alpha * cos(phi - _TWO_PI_3),
+        two_alpha * cos(phi + _TWO_PI_3),
+    )
+
+
+def sym3_spectrum(a: np.ndarray) -> Sym3Spectrum:
+    """Closed-form eigenvalues of a symmetric 3x3 matrix (upper triangle read).
+
+    Works on the shifted matrix B = A - (tr A / 3) I scaled by its largest
+    absolute entry s, so alpha^2 = tr B^2 / 6 and beta = det B / 2 carry no
+    tau1^3 cancellation and never overflow (Smith, CACM 4(4):168, 1961).
+    Where the ratio beta/alpha^3 is within _DEFLATE_BAND of +-1, two roots
+    nearly coincide and acos turns roundoff into an error of ~1e-8 alpha;
+    there only the well-separated root is taken from the trig formula, and
+    the other two come exactly from the 2x2 block of B on its eigenvector's
+    orthogonal complement (Kopp, arXiv:physics/0610206).
+    """
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = a.tolist()
+    shift = (a00 + a11 + a22) / 3.0
+    b00, b11, b22 = a00 - shift, a11 - shift, a22 - shift
+    s = max(abs(b00), abs(b11), abs(b22), abs(a01), abs(a02), abs(a12))
+    if s == 0.0:
+        return Sym3Spectrum(shift, shift, shift, 0.0, 0.0)
+    b00, b11, b22, b01, b02, b12 = b00 / s, b11 / s, b22 / s, a01 / s, a02 / s, a12 / s
+    alpha = sqrt((b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * (b01 * b01 + b02 * b02 + b12 * b12)) / 6.0)
+    beta = 0.5 * (
+        b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02) + b02 * (b01 * b12 - b11 * b02)
+    )
+    ratio = beta / alpha**3
+    roots = cubic_roots(alpha, ratio)
+    if abs(ratio) > 1.0 - _DEFLATE_BAND:
+        z = roots[0] if ratio > 0.0 else roots[2]
+        hi, lo = _deflate(((b00, b01, b02), (b01, b11, b12), (b02, b12, b22)), z)
+        roots = (z, hi, lo) if ratio > 0.0 else (hi, lo, z)
+    return Sym3Spectrum(
+        shift + s * roots[0], shift + s * roots[1], shift + s * roots[2], s * alpha, s**3 * beta
+    )
+
+
+def _deflate(b, z) -> tuple[float, float]:
+    """The two eigenvalues of symmetric B (rows `b`) other than its simple
+    eigenvalue z.
+
+    z's eigenvector v is the longest cross product of two rows of B - zI;
+    (u, w) span v's orthogonal complement, and the 2x2 block of B there is
+    solved with hypot, so a near-double pair keeps its tiny gap.
+    """
+    c = [list(row) for row in b]
+    for i in range(3):
+        c[i][i] -= z
+    v = max((_cross(c[0], c[1]), _cross(c[0], c[2]), _cross(c[1], c[2])), key=lambda p: _dot(p, p))
+    v = _scale(v, 1.0 / sqrt(_dot(v, v)))
+    u = (-v[2], 0.0, v[0]) if abs(v[0]) > abs(v[1]) else (0.0, v[2], -v[1])
+    u = _scale(u, 1.0 / sqrt(_dot(u, u)))
+    w = _cross(v, u)
+    bu, bw = _matvec(b, u), _matvec(b, w)
+    m_uu, m_ww, m_uw = _dot(u, bu), _dot(w, bw), _dot(w, bu)
+    mean = 0.5 * (m_uu + m_ww)
+    half_gap = hypot(0.5 * (m_uu - m_ww), m_uw)
+    return mean + half_gap, mean - half_gap
+
+
+def _dot(p, q) -> float:
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
+def _cross(p, q) -> tuple[float, float, float]:
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def _scale(p, f) -> tuple[float, float, float]:
+    return (p[0] * f, p[1] * f, p[2] * f)
+
+
+def _matvec(b, x) -> tuple[float, float, float]:
+    return (_dot(b[0], x), _dot(b[1], x), _dot(b[2], x))
 
 
 def det_from_traces(traces: tuple[float, float, float]) -> float:
@@ -71,7 +184,7 @@ def sym3_eigen_jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = as_sym3(a)
     m = a.copy()
     v = np.eye(3)
-    scale = 1.0 + float(np.linalg.norm(a))
+    scale = float(np.linalg.norm(a))
     for _ in range(_JACOBI_MAX_SWEEPS):
         off = np.sqrt(2.0 * (m[0, 1] ** 2 + m[0, 2] ** 2 + m[1, 2] ** 2))
         if off <= _JACOBI_REL_TOL * scale:

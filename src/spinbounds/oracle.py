@@ -62,7 +62,7 @@ def sphere_grid_min(directions, num_points: int = 20_000) -> OracleResult:
     """
     if num_points < 12:
         raise ValueError("need at least 12 lattice points")
-    dirs = np.array(validate_directions(directions))
+    dirs = validate_directions(directions)
     tau1 = float(np.sum(dirs * dirs))
 
     lattice = fibonacci_sphere(num_points)
@@ -113,7 +113,7 @@ def mixed_sample_floor(directions, count: int, seed: int = 0) -> float:
     """
     if count < 1:
         raise ValueError("need at least one sample")
-    dirs = np.array(validate_directions(directions))
+    dirs = validate_directions(directions)
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(count, 3))
     points /= np.linalg.norm(points, axis=1, keepdims=True)

@@ -91,9 +91,8 @@ def qubit_variance(obs: PauliObservable, state: QubitState) -> float:
 
 def uncertainty_sum(directions, state: QubitState) -> float:
     """Sum of variances of the spin observables n_i . sigma on the state."""
-    vecs = validate_directions(directions)
-    r = state.bloch
-    return float(sum(np.dot(v, v) - np.dot(v, r) ** 2 for v in vecs))
+    d = validate_directions(directions)
+    return float(np.sum(d * d) - np.sum(np.square(d @ state.bloch)))
 
 
 def robertson_bound(

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from spinbounds import cli
@@ -110,6 +111,31 @@ def test_incompat_unrealizable_angles(capsys):
     assert "not realizable" in capsys.readouterr().err
 
 
+def test_incompat_dirs_rotated_orthogonal_pair(tmp_path, capsys):
+    # a Haar-rotated orthogonal pair: a double top eigenvalue, which the
+    # trig root alone gets wrong by ~1e-8
+    rng = np.random.default_rng(0)
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    dirs = (np.eye(3)[:2] @ (q * np.sign(np.diag(r))).T).tolist()
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"directions": dirs}))
+    assert main(["incompat", "--dirs", str(path), "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_incompat_cross_check_failure_exits_3_without_traceback(xyz_file, capsys, monkeypatch):
+    from spinbounds import incompat
+
+    kernel = incompat.sym3_spectrum
+    monkeypatch.setattr(
+        incompat, "sym3_spectrum", lambda a: kernel(a)._replace(lam_max=kernel(a).lam_max + 1.0)
+    )
+    assert main(["incompat", "--dirs", xyz_file]) == EXIT_VERIFY_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: closed-form eigenvalue")
+    assert "Traceback" not in err
+
+
 def test_incompat_missing_file(capsys):
     assert main(["incompat", "--dirs", "/nonexistent.json"]) == EXIT_INPUT
     assert "error" in capsys.readouterr().err
@@ -169,6 +195,24 @@ def test_verify_fail_exit_code(example4_file, capsys, monkeypatch):
     )
     assert main(["verify", "--dirs", example4_file]) == EXIT_VERIFY_FAIL
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--grid-points", "--samples"])
+def test_verify_rejects_search_over_memory_limit(tmp_path, capsys, monkeypatch, flag):
+    def must_not_run(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "sphere_grid_min", must_not_run)
+    monkeypatch.setattr(cli, "mixed_sample_floor", must_not_run)
+    path = tmp_path / "dirs16.json"
+    path.write_text(json.dumps({"directions": [[1, 0, 0]] * 16}))
+    # 2_000_001 points x 16 directions is just above 3.2e7 floats
+    count = 2_000_001
+    assert main(["verify", "--dirs", str(path), flag, str(count)]) == EXIT_INPUT
+    assert "limit is 3.2e+07" in capsys.readouterr().err
+    # 2_000_000 x 16 is exactly at the limit and reaches the (stubbed) search
+    with pytest.raises(AssertionError, match="the search ran"):
+        main(["verify", "--dirs", str(path), flag, str(count - 1)])
 
 
 def test_verify_bad_input(capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinbounds.incompat import (
     cubic_coefficients,
@@ -13,6 +15,7 @@ from spinbounds.incompat import (
     lambda_max_from_traces,
     moment_matrix,
     optimal_bloch,
+    validate_directions,
 )
 from spinbounds.linalg3 import sym3_eigen_jacobi
 from spinbounds.states import QubitState, uncertainty_sum
@@ -273,3 +276,100 @@ def test_optimal_bloch_achieves_bound():
         res = incompatibility(dirs)
         achieved = uncertainty_sum(dirs, QubitState(res.optimizer))
         assert achieved == pytest.approx(res.value, abs=1e-9)
+
+
+def test_validate_directions_returns_checked_array():
+    d = validate_directions([(1, 0, 0), (0, 2, 0)])
+    assert d.dtype == float and d.shape == (2, 3)
+    with pytest.raises(ValueError, match="direction 2 has zero length"):
+        validate_directions([(1, 0, 0), (0, 1, 0), (0, 0, 0)])
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_directions([(1, 0, math.nan)])
+    with pytest.raises(ValueError, match="N x 3"):
+        validate_directions([(1, 0)])
+    with pytest.raises(ValueError, match="at least one"):
+        validate_directions([])
+
+
+# --- properties over the whole domain: degenerate spectra, any rotation, any scale
+
+DEGENERATE_FAMILIES = (
+    "orthogonal_pair",
+    "planar_trine",
+    "planar_square",
+    "spectrum_11x",
+    "isotropic_xyz",
+)
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def planar(*degrees):
+    return np.array([(math.cos(math.radians(t)), math.sin(math.radians(t)), 0.0) for t in degrees])
+
+
+def degenerate_family(name, x):
+    """(directions, exact bound) of a set whose moment matrix has a
+    repeated eigenvalue; x in (0, 4] sets the odd one of spectrum (1, 1, x)."""
+    if name == "orthogonal_pair":
+        return np.eye(3)[:2], 1.0
+    if name == "planar_trine":
+        return planar(0, 120, 240), 1.5
+    if name == "planar_square":
+        return planar(0, 45, 90, 135), 2.0
+    if name == "spectrum_11x":
+        return np.diag([1.0, 1.0, math.sqrt(x)]), 2.0 + x - max(1.0, x)
+    return np.eye(3), 2.0
+
+
+@st.composite
+def direction_sets(draw):
+    """A generic set of 1-8 directions or a Haar-rotated degenerate family."""
+    rng = np.random.default_rng(draw(SEEDS))
+    name = draw(st.sampled_from(("generic",) + DEGENERATE_FAMILIES))
+    if name == "generic":
+        return rng.normal(size=(draw(st.integers(1, 8)), 3))
+    d, _ = degenerate_family(name, draw(st.floats(0.01, 4.0)))
+    return d @ random_rotation(rng).T
+
+
+@PROPERTY_SETTINGS
+@given(name=st.sampled_from(DEGENERATE_FAMILIES), x=st.floats(0.01, 4.0), seed=SEEDS)
+def test_degenerate_families_under_rotation(name, x, seed):
+    d, exact = degenerate_family(name, x)
+    d = d @ random_rotation(np.random.default_rng(seed)).T
+    res = incompatibility(d)
+    assert res.value == pytest.approx(exact, abs=1e-12 * res.traces[0])
+    achieved = uncertainty_sum(d, QubitState(res.optimizer))
+    assert achieved == pytest.approx(res.value, abs=1e-12 * res.traces[0])
+
+
+@PROPERTY_SETTINGS
+@given(d=direction_sets(), k=st.floats(-9.0, 9.0))
+def test_scale_covariance(d, k):
+    s = 10.0**k
+    base = incompatibility(d)
+    scaled = incompatibility(d * s)
+    assert scaled.value == pytest.approx(s * s * base.value, abs=1e-9 * s * s * base.traces[0])
+
+
+@PROPERTY_SETTINGS
+@given(d=direction_sets(), data=st.data())
+def test_sign_and_permutation_invariance_on_every_family(d, data):
+    n = len(d)
+    signs = np.array(data.draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n)))
+    perm = data.draw(st.permutations(range(n)))
+    base = incompatibility(d)
+    moved = incompatibility((d * signs[:, None])[perm])
+    assert moved.value == pytest.approx(base.value, abs=1e-12 * base.traces[0])
+
+
+def test_fixed_regressions_extreme_scale_and_coincident_directions():
+    # large scale: the trace path rejected this as "inconsistent traces"
+    assert incompatibility(np.eye(3) * 1e6).value == pytest.approx(2e12, rel=1e-12)
+    # small scale: an absolute isotropy threshold returned 6.7e-15 here
+    res = incompatibility([(1e-7, 0.0, 0.0)])
+    assert abs(res.value) <= 1e-9 * res.traces[0]
+    # three equal unit vectors: Gram matrix all ones, spectrum (3, 0, 0)
+    assert incompatibility_from_angles(0.0, 0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(directions_from_angles(0.0, 0.0, 0.0), [(1.0, 0.0, 0.0)] * 3)

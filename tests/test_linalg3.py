@@ -5,7 +5,9 @@ from spinbounds.linalg3 import (
     det_from_traces,
     hermitian_psd_check,
     pauli_matrices,
+    cubic_roots,
     sym3_eigen_jacobi,
+    sym3_spectrum,
     sym3_traces,
     tensor_product,
 )
@@ -125,3 +127,61 @@ def test_psd_check_rejects_non_hermitian():
     m[0, 1] = 1e-3
     with pytest.raises(ValueError):
         hermitian_psd_check(m)
+
+
+def test_jacobi_is_scale_invariant():
+    # the stopping rule is relative: a near-double pair at scale 1e-9 keeps
+    # its digits (an absolute rule stopped up to 5e-7 relative short)
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        a = 1e-9 * (q * [1.0, 1.0 + 1e-6, 0.5]) @ q.T
+        a = 0.5 * (a + a.T)
+        w, _ = sym3_eigen_jacobi(a)
+        assert w == pytest.approx(np.linalg.eigvalsh(a)[::-1], rel=1e-13, abs=0.0)
+
+
+def test_cubic_roots_examples():
+    # spectrum (2, 0, 0): B = diag(4/3, -2/3, -2/3), alpha = 2/3, ratio = 1
+    assert cubic_roots(2.0 / 3.0, 1.0) == pytest.approx((4.0 / 3.0, -2.0 / 3.0, -2.0 / 3.0))
+    # ratio 0: roots +-sqrt(3) alpha and 0; ratios outside [-1, 1] are clamped
+    assert cubic_roots(1.0, 0.0) == pytest.approx((np.sqrt(3.0), 0.0, -np.sqrt(3.0)), abs=1e-15)
+    assert cubic_roots(1.0, -1.0 - 1e-12) == cubic_roots(1.0, -1.0)
+
+
+def test_sym3_spectrum_examples():
+    assert sym3_spectrum(np.eye(3)) == (1.0, 1.0, 1.0, 0.0, 0.0)
+    assert sym3_spectrum(np.zeros((3, 3))) == (0.0, 0.0, 0.0, 0.0, 0.0)
+    spec = sym3_spectrum(np.ones((3, 3)))  # double bottom root, ratio +1
+    assert spec[:3] == pytest.approx((3.0, 0.0, 0.0), abs=1e-15)
+    assert (spec.alpha, spec.beta) == pytest.approx((1.0, 1.0))
+    spec = sym3_spectrum(np.diag([1.0, 1.0, 0.0]))  # double top root, ratio -1
+    assert spec[:3] == pytest.approx((1.0, 1.0, 0.0), abs=1e-15)
+
+
+def test_sym3_spectrum_matches_jacobi_on_every_spectrum_shape():
+    """Random, double-top (ratio -1), double-bottom (ratio +1), near-double
+    and triple spectra, rotated and scaled from 1e-9 to 1e9."""
+    rng = np.random.default_rng(13)
+    shapes = (
+        lambda x: x,
+        lambda x: np.array([1.0, 1.0, x[2]]),
+        lambda x: np.array([x[0], 1.0, 1.0]),
+        lambda x: np.array([1.0, 1.0 + 1e-9 * x[1], x[2]]),
+        lambda x: np.ones(3),
+    )
+    for _ in range(400):
+        for shape in shapes:
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            scale = 10.0 ** rng.uniform(-9.0, 9.0)
+            a = scale * (q * shape(rng.uniform(-2.0, 2.0, size=3))) @ q.T
+            a = 0.5 * (a + a.T)
+            spec = sym3_spectrum(a)
+            w, _ = sym3_eigen_jacobi(a)
+            assert spec[:3] == pytest.approx(tuple(w), abs=1e-13 * np.abs(w).max())
+            t1, t2, t3 = sym3_traces(a)
+            # 3 alpha^2 = tr B^2 / 2 and 2 beta = det B, B = A - (t1/3) I
+            assert 6.0 * spec.alpha**2 == pytest.approx(t2 - t1 * t1 / 3.0, abs=1e-12 * t2)
+            assert 2.0 * spec.beta == pytest.approx(
+                np.prod(np.array(w) - t1 / 3.0), abs=1e-12 * (abs(t1) + np.abs(w).max()) ** 3
+            )
