@@ -25,27 +25,19 @@ from .incompat import (
     optimal_bloch,
 )
 from .linalg3 import (
-    det_from_traces,
     hermitian_psd_check,
     pauli_matrices,
     sym3_eigen_jacobi,
     sym3_spectrum,
     sym3_traces,
-    tensor_product,
 )
 from .oracle import OracleResult, fibonacci_sphere, mixed_sample_floor, sphere_grid_min
 from .states import (
-    PauliObservable,
     QubitState,
     TwoQubitState,
-    joint_observable,
-    operator_variance,
     product_state,
     pure_bloch,
-    qubit_variance,
-    robertson_bound,
     singlet,
-    spin_matrix,
     uncertainty_sum,
     werner,
 )

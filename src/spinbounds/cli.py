@@ -42,10 +42,10 @@ EXIT_ASSERTION = 4
 
 _DEFAULT_GRID = ["pi/9", "2*pi/9", "pi/3", "4*pi/9", "5*pi/9"]
 
-# verify's lattice and sample searches hold K x N float64 products for K
-# points and N directions, next to K x 3 coordinates. Capping K * max(N, 3)
-# at 3.2e7 keeps each such array within 256 MB; a search holds about two
-# of them at once (measured peak ~300 MB at K = 1e6, N = 16).
+# verify's lattice and sample searches hold one K x N float64 product for
+# K points and N directions, next to K x 3 coordinates. Capping K * max(N, 3)
+# at 3.2e7 keeps that array within 256 MB (measured peak RSS of a whole
+# verify run with N = 16: 220 MB at K = 1e6, 357 MB at K = 2e6).
 MAX_SEARCH_FLOATS = 32_000_000
 
 _ANGLE_RE = re.compile(r"^\s*(?:(\d+)\s*\*\s*)?pi\s*(?:/\s*(\d+))?\s*$")
@@ -78,14 +78,22 @@ def round5(x: float) -> float:
     return math.copysign(math.floor(abs(x) * 1e5 + 0.5) / 1e5, x)
 
 
-def load_directions(path: str) -> np.ndarray:
-    """Read `{"directions": [[x,y,z], ...]}` from a JSON file as an N x 3
-    array of finite, nonzero directions."""
+def _read_json_object(path: str, what: str) -> dict:
+    """Parse a JSON file whose top level must be an object."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read direction file {path}: {exc}") from exc
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+def load_directions(path: str) -> np.ndarray:
+    """Read `{"directions": [[x,y,z], ...]}` from a JSON file as an N x 3
+    array of finite, nonzero directions."""
+    data = _read_json_object(path, "direction")
     dirs = data.get("directions")
     if not isinstance(dirs, list) or not dirs:
         raise InputError(f"{path}: expected a non-empty 'directions' list")
@@ -118,11 +126,7 @@ def load_state(spec: str) -> TwoQubitState:
             return product_state(r_a, r_b)
         except ValueError as exc:
             raise InputError(f"bad product state spec {spec!r}: {exc}") from exc
-    try:
-        with open(spec) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read state file {spec}: {exc}") from exc
+    data = _read_json_object(spec, "state")
     if data.get("dim") != 4:
         raise InputError(f"{spec}: only dim=4 states are accepted here")
     try:
@@ -136,11 +140,7 @@ def load_state(spec: str) -> TwoQubitState:
 
 def load_settings(path: str) -> list[tuple[np.ndarray, np.ndarray]]:
     """Read `{"settings": [{"alice": [...], "bob": [...]}, ...]}`."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read settings file {path}: {exc}") from exc
+    data = _read_json_object(path, "settings")
     raw = data.get("settings")
     if not isinstance(raw, list) or not raw:
         raise InputError(f"{path}: expected a non-empty 'settings' list")

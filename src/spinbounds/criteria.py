@@ -1,5 +1,8 @@
 """Entanglement-witness and EPR-steering tests built on the variance bound.
 
+Both read a two-qubit state only through its Bloch tensors (a, b, T)
+(`states.TwoQubitState`), so every statistic is 3x3 real arithmetic.
+
 A separable two-qubit state keeps the summed variance of the joint
 observables S_n (x) I + I (x) S_m at or above the sum of the two local
 bounds; going below certifies entanglement. Likewise, if Bob's statistics
@@ -15,11 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .incompat import incompatibility
-from .linalg3 import as_vec3, pauli_matrices
-from .states import TwoQubitState, joint_observable, operator_variance
-
-_SX, _SY, _SZ = pauli_matrices()
-_I2 = np.eye(2, dtype=complex)
+from .linalg3 import as_vec3
+from .states import TwoQubitState
 
 _VIOLATION_SLACK = 1e-10  # exact saturation must not count as a violation
 _BRANCH_EPS = 1e-12  # outcome probabilities below this are treated as absent
@@ -66,18 +66,19 @@ def entanglement_witness(
 ) -> WitnessReport:
     """Test the separability bound on paired joint observables.
 
-    variance_sum = sum_i Var(S_n_i (x) I + I (x) S_m_i); the bound is the
-    sum of the two local incompatibilities. Violation certifies
-    entanglement; non-violation certifies nothing.
+    variance_sum = sum_i Var(S_n_i (x) I + I (x) S_m_i), and each term is
+    |n|^2 + |m|^2 + 2 n^T T m - (n . a + m . b)^2; the bound is the sum of
+    the two local incompatibilities. Violation certifies entanglement;
+    non-violation certifies nothing.
     """
     alice = [_unit(d, "alice") for d in alice_dirs]
     bob = [_unit(d, "bob") for d in bob_dirs]
     if len(alice) != len(bob):
         raise ValueError("alice and bob need the same number of directions")
-    variance_sum = sum(
-        operator_variance(joint_observable(n, m), state.rho)
+    variance_sum = float(sum(
+        n @ n + m @ m + 2.0 * (n @ state.T @ m) - (n @ state.a + m @ state.b) ** 2
         for n, m in zip(alice, bob)
-    )
+    ))
     bound = incompatibility(alice).value + incompatibility(bob).value
     margin = bound - variance_sum
     return WitnessReport(
@@ -93,32 +94,20 @@ def conditional_stats(
 ) -> ConditionalDistribution:
     """Born-rule statistics of Alice's +-1 outcome and Bob's conditional state.
 
-    p(A) = tr[(Pi_A (x) I) rho]; Bob's conditional state is the A-block
-    partial trace renormalized. Branches with negligible probability are
-    omitted.
+    p(+-) = (1 +- a . n)/2 and Bob's conditional Bloch vector is
+    r_B|+- = (b +- T^T n)/(2 p(+-)) (Cavalcanti et al., PRA 80, 032112,
+    2009). Branches with negligible probability are omitted.
     """
-    a = _unit(a_dir, "alice")
-    _unit(b_dir, "bob")  # validated for interface symmetry; stats need only a
-    rho = state.rho
+    n = _unit(a_dir, "alice")
+    _unit(b_dir, "bob")  # validated for interface symmetry; stats need only n
+    mean_a = float(n @ state.a)
+    steered = state.T.T @ n
     branches = []
-    spin_a = a[0] * _SX + a[1] * _SY + a[2] * _SZ
     for outcome in (+1, -1):
-        proj = 0.5 * (_I2 + outcome * spin_a)
-        m = np.kron(proj, _I2) @ rho
-        # partial trace over Alice: sum the two diagonal 2x2 blocks
-        bob_block = m[0:2, 0:2] + m[2:4, 2:4]
-        p = float(np.trace(bob_block).real)
+        p = 0.5 * (1.0 + outcome * mean_a)
         if p < _BRANCH_EPS:
             continue
-        cond = bob_block / p
-        bloch = np.array(
-            [
-                np.trace(cond @ _SX).real,
-                np.trace(cond @ _SY).real,
-                np.trace(cond @ _SZ).real,
-            ]
-        )
-        branches.append(ConditionalBranch(outcome, p, bloch))
+        branches.append(ConditionalBranch(outcome, p, (state.b + outcome * steered) / (2.0 * p)))
     return ConditionalDistribution(tuple(branches))
 
 

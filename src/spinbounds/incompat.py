@@ -73,11 +73,12 @@ def cubic_coefficients(traces: tuple[float, float, float]) -> CubicCoefficients:
 
     alpha = sqrt((3 tau2 - tau1^2)/18); beta = tau1^3/27 + tau3/6
     - tau1 tau2 / 6. Valid for any traces coming from a real symmetric
-    matrix; a slightly negative radicand (roundoff) clamps to zero.
+    matrix; a radicand that roundoff pushed below zero, by at most 1e-12
+    tau1^2, clamps to zero.
     """
     t1, t2, t3 = traces
     radicand = (3.0 * t2 - t1 * t1) / 18.0
-    if radicand < -1e-9:
+    if radicand < -1e-12 * t1 * t1:
         raise ValueError(f"inconsistent traces: 3*tau2 - tau1^2 = {18 * radicand:.3e} < 0")
     alpha = sqrt(max(radicand, 0.0))
     beta = t1**3 / 27.0 + t3 / 6.0 - t1 * t2 / 6.0

@@ -1,5 +1,5 @@
-"""Small fixed-size linear algebra: 3x3 symmetric spectral tools and
-2x2/4x4 Hermitian helpers.
+"""Small fixed-size linear algebra: 3x3 symmetric spectral tools, the Pauli
+matrices and Hermitian/PSD checks.
 
 Real 3-vectors and 3x3 symmetric matrices are plain float64 numpy arrays;
 complex Hermitian matrices are complex128 numpy arrays.
@@ -168,12 +168,6 @@ def _matvec(b, x) -> tuple[float, float, float]:
     return (_dot(b[0], x), _dot(b[1], x), _dot(b[2], x))
 
 
-def det_from_traces(traces: tuple[float, float, float]) -> float:
-    """Determinant of a 3x3 matrix from its first three trace powers."""
-    t1, t2, t3 = traces
-    return (t1**3 + 2.0 * t3 - 3.0 * t1 * t2) / 6.0
-
-
 def sym3_eigen_jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric 3x3 matrix by cyclic Jacobi sweeps.
 
@@ -217,15 +211,6 @@ def pauli_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
     sz = np.array([[1, 0], [0, -1]], dtype=complex)
     return sx, sy, sz
-
-
-def tensor_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices, row-major index 2*i_A + i_B."""
-    p = np.asarray(p, dtype=complex)
-    q = np.asarray(q, dtype=complex)
-    if p.shape != (2, 2) or q.shape != (2, 2):
-        raise ValueError("tensor_product expects two 2x2 matrices")
-    return np.kron(p, q)
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:

@@ -42,9 +42,11 @@ def fibonacci_sphere(num_points: int) -> np.ndarray:
 
 
 def _variance_sum_many(dirs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    # sum_i n_i^2 - (n_i . r)^2, vectorized over rows of `points`
+    # sum_i n_i^2 - (n_i . r)^2, vectorized over rows of `points`; squaring
+    # in place keeps one K x N array alive instead of two
     tau1 = float(np.sum(dirs * dirs))
-    return tau1 - np.square(points @ dirs.T).sum(axis=1)
+    prod = points @ dirs.T
+    return tau1 - np.square(prod, out=prod).sum(axis=1)
 
 
 def _spherical(theta: float, phi: float) -> np.ndarray:

@@ -1,40 +1,25 @@
-"""Qubit and two-qubit states, spin observables, and variance evaluation.
+"""Qubit and two-qubit states.
 
 Single-qubit states are Bloch vectors (all qubit variances are then exact
-closed forms); two-qubit states are dense 4x4 density matrices with index
-convention 2*i_A + i_B.
+closed forms). A two-qubit state is given as a 4x4 density matrix (index
+convention 2*i_A + i_B) and is read through its Bloch tensors (a, b, T),
+rho = (I + a . sigma (x) I + I (x) b . sigma + sum_ij T_ij sigma_i (x) sigma_j)/4
+(Horodecki & Horodecki, PRA 54, 1838, 1996).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .incompat import validate_directions
-from .linalg3 import (
-    as_vec3,
-    hermitian_psd_check,
-    is_hermitian,
-    pauli_matrices,
-    tensor_product,
-)
+from .linalg3 import as_vec3, hermitian_psd_check, is_hermitian, pauli_matrices
 
 _SX, _SY, _SZ = pauli_matrices()
 _I2 = np.eye(2, dtype=complex)
-
-
-@dataclass(frozen=True)
-class PauliObservable:
-    """Hermitian 2x2 observable a*I + b . sigma."""
-
-    axis: np.ndarray
-    offset: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "axis", as_vec3(self.axis))
-        if not np.isfinite(self.offset):
-            raise ValueError("offset must be finite")
+# _PAULI_PAIRS[mu, nu] = sigma_mu (x) sigma_nu, with sigma_0 = I
+_PAULI_PAIRS = np.array([[np.kron(p, q) for q in (_I2, _SX, _SY, _SZ)] for p in (_I2, _SX, _SY, _SZ)])
 
 
 @dataclass(frozen=True)
@@ -56,9 +41,17 @@ class QubitState:
 
 @dataclass(frozen=True)
 class TwoQubitState:
-    """Two-qubit density matrix: 4x4, Hermitian, unit trace, PSD."""
+    """Two-qubit density matrix: 4x4, Hermitian, unit trace, PSD.
+
+    Construction also computes the Bloch tensors from
+    M[mu, nu] = tr(rho sigma_mu (x) sigma_nu): Alice's Bloch vector
+    a = M[1:, 0], Bob's b = M[0, 1:] and the correlations T = M[1:, 1:].
+    """
 
     rho: np.ndarray
+    a: np.ndarray = field(init=False, repr=False)
+    b: np.ndarray = field(init=False, repr=False)
+    T: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=complex)
@@ -70,23 +63,11 @@ class TwoQubitState:
             raise ValueError(f"trace is {np.trace(rho).real:.12g}, expected 1")
         if not hermitian_psd_check(rho, 1e-9):
             raise ValueError("density matrix is not positive semidefinite")
+        m = np.einsum("mnji,ij->mn", _PAULI_PAIRS, rho).real
         object.__setattr__(self, "rho", rho)
-
-
-def spin_matrix(b, a: float = 0.0) -> np.ndarray:
-    """The 2x2 Hermitian matrix a*I + b . sigma."""
-    bx, by, bz = as_vec3(b)
-    return a * _I2 + bx * _SX + by * _SY + bz * _SZ
-
-
-def qubit_variance(obs: PauliObservable, state: QubitState) -> float:
-    """Variance of a*I + b . sigma on a Bloch-vector state: b^2 - (b . r)^2.
-
-    Independent of the offset a.
-    """
-    b = obs.axis
-    r = state.bloch
-    return float(np.dot(b, b) - np.dot(b, r) ** 2)
+        object.__setattr__(self, "a", m[1:, 0])
+        object.__setattr__(self, "b", m[0, 1:])
+        object.__setattr__(self, "T", m[1:, 1:])
 
 
 def uncertainty_sum(directions, state: QubitState) -> float:
@@ -95,40 +76,17 @@ def uncertainty_sum(directions, state: QubitState) -> float:
     return float(np.sum(d * d) - np.sum(np.square(d @ state.bloch)))
 
 
-def robertson_bound(
-    m1: PauliObservable, m2: PauliObservable, state: QubitState
-) -> float:
-    """State-dependent commutator bound |<[M1, M2]>|/2 = |(b1 x b2) . r|."""
-    return float(abs(np.dot(np.cross(m1.axis, m2.axis), state.bloch)))
-
-
-def operator_variance(m: np.ndarray, rho: np.ndarray) -> float:
-    """Variance tr(M^2 rho) - tr(M rho)^2 of a Hermitian operator."""
-    m = np.asarray(m, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    if m.shape != rho.shape or m.ndim != 2:
-        raise ValueError("operator and state dimensions do not match")
-    mean = np.trace(m @ rho).real
-    mean_sq = np.trace(m @ m @ rho).real
-    return float(mean_sq - mean * mean)
-
-
-def joint_observable(n, m) -> np.ndarray:
-    """The 4x4 observable S_n (x) I + I (x) S_m."""
-    return tensor_product(spin_matrix(n), _I2) + tensor_product(_I2, spin_matrix(m))
-
-
 def singlet() -> TwoQubitState:
     """The two-qubit singlet |01> - |10> (normalized), as a density matrix."""
-    psi = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
-    return TwoQubitState(np.outer(psi, psi.conj()))
+    return werner(1.0)
 
 
 def werner(p: float) -> TwoQubitState:
     """Werner state p * singlet + (1 - p) * I/4."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"Werner parameter must lie in [0, 1], got {p}")
-    return TwoQubitState(p * singlet().rho + (1.0 - p) * np.eye(4) / 4.0)
+    psi = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    return TwoQubitState(p * np.outer(psi, psi) + (1.0 - p) * np.eye(4) / 4.0)
 
 
 def product_state(r_a, r_b) -> TwoQubitState:

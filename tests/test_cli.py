@@ -304,6 +304,31 @@ def test_steer_bad_settings(tmp_path, capsys):
     assert main(["steer", "--state", "singlet", "--settings", str(path)]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("content", ["[[1, 0, 0]]", "3", "null"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["incompat", "--dirs", "BAD"],
+        ["verify", "--dirs", "BAD"],
+        ["witness", "--state", "BAD", "--alice", "XYZ", "--bob", "XYZ"],
+        ["witness", "--state", "singlet", "--alice", "BAD", "--bob", "XYZ"],
+        ["witness", "--state", "singlet", "--alice", "XYZ", "--bob", "BAD"],
+        ["steer", "--state", "BAD", "--settings", "SETTINGS"],
+        ["steer", "--state", "singlet", "--settings", "BAD"],
+    ],
+    ids=["incompat-dirs", "verify-dirs", "witness-state", "witness-alice",
+         "witness-bob", "steer-state", "steer-settings"],
+)
+def test_json_file_without_top_level_object_is_input_error(
+    argv, content, tmp_path, xyz_file, settings_file, capsys
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    paths = {"BAD": str(bad), "XYZ": xyz_file, "SETTINGS": settings_file}
+    assert main([paths.get(a, a) for a in argv]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_subprocess_end_to_end(xyz_file):
     proc = subprocess.run(
         [sys.executable, "-m", "spinbounds", "incompat", "--dirs", xyz_file,

@@ -7,8 +7,10 @@ from spinbounds.criteria import (
     inference_variance_min,
     steering_test,
 )
+from spinbounds import states
 from spinbounds.incompat import incompatibility
-from spinbounds.states import product_state, singlet, werner
+from spinbounds.linalg3 import pauli_matrices
+from spinbounds.states import TwoQubitState, product_state, singlet, werner
 
 XYZ = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
 XYZ_SETTINGS = [(d, d) for d in XYZ]
@@ -21,6 +23,42 @@ def random_unit(rng):
 
 def random_ball(rng):
     return random_unit(rng) * rng.uniform() ** (1.0 / 3.0)
+
+
+# Dense 4x4 reference: Kronecker-product observables on the density matrix,
+# independent of the Bloch tensors the criteria use.
+SIGMA = pauli_matrices()
+I2 = np.eye(2)
+
+
+def spin(n):
+    return sum(c * s for c, s in zip(n, SIGMA))
+
+
+def dense_variance(m, rho):
+    mean = np.trace(m @ rho).real
+    return np.trace(m @ m @ rho).real - mean * mean
+
+
+def dense_branches(rho, n):
+    """(outcome, probability, Bob's Bloch vector) for Alice measuring n."""
+    out = []
+    for outcome in (+1, -1):
+        proj = 0.5 * (I2 + outcome * spin(n))
+        bob = np.trace((np.kron(proj, I2) @ rho).reshape(2, 2, 2, 2), axis1=0, axis2=2)
+        p = np.trace(bob).real
+        out.append((outcome, p, np.array([np.trace(bob @ s).real for s in SIGMA]) / p))
+    return out
+
+
+def random_state(rng, kind):
+    if kind == "werner":
+        return werner(rng.uniform())
+    if kind == "product":
+        return product_state(random_ball(rng), random_ball(rng))
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    return TwoQubitState(rho / np.trace(rho).real)
 
 
 def test_witness_singlet():
@@ -181,3 +219,49 @@ def test_steering_sound_on_product_states():
         assert report.total == pytest.approx(expected, abs=1e-10)
         assert report.total >= report.bound - 1e-9
         assert not report.violated
+
+
+@pytest.mark.parametrize("kind", ["werner", "product", "full_rank"])
+def test_witness_matches_dense_reference(kind):
+    rng = np.random.default_rng(83)
+    for _ in range(100):
+        state = random_state(rng, kind)
+        n = int(rng.integers(1, 5))
+        alice = [random_unit(rng) for _ in range(n)]
+        bob = [random_unit(rng) for _ in range(n)]
+        dense = sum(
+            dense_variance(np.kron(spin(a), I2) + np.kron(I2, spin(b)), state.rho)
+            for a, b in zip(alice, bob)
+        )
+        report = entanglement_witness(state, alice, bob)
+        assert abs(report.variance_sum - dense) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["werner", "product", "full_rank"])
+def test_steering_statistics_match_dense_reference(kind):
+    rng = np.random.default_rng(89)
+    for _ in range(100):
+        state = random_state(rng, kind)
+        for _ in range(int(rng.integers(1, 5))):
+            a, b = random_unit(rng), random_unit(rng)
+            dense = dense_branches(state.rho, a)
+            branches = conditional_stats(state, a, b).branches
+            assert [br.outcome for br in branches] == [o for o, _, _ in dense]
+            for br, (_, p, bloch) in zip(branches, dense):
+                assert abs(br.probability - p) <= 1e-12
+                assert np.max(np.abs(br.bob_bloch - bloch)) <= 1e-12
+            expected = sum(p * (1.0 - float(b @ r) ** 2) for _, p, r in dense)
+            assert abs(inference_variance_min(state, a, b) - expected) <= 1e-12
+
+
+def test_werner_checks_positivity_once(monkeypatch):
+    calls = []
+
+    def counting(m, tol):
+        calls.append(tol)
+        return check(m, tol)
+
+    check = states.hermitian_psd_check
+    monkeypatch.setattr(states, "hermitian_psd_check", counting)
+    werner(0.5)
+    assert len(calls) == 1

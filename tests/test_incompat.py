@@ -373,3 +373,18 @@ def test_fixed_regressions_extreme_scale_and_coincident_directions():
     # three equal unit vectors: Gram matrix all ones, spectrum (3, 0, 0)
     assert incompatibility_from_angles(0.0, 0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(directions_from_angles(0.0, 0.0, 0.0), [(1.0, 0.0, 0.0)] * 3)
+
+
+def test_trace_path_holds_at_every_scale():
+    # the radicand tolerance is relative to tau1^2: an absolute one rejected
+    # the traces of xyz * 1e6 and of any rotated xyz scaled by 100 or more
+    rng = np.random.default_rng(97)
+    families = [degenerate_family(name, x)[0] for name in DEGENERATE_FAMILIES for x in (0.25, 4.0)]
+    families += [np.ones((3, 3)) / math.sqrt(3.0), rng.normal(size=(4, 3))]
+    for d in families:
+        for k in range(-9, 10):
+            for _ in range(3):
+                a, traces = moment_matrix(d @ random_rotation(rng).T * 10.0**k)
+                exact = np.linalg.eigvalsh(a)[-1]
+                assert abs(lambda_max_from_traces(traces) - exact) <= 1e-7 * traces[0]
+    assert lambda_max_from_traces(moment_matrix(np.eye(3) * 1e6)[1]) == pytest.approx(1e12, rel=1e-7)

@@ -2,18 +2,12 @@ import numpy as np
 import pytest
 
 from spinbounds.linalg3 import (
-    det_from_traces,
     hermitian_psd_check,
-    pauli_matrices,
     cubic_roots,
     sym3_eigen_jacobi,
     sym3_spectrum,
     sym3_traces,
-    tensor_product,
 )
-
-SX, SY, SZ = pauli_matrices()
-I2 = np.eye(2, dtype=complex)
 
 
 def random_sym3(rng):
@@ -35,23 +29,8 @@ def test_traces_rank1_projector():
     assert t == pytest.approx((1.0, 1.0, 1.0), abs=1e-14)
 
 
-def test_det_from_traces_examples():
-    assert det_from_traces((3.0, 3.0, 3.0)) == pytest.approx(1.0)
-    assert det_from_traces((1.0, 1.0, 1.0)) == pytest.approx(0.0, abs=1e-14)
-    # direct cofactor determinant of diag(3,2,1) is 6
-    assert det_from_traces((6.0, 14.0, 36.0)) == pytest.approx(6.0)
 
 
-def test_det_from_traces_matches_cofactor_expansion():
-    rng = np.random.default_rng(7)
-    for _ in range(1000):
-        a = random_sym3(rng)
-        det = (
-            a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-            - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-            + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-        )
-        assert det_from_traces(sym3_traces(a)) == pytest.approx(det, abs=1e-9)
 
 
 def test_jacobi_identity():
@@ -90,29 +69,10 @@ def test_jacobi_random_properties():
         assert np.allclose((v * w) @ v.T, a, atol=1e-9)
 
 
-def test_tensor_product_examples():
-    assert np.allclose(tensor_product(I2, I2), np.eye(4))
-    assert np.allclose(tensor_product(SZ, SZ), np.diag([1, -1, -1, 1]))
-    sx_i = tensor_product(SX, I2)
-    assert np.allclose(sx_i[0:2, 2:4], I2)
-    assert np.allclose(sx_i[2:4, 0:2], I2)
-    assert np.allclose(sx_i[0:2, 0:2], 0.0)
 
 
-def test_tensor_product_trace_multiplicative():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        p = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        p = p + p.conj().T
-        q = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        q = q + q.conj().T
-        lhs = np.trace(tensor_product(p, q))
-        assert abs(lhs - np.trace(p) * np.trace(q)) <= 1e-12
 
 
-def test_tensor_product_dimension_mismatch():
-    with pytest.raises(ValueError):
-        tensor_product(np.eye(2), np.eye(4))
 
 
 def test_psd_check():

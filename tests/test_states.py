@@ -6,17 +6,11 @@ import pytest
 from spinbounds.incompat import incompatibility
 from spinbounds.linalg3 import pauli_matrices
 from spinbounds.states import (
-    PauliObservable,
     QubitState,
     TwoQubitState,
-    joint_observable,
-    operator_variance,
     product_state,
     pure_bloch,
-    qubit_variance,
-    robertson_bound,
     singlet,
-    spin_matrix,
     uncertainty_sum,
     werner,
 )
@@ -34,10 +28,6 @@ def random_mixed(rng):
     return QubitState(random_unit(rng) * rng.uniform(0.0, 1.0))
 
 
-def test_spin_matrix_examples():
-    assert np.allclose(spin_matrix((0, 0, 1)), np.diag([1.0, -1.0]))
-    assert np.allclose(spin_matrix((1, 0, 0)), SX)
-    assert np.allclose(spin_matrix((0, 0, 0), a=2.0), 2.0 * np.eye(2))
 
 
 def test_qubit_state_validation():
@@ -47,13 +37,6 @@ def test_qubit_state_validation():
         pure_bloch((0.5, 0.0, 0.0))
 
 
-def test_qubit_variance_examples():
-    sz = PauliObservable((0, 0, 1))
-    assert qubit_variance(sz, QubitState((0, 0, 1))) == pytest.approx(0.0, abs=1e-15)
-    assert qubit_variance(sz, QubitState((0, 0, 0))) == pytest.approx(1.0)
-    # offset does not matter
-    shifted = PauliObservable((1, 0, 0), offset=2.0)
-    assert qubit_variance(shifted, QubitState((0, 0, 1))) == pytest.approx(1.0)
 
 
 def test_uncertainty_sum_examples():
@@ -91,64 +74,16 @@ def test_variance_concavity_in_state():
         assert lhs >= rhs - 1e-10
 
 
-def test_robertson_bound_examples():
-    sx = PauliObservable((1, 0, 0))
-    sy = PauliObservable((0, 1, 0))
-    up = QubitState((0, 0, 1))
-    assert robertson_bound(sx, sy, up) == pytest.approx(1.0)
-    # saturated: both standard deviations are 1 on the z eigenstate
-    dx = math.sqrt(qubit_variance(sx, up))
-    dy = math.sqrt(qubit_variance(sy, up))
-    assert dx * dy == pytest.approx(robertson_bound(sx, sy, up))
-
-    mixed = QubitState((0, 0, 0))
-    assert robertson_bound(sx, sy, mixed) == pytest.approx(0.0)
-    assert qubit_variance(sx, mixed) * qubit_variance(sy, mixed) == pytest.approx(1.0)
-
-    parallel = PauliObservable((2, 0, 0))
-    assert robertson_bound(sx, parallel, up) == pytest.approx(0.0)
 
 
-def test_robertson_bound_random_sweep():
-    rng = np.random.default_rng(43)
-    for _ in range(1000):
-        m1 = PauliObservable(rng.normal(size=3), offset=rng.normal())
-        m2 = PauliObservable(rng.normal(size=3), offset=rng.normal())
-        s = random_mixed(rng)
-        lhs = math.sqrt(qubit_variance(m1, s)) * math.sqrt(qubit_variance(m2, s))
-        assert lhs >= robertson_bound(m1, m2, s) - 1e-12
 
 
-def test_operator_variance_examples():
-    total_z = joint_observable((0, 0, 1), (0, 0, 1))
-    assert operator_variance(total_z, singlet().rho) == pytest.approx(0.0, abs=1e-12)
-    assert operator_variance(np.asarray(SZ), QubitState((0, 0, 0)).density_matrix()) == pytest.approx(1.0)
-    # pure eigenstate of the observable has zero variance
-    rho = QubitState((0, 0, 1)).density_matrix()
-    assert operator_variance(np.asarray(SZ), rho) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_operator_variance_matches_bloch_formula():
-    rng = np.random.default_rng(53)
-    for _ in range(1000):
-        obs = PauliObservable(rng.normal(size=3), offset=rng.normal())
-        state = random_mixed(rng)
-        dense = operator_variance(
-            spin_matrix(obs.axis, obs.offset), state.density_matrix()
-        )
-        assert dense == pytest.approx(qubit_variance(obs, state), abs=1e-12)
 
 
-def test_operator_variance_dimension_mismatch():
-    with pytest.raises(ValueError):
-        operator_variance(np.eye(2), np.eye(4) / 4.0)
 
 
-def test_joint_observable_examples():
-    assert np.allclose(joint_observable((0, 0, 1), (0, 0, 1)), np.diag([2, 0, 0, -2]))
-    assert np.allclose(joint_observable((0, 0, 1), (0, 0, 0)), np.kron(SZ, np.eye(2)))
-    total_x = joint_observable((1, 0, 0), (1, 0, 0))
-    assert operator_variance(total_x, singlet().rho) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_make_state_fixtures():
@@ -174,3 +109,33 @@ def test_two_qubit_state_validation():
         TwoQubitState(np.eye(4, dtype=complex))
     with pytest.raises(ValueError, match="positive"):
         TwoQubitState(np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex))
+
+
+def random_full_rank(rng):
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    return TwoQubitState(rho / np.trace(rho).real)
+
+
+def test_bloch_tensors_fixtures():
+    s = singlet()
+    assert np.allclose(s.a, 0.0, atol=1e-15) and np.allclose(s.b, 0.0, atol=1e-15)
+    assert np.allclose(s.T, -np.eye(3), atol=1e-15)
+    assert np.allclose(werner(0.3).T, -0.3 * np.eye(3), atol=1e-15)
+    r_a, r_b = np.array([0.2, -0.5, 0.1]), np.array([0.0, 0.6, -0.7])
+    prod = product_state(r_a, r_b)
+    assert np.allclose(prod.a, r_a, atol=1e-15)
+    assert np.allclose(prod.b, r_b, atol=1e-15)
+    assert np.allclose(prod.T, np.outer(r_a, r_b), atol=1e-15)
+
+
+def test_bloch_tensors_reconstruct_rho():
+    rng = np.random.default_rng(79)
+    sigma = (np.eye(2), SX, SY, SZ)
+    for _ in range(200):
+        state = random_full_rank(rng)
+        m = np.empty((4, 4))
+        m[0, 0] = 1.0
+        m[1:, 0], m[0, 1:], m[1:, 1:] = state.a, state.b, state.T
+        rho = sum(m[i, j] * np.kron(sigma[i], sigma[j]) for i in range(4) for j in range(4)) / 4.0
+        assert np.max(np.abs(rho - state.rho)) <= 1e-14
