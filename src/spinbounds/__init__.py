@@ -36,7 +36,6 @@ from .states import (
     QubitState,
     TwoQubitState,
     product_state,
-    pure_bloch,
     singlet,
     uncertainty_sum,
     werner,

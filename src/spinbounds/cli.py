@@ -56,21 +56,22 @@ class InputError(Exception):
 
 
 def parse_angle(text: str) -> float:
-    """Parse an angle: `k*pi/m`, `pi/m`, `k*pi`, `pi`, or a decimal literal."""
+    """Parse a finite angle: `k*pi/m`, `pi/m`, `k*pi`, `pi`, or a decimal literal."""
     m = _ANGLE_RE.match(text)
-    if m:
-        k = int(m.group(1)) if m.group(1) else 1
-        d = int(m.group(2)) if m.group(2) else 1
-        if d == 0:
-            raise InputError(f"zero denominator in angle {text!r}")
-        return k * math.pi / d
     try:
-        return float(text)
+        value = int(m.group(1) or 1) * math.pi / int(m.group(2) or 1) if m else float(text)
+    except ZeroDivisionError:
+        raise InputError(f"zero denominator in angle {text!r}") from None
     except ValueError:
         raise InputError(
             f"malformed angle {text!r}: expected k*pi/m, pi/m, k*pi, pi, "
             f"or a decimal literal"
         ) from None
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise InputError(f"angle {text!r} is not finite")
+    return value
 
 
 def round5(x: float) -> float:
@@ -156,16 +157,13 @@ def load_settings(path: str) -> list[tuple[np.ndarray, np.ndarray]]:
         raise InputError(f"{path}: malformed setting entry: {exc}") from exc
 
 
-def _result_payload(res) -> dict:
-    return {
-        "value": res.value,
-        "lambda_max": res.lambda_max,
-        "optimizer": list(res.optimizer),
-        "alpha": res.coefficients.alpha,
-        "beta": res.coefficients.beta,
-        "traces": list(res.traces),
-        "method": res.method,
-    }
+def _emit(args, payload: dict, lines: list[str]) -> int:
+    """Print `payload` as one JSON line under --json, else the text `lines`;
+    EXIT_ASSERTION if --assert-violation is set and nothing was violated."""
+    print(json.dumps(payload) if getattr(args, "json", False) else "\n".join(lines))
+    if getattr(args, "assert_violation", False) and not payload["violated"]:
+        return EXIT_ASSERTION
+    return EXIT_OK
 
 
 def cmd_incompat(args) -> int:
@@ -177,22 +175,30 @@ def cmd_incompat(args) -> int:
         # materialize vectors so the full result (optimizer etc.) is available
         dirs = directions_from_angles(*(parse_angle(t) for t in args.angles))
     res = incompatibility(dirs)
-    if args.json:
-        print(json.dumps(_result_payload(res)))
-    else:
-        print(f"incompatibility: {round5(res.value):.5f}")
-        print(f"lambda_max:      {round5(res.lambda_max):.5f}")
-        print(f"alpha:           {round5(res.coefficients.alpha):.5f}")
-        print(f"beta:            {round5(res.coefficients.beta):.5f}")
-        ox, oy, oz = res.optimizer
-        print(f"optimizer bloch: ({ox:.6f}, {oy:.6f}, {oz:.6f})")
-    return EXIT_OK
+    payload = {
+        "value": res.value,
+        "lambda_max": res.lambda_max,
+        "optimizer": list(res.optimizer),
+        "alpha": res.coefficients.alpha,
+        "beta": res.coefficients.beta,
+        "traces": list(res.traces),
+        "method": res.method,
+    }
+    lines = [
+        f"incompatibility: {round5(res.value):.5f}",
+        f"lambda_max:      {round5(res.lambda_max):.5f}",
+        f"alpha:           {round5(res.coefficients.alpha):.5f}",
+        f"beta:            {round5(res.coefficients.beta):.5f}",
+        "optimizer bloch: ({:.6f}, {:.6f}, {:.6f})".format(*res.optimizer),
+    ]
+    return _emit(args, payload, lines)
 
 
 def cmd_table(args) -> int:
     theta3 = parse_angle(args.theta3)
     labels = args.grid.split(",") if args.grid else _DEFAULT_GRID
     angles = [parse_angle(t) for t in labels]
+    labels = [t.strip() for t in labels]
     rows = []
     footnotes = []
     for t2_label, t2 in zip(labels, angles):
@@ -202,18 +208,16 @@ def cmd_table(args) -> int:
                 row.append(f"{round5(incompatibility_from_angles(t1, t2, theta3)):.5f}")
             except ValueError as exc:
                 row.append("n/a")
-                footnotes.append(f"({t1_label.strip()}, {t2_label.strip()}): {exc}")
+                footnotes.append(f"({t1_label}, {t2_label}): {exc}")
         rows.append(row)
     if args.csv:
-        print("theta2\\theta1," + ",".join(t.strip() for t in labels))
-        for label, row in zip(labels, rows):
-            print(label.strip() + "," + ",".join(row))
+        lines = ["theta2\\theta1," + ",".join(labels)]
+        lines += [label + "," + ",".join(row) for label, row in zip(labels, rows)]
     else:
-        width = max(9, max(len(t.strip()) for t in labels) + 2)
-        header = "".join(t.strip().rjust(width) for t in labels)
-        print(" " * 12 + header)
-        for label, row in zip(labels, rows):
-            print(label.strip().ljust(12) + "".join(c.rjust(width) for c in row))
+        width = max(9, max(len(t) for t in labels) + 2)
+        lines = [" " * 12 + "".join(t.rjust(width) for t in labels)]
+        lines += [label.ljust(12) + "".join(c.rjust(width) for c in row) for label, row in zip(labels, rows)]
+    _emit(args, {}, lines)
     for note in footnotes:
         print(f"n/a {note}", file=sys.stderr)
     return EXIT_OK
@@ -252,14 +256,14 @@ def cmd_verify(args) -> int:
         "mixed_floor": floor,
         "pass": ok,
     }
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(f"closed form: {res.value:.10f}")
-        print(f"jacobi:      {jacobi_value:.10f}  (delta {d_jacobi:.3e})")
-        print(f"oracle:      {oracle.value:.10f}  (delta {d_oracle:.3e})")
-        print(f"mixed floor: {floor:.10f}")
-        print("PASS" if ok else "FAIL")
+    lines = [
+        f"closed form: {res.value:.10f}",
+        f"jacobi:      {jacobi_value:.10f}  (delta {d_jacobi:.3e})",
+        f"oracle:      {oracle.value:.10f}  (delta {d_oracle:.3e})",
+        f"mixed floor: {floor:.10f}",
+        "PASS" if ok else "FAIL",
+    ]
+    _emit(args, payload, lines)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
@@ -274,16 +278,13 @@ def cmd_witness(args) -> int:
         "margin": report.margin,
         "violated": report.violated,
     }
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(f"variance sum: {report.variance_sum:.10f}")
-        print(f"bound:        {report.bound:.10f}")
-        print(f"margin:       {report.margin:.10f}")
-        print("ENTANGLED (bound violated)" if report.violated else "no violation")
-    if args.assert_violation and not report.violated:
-        return EXIT_ASSERTION
-    return EXIT_OK
+    lines = [
+        f"variance sum: {report.variance_sum:.10f}",
+        f"bound:        {report.bound:.10f}",
+        f"margin:       {report.margin:.10f}",
+        "ENTANGLED (bound violated)" if report.violated else "no violation",
+    ]
+    return _emit(args, payload, lines)
 
 
 def cmd_steer(args) -> int:
@@ -297,17 +298,13 @@ def cmd_steer(args) -> int:
         "margin": report.margin,
         "violated": report.violated,
     }
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for i, v in enumerate(report.inference_variances):
-            print(f"setting {i}: inference variance {v:.10f}")
-        print(f"total: {report.total:.10f}")
-        print(f"bound: {report.bound:.10f}")
-        print("STEERING (bound violated)" if report.violated else "no violation")
-    if args.assert_violation and not report.violated:
-        return EXIT_ASSERTION
-    return EXIT_OK
+    lines = [f"setting {i}: inference variance {v:.10f}" for i, v in enumerate(report.inference_variances)]
+    lines += [
+        f"total: {report.total:.10f}",
+        f"bound: {report.bound:.10f}",
+        "STEERING (bound violated)" if report.violated else "no violation",
+    ]
+    return _emit(args, payload, lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,11 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="State-independent variance bounds for qubit spin observables",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
+    state_test = argparse.ArgumentParser(add_help=False)
+    state_test.add_argument("--state", required=True, help="file or singlet|werner:p|product:..")
+    state_test.add_argument("--assert-violation", action="store_true")
 
-    p = sub.add_parser("incompat", help="bound for a direction set or angle triple")
+    p = sub.add_parser("incompat", parents=[as_json], help="bound for a direction set or angle triple")
     p.add_argument("--dirs", help="JSON direction file")
     p.add_argument("--angles", nargs=3, metavar="THETA", help="three pairwise angles")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_incompat)
 
     p = sub.add_parser("table", help="grid of bounds over (theta1, theta2)")
@@ -329,27 +330,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("verify", help="closed form vs eigensolver vs oracle")
+    p = sub.add_parser("verify", parents=[as_json], help="closed form vs eigensolver vs oracle")
     p.add_argument("--dirs", required=True)
     p.add_argument("--grid-points", type=int, default=20_000)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("witness", help="entanglement test")
-    p.add_argument("--state", required=True, help="file or singlet|werner:p|product:..")
+    p = sub.add_parser("witness", parents=[state_test, as_json], help="entanglement test")
     p.add_argument("--alice", required=True, help="JSON direction file")
     p.add_argument("--bob", required=True, help="JSON direction file")
-    p.add_argument("--assert-violation", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("steer", help="EPR-steering test")
-    p.add_argument("--state", required=True, help="file or singlet|werner:p|product:..")
+    p = sub.add_parser("steer", parents=[state_test, as_json], help="EPR-steering test")
     p.add_argument("--settings", required=True, help="JSON settings file")
-    p.add_argument("--assert-violation", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_steer)
 
     return parser
@@ -359,12 +353,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError) as exc:
+    except (InputError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
+        return EXIT_VERIFY_FAIL if isinstance(exc, ArithmeticError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import cos, sqrt
+from math import cos, isfinite, sqrt
 
 import numpy as np
 
@@ -65,7 +65,7 @@ def moment_matrix(directions) -> tuple[np.ndarray, tuple[float, float, float]]:
     """Second-moment matrix A = sum_i n_i n_i^T = D^T D and its trace powers."""
     d = validate_directions(directions)
     a = d.T @ d  # exactly symmetric: numpy evaluates X.T @ X as one triangle (syrk)
-    return a, sym3_traces(a)  # sym3_traces also rejects an A that overflowed
+    return a, sym3_traces(a)  # sym3_traces also rejects an A or a tr A^3 that overflowed
 
 
 def cubic_coefficients(traces: tuple[float, float, float]) -> CubicCoefficients:
@@ -81,7 +81,7 @@ def cubic_coefficients(traces: tuple[float, float, float]) -> CubicCoefficients:
     if radicand < -1e-12 * t1 * t1:
         raise ValueError(f"inconsistent traces: 3*tau2 - tau1^2 = {18 * radicand:.3e} < 0")
     alpha = sqrt(max(radicand, 0.0))
-    beta = t1**3 / 27.0 + t3 / 6.0 - t1 * t2 / 6.0
+    beta = t1 * t1 * t1 / 27.0 + t3 / 6.0 - t1 * t2 / 6.0
     return CubicCoefficients(alpha, beta)
 
 
@@ -173,10 +173,14 @@ def incompatibility_pair(n1, n2) -> float:
     return s1 + s2 - lam
 
 
-def _gram_spectrum(c1: float, c2: float, c3: float) -> Sym3Spectrum:
-    """Spectrum of the Gram matrix of three unit vectors whose pairwise
-    angles have cosines c1, c2, c3; raises unless it is PSD (the triple is
-    realizable)."""
+def _gram_spectrum(theta1: float, theta2: float, theta3: float) -> Sym3Spectrum:
+    """Spectrum of the Gram matrix of three unit vectors with the given
+    pairwise angles; raises unless every angle is finite and the Gram matrix
+    is PSD (the triple is realizable)."""
+    for i, theta in enumerate((theta1, theta2, theta3), 1):
+        if not isfinite(theta):
+            raise ValueError(f"angle theta{i} = {theta} is not finite")
+    c1, c2, c3 = cos(theta1), cos(theta2), cos(theta3)
     spec = sym3_spectrum(np.array([[1.0, c3, c2], [c3, 1.0, c1], [c2, c1, 1.0]]))
     if spec.lam_min < -_GRAM_PSD_TOL:
         raise ValueError(
@@ -191,20 +195,20 @@ def incompatibility_from_angles(theta1: float, theta2: float, theta3: float) -> 
 
     The moment matrix and the Gram matrix share their nonzero spectrum, so
     the bound is 3 - lambda_max(Gram), without reconstructing vectors.
-    Rejects angle triples not realizable by unit vectors in 3-space (Gram
-    matrix not PSD).
+    Rejects a non-finite angle and angle triples not realizable by unit
+    vectors in 3-space (Gram matrix not PSD).
     """
-    return 3.0 - _gram_spectrum(cos(theta1), cos(theta2), cos(theta3)).lam_max
+    return 3.0 - _gram_spectrum(theta1, theta2, theta3).lam_max
 
 
 def directions_from_angles(theta1: float, theta2: float, theta3: float) -> np.ndarray:
     """Explicit unit vectors (rows) with the given pairwise angles (one choice).
 
-    Raises for non-realizable triples, same condition as
-    `incompatibility_from_angles`.
+    Raises for non-finite angles and non-realizable triples, same
+    conditions as `incompatibility_from_angles`.
     """
+    _gram_spectrum(theta1, theta2, theta3)
     c1, c2, c3 = cos(theta1), cos(theta2), cos(theta3)
-    _gram_spectrum(c1, c2, c3)
     n1 = (1.0, 0.0, 0.0)
     s3 = sqrt(max(1.0 - c3 * c3, 0.0))
     if s3 == 0.0:

@@ -7,7 +7,7 @@ complex Hermitian matrices are complex128 numpy arrays.
 
 from __future__ import annotations
 
-from math import acos, cos, hypot, pi, sqrt
+from math import acos, cos, hypot, isfinite, pi, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -53,17 +53,20 @@ def as_sym3(m) -> np.ndarray:
 def sym3_traces(a: np.ndarray) -> tuple[float, float, float]:
     """Trace powers (tr A, tr A^2, tr A^3) of a symmetric 3x3 matrix.
 
-    Computed directly from the entries, not via eigenvalues.
+    Computed directly from the entries, not via eigenvalues. Raises
+    ValueError when tr A^3 overflows.
     """
     (a00, a01, a02), (_, a11, a12), (_, _, a22) = as_sym3(a).tolist()
     d2 = a01 * a01, a02 * a02, a12 * a12
     t1 = a00 + a11 + a22
     t2 = a00 * a00 + a11 * a11 + a22 * a22 + 2.0 * (d2[0] + d2[1] + d2[2])
     t3 = (
-        a00**3 + a11**3 + a22**3
+        a00 * a00 * a00 + a11 * a11 * a11 + a22 * a22 * a22
         + 3.0 * (d2[0] * (a00 + a11) + d2[1] * (a00 + a22) + d2[2] * (a11 + a22))
         + 6.0 * a01 * a02 * a12
     )
+    if not isfinite(t3):
+        raise ValueError("tr A^3 overflows: entries of A above ~5.6e102 (directions longer than ~2.4e51)")
     return t1, t2, t3
 
 
@@ -125,7 +128,7 @@ def sym3_spectrum(a: np.ndarray) -> Sym3Spectrum:
         hi, lo = _deflate(((b00, b01, b02), (b01, b11, b12), (b02, b12, b22)), z)
         roots = (z, hi, lo) if ratio > 0.0 else (hi, lo, z)
     return Sym3Spectrum(
-        shift + s * roots[0], shift + s * roots[1], shift + s * roots[2], s * alpha, s**3 * beta
+        shift + s * roots[0], shift + s * roots[1], shift + s * roots[2], s * alpha, s * s * s * beta
     )
 
 
@@ -213,21 +216,16 @@ def pauli_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sx, sy, sz
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    m = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
 def hermitian_psd_check(m: np.ndarray, tol: float = PSD_TOL) -> bool:
     """True iff the Hermitian matrix m has all eigenvalues >= -tol.
 
-    Raises ValueError when m is not Hermitian within tol: a malformed
-    input is a validation failure, not a "not PSD" verdict.
+    Raises ValueError when m is not Hermitian within HERMITIAN_TOL: a
+    malformed input is a validation failure, not a "not PSD" verdict.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    if not is_hermitian(m, tol):
-        raise ValueError("matrix is not Hermitian within tolerance")
+    if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:
+        raise ValueError("density matrix is not Hermitian")
     w = np.linalg.eigvalsh(m)
     return bool(w[0] >= -tol)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .incompat import validate_directions
-from .linalg3 import as_vec3, hermitian_psd_check, is_hermitian, pauli_matrices
+from .linalg3 import as_vec3, hermitian_psd_check, pauli_matrices
 
 _SX, _SY, _SZ = pauli_matrices()
 _I2 = np.eye(2, dtype=complex)
@@ -57,11 +57,10 @@ class TwoQubitState:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError("two-qubit state must be a 4x4 matrix")
-        if not is_hermitian(rho, 1e-12):
-            raise ValueError("density matrix is not Hermitian")
+        psd = hermitian_psd_check(rho, 1e-9)  # tests Hermiticity first, at 1e-12
         if abs(np.trace(rho).real - 1.0) > 1e-10:
             raise ValueError(f"trace is {np.trace(rho).real:.12g}, expected 1")
-        if not hermitian_psd_check(rho, 1e-9):
+        if not psd:
             raise ValueError("density matrix is not positive semidefinite")
         m = np.einsum("mnji,ij->mn", _PAULI_PAIRS, rho).real
         object.__setattr__(self, "rho", rho)
@@ -94,11 +93,3 @@ def product_state(r_a, r_b) -> TwoQubitState:
     rho_a = QubitState(r_a).density_matrix()
     rho_b = QubitState(r_b).density_matrix()
     return TwoQubitState(np.kron(rho_a, rho_b))
-
-
-def pure_bloch(r) -> QubitState:
-    """Pure qubit state from a unit Bloch vector."""
-    r = as_vec3(r)
-    if abs(np.dot(r, r) - 1.0) > 1e-10:
-        raise ValueError("pure state requires a unit Bloch vector")
-    return QubitState(r)

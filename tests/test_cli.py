@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -66,7 +67,7 @@ def test_parse_angle(text, expected):
     assert parse_angle(text) == pytest.approx(expected, abs=0)
 
 
-@pytest.mark.parametrize("text", ["two*pi", "pi/", "pi/0", "1/2*pi", ""])
+@pytest.mark.parametrize("text", ["two*pi", "pi/", "pi/0", "1/2*pi", "", "nan", "inf", "-inf", "1e400"])
 def test_parse_angle_rejects_malformed(text):
     with pytest.raises(InputError):
         parse_angle(text)
@@ -139,6 +140,30 @@ def test_incompat_cross_check_failure_exits_3_without_traceback(xyz_file, capsys
 def test_incompat_missing_file(capsys):
     assert main(["incompat", "--dirs", "/nonexistent.json"]) == EXIT_INPUT
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--grid", "nan"],
+        ["table", "--grid", "pi/2", "--theta3", "1e400"],
+        ["incompat", "--angles", "inf", "pi/2", "pi/2"],
+        ["incompat", "--angles", "pi/2", "9" * 400 + "*pi", "pi/2"],
+    ],
+    ids=["table-grid-nan", "table-theta3-1e400", "incompat-inf", "incompat-huge-k"],
+)
+def test_non_finite_angle_is_input_error(argv, capsys):
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: angle") and err.rstrip().endswith("is not finite")
+
+
+@pytest.mark.parametrize("command", ["incompat", "verify"])
+def test_directions_past_the_cube_overflow_are_input_error(command, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"directions": (np.eye(3) * 1e52).tolist()}))
+    assert main([command, "--dirs", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: tr A^3 overflows")
 
 
 def test_table_default_grid(capsys):
@@ -330,11 +355,14 @@ def test_json_file_without_top_level_object_is_input_error(
 
 
 def test_subprocess_end_to_end(xyz_file):
+    # the child imports the package under test, whether or not it is installed
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     proc = subprocess.run(
         [sys.executable, "-m", "spinbounds", "incompat", "--dirs", xyz_file,
          "--json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == EXIT_OK
     assert json.loads(proc.stdout)["value"] == pytest.approx(2.0, abs=1e-12)
@@ -343,6 +371,185 @@ def test_subprocess_end_to_end(xyz_file):
         [sys.executable, "-m", "spinbounds", "incompat", "--dirs", "/missing.json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == EXIT_INPUT
     assert proc.stderr.strip()
+
+
+# The full stdout, stderr and exit code of every subcommand in each output
+# mode and of the main error paths. Run from a directory holding the fixture
+# files, so the paths in messages are fixed. The fixtures are small and
+# symmetric, so every printed value is exact or within a few ulps of exact.
+GOLDEN = {
+    "incompat --dirs xyz.json": (
+        0,
+        """\
+incompatibility: 2.00000
+lambda_max:      1.00000
+alpha:           0.00000
+beta:            0.00000
+optimizer bloch: (0.000000, 0.000000, 1.000000)
+""",
+        "",
+    ),
+    "incompat --dirs xyz.json --json": (
+        0,
+        """\
+{"value": 2.0, "lambda_max": 1.0, "optimizer": [0.0, 0.0, 1.0], "alpha": 0.0, "beta": 0.0, "traces": [3.0, 3.0, 3.0], "method": "closed_form"}
+""",
+        "",
+    ),
+    "incompat --angles pi/3 pi/3 pi/3": (
+        0,
+        """\
+incompatibility: 1.00000
+lambda_max:      2.00000
+alpha:           0.50000
+beta:            0.12500
+optimizer bloch: (0.816497, 0.471405, 0.333333)
+""",
+        "",
+    ),
+    "incompat --angles 0 0 0 --json": (
+        0,
+        """\
+{"value": 0.0, "lambda_max": 3.0, "optimizer": [1.0, 0.0, 0.0], "alpha": 1.0, "beta": 1.0, "traces": [3.0, 9.0, 27.0], "method": "closed_form"}
+""",
+        "",
+    ),
+    "verify --dirs xyz.json": (
+        0,
+        """\
+closed form: 2.0000000000
+jacobi:      2.0000000000  (delta 0.000e+00)
+oracle:      2.0000000000  (delta 4.441e-16)
+mixed floor: 2.0002894092
+PASS
+""",
+        "",
+    ),
+    "verify --dirs xyz.json --json": (
+        0,
+        """\
+{"closed_form": 2.0, "jacobi": 2.0, "oracle": 1.9999999999999996, "delta_jacobi": 0.0, "delta_oracle": 4.440892098500626e-16, "mixed_floor": 2.0002894092035115, "pass": true}
+""",
+        "",
+    ),
+    "witness --state singlet --alice xyz.json --bob xyz.json": (
+        0,
+        """\
+variance sum: 0.0000000000
+bound:        4.0000000000
+margin:       4.0000000000
+ENTANGLED (bound violated)
+""",
+        "",
+    ),
+    "witness --state werner:0.5 --alice xyz.json --bob xyz.json --json": (
+        0,
+        """\
+{"variance_sum": 3.000000000000001, "bound": 4.0, "margin": 0.9999999999999991, "violated": true}
+""",
+        "",
+    ),
+    "witness --state product:0,0,1:0,0,1 --alice xyz.json --bob xyz.json --assert-violation": (
+        4,
+        """\
+variance sum: 4.0000000000
+bound:        4.0000000000
+margin:       0.0000000000
+no violation
+""",
+        "",
+    ),
+    "steer --state singlet --settings settings.json": (
+        0,
+        """\
+setting 0: inference variance 0.0000000000
+setting 1: inference variance 0.0000000000
+setting 2: inference variance 0.0000000000
+total: 0.0000000000
+bound: 2.0000000000
+STEERING (bound violated)
+""",
+        "",
+    ),
+    "steer --state werner:0.5 --settings settings.json --json --assert-violation": (
+        4,
+        """\
+{"inference_variances": [0.7500000000000001, 0.7500000000000001, 0.7500000000000001], "total": 2.2500000000000004, "bound": 2.0, "margin": -0.25000000000000044, "violated": false}
+""",
+        "",
+    ),
+    "table": (
+        0,
+        """\
+                 pi/9   2*pi/9     pi/3   4*pi/9   5*pi/9
+pi/9              n/a  0.51519  0.68118  0.85721      n/a
+2*pi/9        0.51519  0.63818  0.81280  1.00000  1.15798
+pi/3          0.68118  0.81280  1.00000  1.20076  1.37441
+4*pi/9        0.85721  1.00000  1.20076  1.39956  1.50000
+5*pi/9            n/a  1.15798  1.37441  1.50000  1.39956
+""",
+        """\
+n/a (pi/9, pi/9): angle triple is not realizable by unit vectors: Gram eigenvalue -0.102237 < 0
+n/a (5*pi/9, pi/9): angle triple is not realizable by unit vectors: Gram eigenvalue -0.142788 < 0
+n/a (pi/9, 5*pi/9): angle triple is not realizable by unit vectors: Gram eigenvalue -0.142788 < 0
+""",
+    ),
+    "table --csv": (
+        0,
+        """\
+theta2\\theta1,pi/9,2*pi/9,pi/3,4*pi/9,5*pi/9
+pi/9,n/a,0.51519,0.68118,0.85721,n/a
+2*pi/9,0.51519,0.63818,0.81280,1.00000,1.15798
+pi/3,0.68118,0.81280,1.00000,1.20076,1.37441
+4*pi/9,0.85721,1.00000,1.20076,1.39956,1.50000
+5*pi/9,n/a,1.15798,1.37441,1.50000,1.39956
+""",
+        """\
+n/a (pi/9, pi/9): angle triple is not realizable by unit vectors: Gram eigenvalue -0.102237 < 0
+n/a (5*pi/9, pi/9): angle triple is not realizable by unit vectors: Gram eigenvalue -0.142788 < 0
+n/a (pi/9, 5*pi/9): angle triple is not realizable by unit vectors: Gram eigenvalue -0.142788 < 0
+""",
+    ),
+    "incompat": (
+        1,
+        "",
+        """\
+error: provide exactly one of --dirs or --angles
+""",
+    ),
+    "incompat --dirs list.json": (
+        1,
+        "",
+        """\
+error: list.json: expected a JSON object, got list
+""",
+    ),
+    "incompat --angles pi/9 pi/9 pi/3": (
+        1,
+        "",
+        """\
+error: angle triple is not realizable by unit vectors: Gram eigenvalue -0.102237 < 0
+""",
+    ),
+    "verify --dirs dirs16.json --grid-points 2000001": (
+        1,
+        "",
+        """\
+error: --grid-points 2000001 with 16 directions needs 3.2e+07 floats; the limit is 3.2e+07 (256 MB)
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_golden_cli_output(command, xyz_file, settings_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dirs16.json").write_text(json.dumps({"directions": [[1, 0, 0]] * 16}))
+    (tmp_path / "list.json").write_text("[1, 0, 0]")
+    code, out, err = GOLDEN[command]
+    assert main(command.split()) == code
+    assert capsys.readouterr() == (out, err)

@@ -237,6 +237,17 @@ def test_from_angles_rejects_unrealizable():
         incompatibility_from_angles(math.pi / 9, math.pi / 9, math.pi / 3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_from_angles_rejects_non_finite_angle(position, bad):
+    # a NaN angle used to give a NaN bound and NaN direction rows
+    angles = [math.pi / 2] * 3
+    angles[position] = bad
+    for fn in (incompatibility_from_angles, directions_from_angles):
+        with pytest.raises(ValueError, match=f"theta{position + 1} = {bad} is not finite"):
+            fn(*angles)
+
+
 def test_from_angles_matches_reconstruction():
     rng = np.random.default_rng(71)
     checked = 0
@@ -388,3 +399,20 @@ def test_trace_path_holds_at_every_scale():
                 exact = np.linalg.eigvalsh(a)[-1]
                 assert abs(lambda_max_from_traces(traces) - exact) <= 1e-7 * traces[0]
     assert lambda_max_from_traces(moment_matrix(np.eye(3) * 1e6)[1]) == pytest.approx(1e12, rel=1e-7)
+
+
+def test_directions_past_the_cube_overflow_are_rejected():
+    # tr A^3 overflows once an entry of A passes ~5.6e102, i.e. for directions
+    # longer than ~2.4e51; a float ** raised OverflowError there instead
+    d = np.array([random_unit(np.random.default_rng(seed)) for seed in range(3)])
+    a, traces = moment_matrix(d * 1e51)
+    exact = traces[0] - np.linalg.eigvalsh(a)[-1]
+    assert abs(incompatibility(d * 1e51).value - exact) <= 1e-12 * traces[0]
+    for scale in (1e52, 1e152):
+        for fn in (moment_matrix, incompatibility):
+            with pytest.raises(ValueError, match="tr A\\^3 overflows"):
+                fn(d * scale)
+    # the public trace path takes any traces: tau1^3 overflows without raising
+    coeff = cubic_coefficients((1e104, 1e208, 1e300))
+    assert coeff.alpha == pytest.approx(math.sqrt(2e208 / 18.0), rel=1e-15)
+    assert not math.isfinite(coeff.beta)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,16 @@ def test_psd_check_rejects_non_hermitian():
         hermitian_psd_check(m)
 
 
+def test_psd_check_tests_hermiticity_at_1e12():
+    # the Hermiticity test does not take the PSD tolerance
+    m = np.eye(4, dtype=complex) / 4.0
+    m[0, 1] = 1e-11j
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_psd_check(m, tol=1e-9)
+    m[0, 1] = 1e-13j
+    assert hermitian_psd_check(m, tol=1e-9)
+
+
 def test_jacobi_is_scale_invariant():
     # the stopping rule is relative: a near-double pair at scale 1e-9 keeps
     # its digits (an absolute rule stopped up to 5e-7 relative short)
@@ -145,3 +157,11 @@ def test_sym3_spectrum_matches_jacobi_on_every_spectrum_shape():
             assert 2.0 * spec.beta == pytest.approx(
                 np.prod(np.array(w) - t1 / 3.0), abs=1e-12 * (abs(t1) + np.abs(w).max()) ** 3
             )
+
+
+def test_spectrum_beyond_cube_overflow_does_not_raise():
+    # s**3 raised OverflowError past ~5.6e102; now beta overflows to inf and
+    # the eigenvalues, which stay representable, are unaffected
+    spec = sym3_spectrum(np.diag([1e200, 0.0, 0.0]))
+    assert (spec.lam_max, spec.lam_mid, spec.lam_min) == pytest.approx((1e200, 0.0, 0.0), rel=1e-15, abs=1e185)
+    assert spec.beta == math.inf

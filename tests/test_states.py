@@ -9,7 +9,6 @@ from spinbounds.states import (
     QubitState,
     TwoQubitState,
     product_state,
-    pure_bloch,
     singlet,
     uncertainty_sum,
     werner,
@@ -33,8 +32,6 @@ def random_mixed(rng):
 def test_qubit_state_validation():
     with pytest.raises(ValueError):
         QubitState((1.0, 1.0, 0.0))
-    with pytest.raises(ValueError):
-        pure_bloch((0.5, 0.0, 0.0))
 
 
 
@@ -109,6 +106,18 @@ def test_two_qubit_state_validation():
         TwoQubitState(np.eye(4, dtype=complex))
     with pytest.raises(ValueError, match="positive"):
         TwoQubitState(np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex))
+
+
+def test_two_qubit_state_checks_hermiticity_at_1e12_with_one_eigvalsh(monkeypatch):
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 1] = 1e-11j  # anti-Hermitian part of size 1e-11
+    with pytest.raises(ValueError, match="Hermitian"):
+        TwoQubitState(rho)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+    TwoQubitState(np.eye(4) / 4.0)
+    assert len(calls) == 1
 
 
 def random_full_rank(rng):
