@@ -1,16 +1,12 @@
 """State-independent variance bounds for qubit spin observables, with
-entanglement-witness and EPR-steering criteria built on top."""
+entanglement-witness and EPR-steering criteria built on top.
 
-from .criteria import (
-    ConditionalBranch,
-    ConditionalDistribution,
-    SteeringReport,
-    WitnessReport,
-    conditional_stats,
-    entanglement_witness,
-    inference_variance_min,
-    steering_test,
-)
+`states` and `criteria` need numpy, so their names load on first access
+(PEP 562): importing the package for the bound alone imports no numpy.
+"""
+
+from importlib import import_module
+
 from .incompat import (
     CubicCoefficients,
     IncompatibilityResult,
@@ -32,13 +28,27 @@ from .linalg3 import (
     sym3_traces,
 )
 from .oracle import OracleResult, fibonacci_sphere, mixed_sample_floor, sphere_grid_min
-from .states import (
-    QubitState,
-    TwoQubitState,
-    product_state,
-    singlet,
-    uncertainty_sum,
-    werner,
-)
 
 __version__ = "0.1.0"
+
+# name -> the numpy-backed module that defines it; None marks the modules themselves
+_LAZY = dict.fromkeys(("criteria", "states"))
+_LAZY.update(dict.fromkeys((
+    "ConditionalBranch", "ConditionalDistribution", "SteeringReport", "WitnessReport", "conditional_stats",
+    "entanglement_witness", "inference_variance_min", "steering_test"), "criteria"))
+_LAZY.update(dict.fromkeys(
+    ("QubitState", "TwoQubitState", "product_state", "singlet", "uncertainty_sum", "werner"), "states"))
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_LAZY[name] or name}", __name__)
+    if _LAZY[name] is None:
+        return module  # importing a submodule binds it here
+    value = globals()[name] = getattr(module, name)  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

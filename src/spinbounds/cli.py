@@ -8,9 +8,10 @@ Subcommands:
     steer      EPR-steering test on a two-qubit state
 
 Exit codes: 0 success, 1 input/validation error, 3 verify failure,
-4 --assert-violation failed. An ArithmeticError (the closed form disagreeing
-with the eigensolver cross-check inside the library) is a verify failure:
+4 --assert-violation failed. An ArithmeticError (the closed form failing
+its residual certificate inside the library) is a verify failure:
 it is reported as `error: ...` with exit code 3, never as a traceback.
+`incompat` and `table` run without importing numpy.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ import json
 import math
 import re
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .criteria import entanglement_witness, steering_test
 from .incompat import (
     directions_from_angles,
     incompatibility,
@@ -33,7 +32,11 @@ from .incompat import (
 )
 from .linalg3 import sym3_eigen_jacobi
 from .oracle import mixed_sample_floor, sphere_grid_min
-from .states import TwoQubitState, product_state, singlet, werner
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .states import TwoQubitState
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -91,9 +94,9 @@ def _read_json_object(path: str, what: str) -> dict:
     return data
 
 
-def load_directions(path: str) -> np.ndarray:
-    """Read `{"directions": [[x,y,z], ...]}` from a JSON file as an N x 3
-    array of finite, nonzero directions."""
+def load_directions(path: str) -> list[tuple[float, float, float]]:
+    """Read `{"directions": [[x,y,z], ...]}` from a JSON file as a list of
+    finite, nonzero directions."""
     data = _read_json_object(path, "direction")
     dirs = data.get("directions")
     if not isinstance(dirs, list) or not dirs:
@@ -110,6 +113,10 @@ def load_state(spec: str) -> TwoQubitState:
     Builtins: `singlet`, `werner:p`, `product:ax,ay,az:bx,by,bz`. Anything
     else is treated as a path to `{"dim": 4, "re": [...], "im": [...]}`.
     """
+    import numpy as np
+
+    from .states import TwoQubitState, product_state, singlet, werner
+
     if spec == "singlet":
         return singlet()
     if spec.startswith("werner:"):
@@ -141,6 +148,8 @@ def load_state(spec: str) -> TwoQubitState:
 
 def load_settings(path: str) -> list[tuple[np.ndarray, np.ndarray]]:
     """Read `{"settings": [{"alice": [...], "bob": [...]}, ...]}`."""
+    import numpy as np
+
     data = _read_json_object(path, "settings")
     raw = data.get("settings")
     if not isinstance(raw, list) or not raw:
@@ -233,10 +242,10 @@ def cmd_verify(args) -> int:
                 f"the limit is {MAX_SEARCH_FLOATS:.3g} (256 MB)"
             )
     res = incompatibility(dirs)
-    # independent path: the hand-written Jacobi solver, not eigh or the closed form
+    # independent path: the hand-written Jacobi solver, not the closed form
     a, traces = moment_matrix(dirs)
     w, _ = sym3_eigen_jacobi(a)
-    jacobi_value = traces[0] - w[0]
+    jacobi_value = traces[0] - float(w[0])
     oracle = sphere_grid_min(dirs, args.grid_points)
     floor = mixed_sample_floor(dirs, args.samples, args.seed)
 
@@ -268,6 +277,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    from .criteria import entanglement_witness
+
     state = load_state(args.state)
     alice = load_directions(args.alice)
     bob = load_directions(args.bob)
@@ -288,6 +299,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_steer(args) -> int:
+    from .criteria import steering_test
+
     state = load_state(args.state)
     settings = load_settings(args.settings)
     report = steering_test(state, settings)

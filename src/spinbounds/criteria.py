@@ -89,9 +89,7 @@ def entanglement_witness(
     )
 
 
-def conditional_stats(
-    state: TwoQubitState, a_dir, b_dir
-) -> ConditionalDistribution:
+def conditional_stats(state: TwoQubitState, a_dir) -> ConditionalDistribution:
     """Born-rule statistics of Alice's +-1 outcome and Bob's conditional state.
 
     p(+-) = (1 +- a . n)/2 and Bob's conditional Bloch vector is
@@ -99,7 +97,6 @@ def conditional_stats(
     2009). Branches with negligible probability are omitted.
     """
     n = _unit(a_dir, "alice")
-    _unit(b_dir, "bob")  # validated for interface symmetry; stats need only n
     mean_a = float(n @ state.a)
     steered = state.T.T @ n
     branches = []
@@ -119,7 +116,7 @@ def inference_variance_min(state: TwoQubitState, a_dir, b_dir) -> float:
     [0, 1].
     """
     b = _unit(b_dir, "bob")
-    dist = conditional_stats(state, a_dir, b_dir)
+    dist = conditional_stats(state, a_dir)
     total = 0.0
     for branch in dist.branches:
         mean = float(np.dot(b, branch.bob_bloch))

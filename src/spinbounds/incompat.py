@@ -10,61 +10,83 @@ trigonometric solution of the depressed characteristic cubic
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
-from math import cos, isfinite, sqrt
+import sys
+from itertools import chain, combinations
+from math import copysign, cos, hypot, isfinite, sqrt
+from operator import mul
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+from .linalg3 import Sym3Spectrum, _dot, cubic_roots, sym3_certificate, sym3_spectrum, sym3_traces
 
-from .linalg3 import Sym3Spectrum, cubic_roots, sym3_spectrum, sym3_traces
+if TYPE_CHECKING:
+    import numpy as np
 
 # alpha below this fraction of tau1 means a triple eigenvalue tau1/3; the
 # trig ratio beta/alpha^3 is then numerically 0/0 and must be bypassed.
 _ALPHA_DEGENERATE = 1e-12
 _UNIT_TOL = 1e-9
 _GRAM_PSD_TOL = 1e-9
-# The closed form must match numpy's eigh to this fraction of tr A.
-_CROSS_CHECK_RTOL = 1e-9
+# The certificate must bound the closed form's error by this fraction of tr A.
+_CERTIFICATE_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CubicCoefficients:
+class CubicCoefficients(NamedTuple):
     """Coefficients (alpha, beta) of the depressed cubic z^3 - 3a^2 z - 2b."""
 
     alpha: float
     beta: float
 
 
-@dataclass(frozen=True)
-class IncompatibilityResult:
+class IncompatibilityResult(NamedTuple):
     value: float
     lambda_max: float
-    optimizer: np.ndarray  # unit Bloch vector achieving the bound
+    optimizer: tuple[float, float, float]  # unit Bloch vector achieving the bound
     coefficients: CubicCoefficients
     traces: tuple[float, float, float]
     method: str = "closed_form"
 
 
-def validate_directions(directions) -> np.ndarray:
-    """Validate a direction list as an N x 3 float array: N >= 1, finite,
-    no zero row."""
-    d = np.asarray(directions, dtype=float)
-    if d.size == 0:
+def validate_directions(directions) -> np.ndarray | list[tuple[float, float, float]]:
+    """Validate directions: N >= 1 rows of 3 finite components, no zero row.
+
+    An ndarray comes back as an N x 3 float array; any other input as a
+    list of 3-tuples of Python floats, without importing numpy.
+    """
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(directions, np.ndarray):
+        d = np.asarray(directions, dtype=float)
+        shape = d.shape
+    else:
+        try:
+            d = [tuple(map(float, row)) for row in directions]
+        except TypeError as exc:
+            raise ValueError(f"expected N x 3 directions: {exc}") from None
+        shape = (len(d), *sorted({len(row) for row in d}))
+    if 0 in shape:
         raise ValueError("need at least one direction")
-    if d.ndim != 2 or d.shape[1] != 3:
-        raise ValueError(f"expected N x 3 directions, got shape {d.shape}")
-    if not np.isfinite(d).all():
+    if len(shape) != 2 or shape[1] != 3:
+        raise ValueError(f"expected N x 3 directions, got shape {shape}")
+    if isinstance(d, list):
+        finite, nonzero = all(map(isfinite, chain.from_iterable(d))), [any(row) for row in d]
+    else:
+        finite, nonzero = np.isfinite(d).all(), d.any(axis=1).tolist()
+    if not finite:
         raise ValueError("directions have non-finite components")
-    nonzero = d.any(axis=1)
-    if not nonzero.all():
-        raise ValueError(f"direction {int(np.argmin(nonzero))} has zero length")
+    if not all(nonzero):
+        raise ValueError(f"direction {nonzero.index(False)} has zero length")
     return d
 
 
-def moment_matrix(directions) -> tuple[np.ndarray, tuple[float, float, float]]:
-    """Second-moment matrix A = sum_i n_i n_i^T = D^T D and its trace powers."""
+def moment_matrix(directions) -> tuple[tuple, tuple[float, float, float]]:
+    """Second-moment matrix A = sum_i n_i n_i^T = D^T D, as rows of floats,
+    and its trace powers."""
     d = validate_directions(directions)
-    a = d.T @ d  # exactly symmetric: numpy evaluates X.T @ X as one triangle (syrk)
+    if isinstance(d, list):
+        x, y, z = zip(*d)
+        xy, xz, yz = sum(map(mul, x, y)), sum(map(mul, x, z)), sum(map(mul, y, z))
+        a = ((sum(map(mul, x, x)), xy, xz), (xy, sum(map(mul, y, y)), yz), (xz, yz, sum(map(mul, z, z))))
+    else:
+        a = (d.T @ d).tolist()  # exactly symmetric: numpy evaluates X.T @ X as one triangle (syrk)
     return a, sym3_traces(a)  # sym3_traces also rejects an A or a tr A^3 that overflowed
 
 
@@ -93,16 +115,16 @@ def cubic_coefficients_unit(directions) -> CubicCoefficients:
     """
     vecs = validate_directions(directions)
     for i, v in enumerate(vecs):
-        if abs(np.dot(v, v) - 1.0) > 2.0 * _UNIT_TOL:
+        if abs(_dot(v, v) - 1.0) > 2.0 * _UNIT_TOL:
             raise ValueError(f"direction {i} is not unit length")
     n = len(vecs)
-    pair_sq = sum(np.dot(vecs[j], vecs[h]) ** 2 for j, h in combinations(range(n), 2))
+    pair_sq = sum(_dot(vecs[j], vecs[h]) ** 2 for j, h in combinations(range(n), 2))
     radicand = (pair_sq - n * (n - 3) / 6.0) / 3.0
     if radicand < -1e-9:
         raise ValueError("inconsistent pair sums for unit directions")
     alpha = sqrt(max(radicand, 0.0))
     triple = sum(
-        np.dot(vecs[h], vecs[j]) * np.dot(vecs[t], vecs[h]) * np.dot(vecs[j], vecs[t])
+        _dot(vecs[h], vecs[j]) * _dot(vecs[t], vecs[h]) * _dot(vecs[j], vecs[t])
         for h, j, t in combinations(range(n), 3)
     )
     # pair term: for unit directions tau3 = N + 6*pair_sq + 6*triple, which
@@ -126,7 +148,7 @@ def lambda_max_from_traces(traces: tuple[float, float, float]) -> float:
     return t1 / 3.0 + cubic_roots(coeff.alpha, coeff.beta / coeff.alpha**3)[0]
 
 
-def optimal_bloch(directions) -> np.ndarray:
+def optimal_bloch(directions) -> tuple[float, float, float]:
     """Unit Bloch vector of a pure state attaining the minimum variance sum
     (see `IncompatibilityResult.optimizer`)."""
     return incompatibility(directions).optimizer
@@ -135,25 +157,26 @@ def optimal_bloch(directions) -> np.ndarray:
 def incompatibility(directions) -> IncompatibilityResult:
     """Minimum over all qubit states of the summed variances of n_i . sigma.
 
-    Closed-form spectral value, cross-checked against numpy's eigh; the
-    two must agree to 1e-9 of tr A. The optimizer is eigh's top
-    eigenvector, sign-fixed so its first nonzero component is positive
-    (both signs are physically equivalent).
+    Closed-form spectral value; `linalg3.sym3_certificate` must place the
+    whole closed-form spectrum within 1e-9 of tr A, else ArithmeticError.
+    The optimizer is the certificate's top eigenvector (its rule picks one
+    in a double or triple top eigenspace, e_z for A = I), sign-fixed so its
+    first nonzero component is positive (both signs are equivalent).
     """
     a, traces = moment_matrix(directions)
     spec = sym3_spectrum(a)
-    w, v = np.linalg.eigh(a)
-    if abs(spec.lam_max - w[-1]) > _CROSS_CHECK_RTOL * traces[0]:
+    vecs, bound = sym3_certificate(a, spec[:3])
+    if not bound <= _CERTIFICATE_RTOL * traces[0]:
         raise ArithmeticError(
-            f"closed-form eigenvalue {spec.lam_max!r} disagrees with eigh {w[-1]!r}"
+            f"closed-form eigenvalue {spec.lam_max!r} fails its residual certificate: "
+            f"the spectrum may be off by {bound:.3e} > {_CERTIFICATE_RTOL} * tr A"
         )
-    top = v[:, -1]
-    if top[top != 0.0][0] < 0.0:
-        top = -top
+    top = vecs[0]
+    sign = -1.0 if next(x for x in top if x != 0.0) < 0.0 else 1.0
     return IncompatibilityResult(
         value=traces[0] - spec.lam_max,
         lambda_max=spec.lam_max,
-        optimizer=top,
+        optimizer=tuple(sign * x + 0.0 for x in top),  # + 0.0 turns -0.0 into 0.0
         coefficients=CubicCoefficients(spec.alpha, spec.beta),
         traces=traces,
     )
@@ -163,14 +186,13 @@ def incompatibility_pair(n1, n2) -> float:
     """Two-direction bound: n1^2 + n2^2 - lambda_max of the 2x2 Gram matrix.
 
     For unit directions this reduces to 1 - |n1 . n2|. Arbitrary nonzero
-    lengths are allowed.
+    lengths are allowed up to ~1.3e154, where a squared length overflows.
     """
     v1, v2 = validate_directions([n1, n2])
-    s1 = float(np.dot(v1, v1))
-    s2 = float(np.dot(v2, v2))
-    dot = float(np.dot(v1, v2))
-    lam = 0.5 * (s1 + s2 + sqrt((s1 - s2) ** 2 + 4.0 * dot * dot))
-    return s1 + s2 - lam
+    s1, s2, dot = _dot(v1, v1), _dot(v2, v2), _dot(v1, v2)
+    if not (isfinite(s1) and isfinite(s2)):
+        raise ValueError("squared direction length overflows: directions longer than ~1.3e154")
+    return 0.5 * s1 + 0.5 * s2 - hypot(0.5 * (s1 - s2), dot)
 
 
 def _gram_spectrum(theta1: float, theta2: float, theta3: float) -> Sym3Spectrum:
@@ -181,7 +203,7 @@ def _gram_spectrum(theta1: float, theta2: float, theta3: float) -> Sym3Spectrum:
         if not isfinite(theta):
             raise ValueError(f"angle theta{i} = {theta} is not finite")
     c1, c2, c3 = cos(theta1), cos(theta2), cos(theta3)
-    spec = sym3_spectrum(np.array([[1.0, c3, c2], [c3, 1.0, c1], [c2, c1, 1.0]]))
+    spec = sym3_spectrum(((1.0, c3, c2), (c3, 1.0, c1), (c2, c1, 1.0)))
     if spec.lam_min < -_GRAM_PSD_TOL:
         raise ValueError(
             f"angle triple is not realizable by unit vectors: "
@@ -201,7 +223,7 @@ def incompatibility_from_angles(theta1: float, theta2: float, theta3: float) -> 
     return 3.0 - _gram_spectrum(theta1, theta2, theta3).lam_max
 
 
-def directions_from_angles(theta1: float, theta2: float, theta3: float) -> np.ndarray:
+def directions_from_angles(theta1: float, theta2: float, theta3: float) -> list[tuple[float, float, float]]:
     """Explicit unit vectors (rows) with the given pairwise angles (one choice).
 
     Raises for non-finite angles and non-realizable triples, same
@@ -212,10 +234,10 @@ def directions_from_angles(theta1: float, theta2: float, theta3: float) -> np.nd
     n1 = (1.0, 0.0, 0.0)
     s3 = sqrt(max(1.0 - c3 * c3, 0.0))
     if s3 == 0.0:
-        n2 = (np.sign(c3) or 1.0, 0.0, 0.0)
+        n2 = (copysign(1.0, c3), 0.0, 0.0)
     else:
         n2 = (c3, s3, 0.0)
     x = c2
     y = (c1 - c3 * c2) / s3 if s3 > 0.0 else 0.0
     z = sqrt(max(1.0 - x * x - y * y, 0.0))
-    return np.array([n1, n2, (x, y, z)])
+    return [n1, n2, (x, y, z)]

@@ -1,16 +1,17 @@
 """Small fixed-size linear algebra: 3x3 symmetric spectral tools, the Pauli
 matrices and Hermitian/PSD checks.
 
-Real 3-vectors and 3x3 symmetric matrices are plain float64 numpy arrays;
-complex Hermitian matrices are complex128 numpy arrays.
+The closed-form spectrum and its certificate run on rows of Python floats;
+the numpy-backed helpers import numpy when called.
 """
 
 from __future__ import annotations
 
-from math import acos, cos, hypot, isfinite, pi, sqrt
-from typing import NamedTuple
+from math import acos, atan2, cos, frexp, hypot, isfinite, ldexp, pi, sin, sqrt
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-9
@@ -27,7 +28,9 @@ _JACOBI_MAX_SWEEPS = 50
 
 
 def as_vec3(v) -> np.ndarray:
-    """Coerce to a finite float64 3-vector."""
+    """Coerce to a finite float64 numpy 3-vector."""
+    import numpy as np
+
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
@@ -36,27 +39,13 @@ def as_vec3(v) -> np.ndarray:
     return a
 
 
-def as_sym3(m) -> np.ndarray:
-    """Coerce to a finite, exactly symmetric 3x3 float64 matrix.
-
-    Off-diagonal pairs are averaged so downstream code can rely on exact
-    symmetry regardless of how the input was assembled.
-    """
-    a = np.asarray(m, dtype=float)
-    if a.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    return 0.5 * (a + a.T)
-
-
-def sym3_traces(a: np.ndarray) -> tuple[float, float, float]:
-    """Trace powers (tr A, tr A^2, tr A^3) of a symmetric 3x3 matrix.
+def sym3_traces(a) -> tuple[float, float, float]:
+    """Trace powers (tr A, tr A^2, tr A^3) of a symmetric 3x3 matrix (rows).
 
     Computed directly from the entries, not via eigenvalues. Raises
     ValueError when tr A^3 overflows.
     """
-    (a00, a01, a02), (_, a11, a12), (_, _, a22) = as_sym3(a).tolist()
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
     d2 = a01 * a01, a02 * a02, a12 * a12
     t1 = a00 + a11 + a22
     t2 = a00 * a00 + a11 * a11 + a22 * a22 + 2.0 * (d2[0] + d2[1] + d2[2])
@@ -98,8 +87,8 @@ def cubic_roots(alpha: float, ratio: float) -> tuple[float, float, float]:
     )
 
 
-def sym3_spectrum(a: np.ndarray) -> Sym3Spectrum:
-    """Closed-form eigenvalues of a symmetric 3x3 matrix (upper triangle read).
+def sym3_spectrum(a) -> Sym3Spectrum:
+    """Closed-form eigenvalues of a symmetric 3x3 matrix (rows, upper triangle read).
 
     Works on the shifted matrix B = A - (tr A / 3) I scaled by its largest
     absolute entry s, so alpha^2 = tr B^2 / 6 and beta = det B / 2 carry no
@@ -110,7 +99,7 @@ def sym3_spectrum(a: np.ndarray) -> Sym3Spectrum:
     the other two come exactly from the 2x2 block of B on its eigenvector's
     orthogonal complement (Kopp, arXiv:physics/0610206).
     """
-    (a00, a01, a02), (_, a11, a12), (_, _, a22) = a.tolist()
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
     shift = (a00 + a11 + a22) / 3.0
     b00, b11, b22 = a00 - shift, a11 - shift, a22 - shift
     s = max(abs(b00), abs(b11), abs(b22), abs(a01), abs(a02), abs(a12))
@@ -125,34 +114,70 @@ def sym3_spectrum(a: np.ndarray) -> Sym3Spectrum:
     roots = cubic_roots(alpha, ratio)
     if abs(ratio) > 1.0 - _DEFLATE_BAND:
         z = roots[0] if ratio > 0.0 else roots[2]
-        hi, lo = _deflate(((b00, b01, b02), (b01, b11, b12), (b02, b12, b22)), z)
+        hi, lo = _split(((b00, b01, b02), (b01, b11, b12), (b02, b12, b22)), z)[3:]
         roots = (z, hi, lo) if ratio > 0.0 else (hi, lo, z)
     return Sym3Spectrum(
         shift + s * roots[0], shift + s * roots[1], shift + s * roots[2], s * alpha, s * s * s * beta
     )
 
 
-def _deflate(b, z) -> tuple[float, float]:
-    """The two eigenvalues of symmetric B (rows `b`) other than its simple
-    eigenvalue z.
+def sym3_certificate(a, lams) -> tuple[tuple, float]:
+    """Orthonormal eigenvector rows V of symmetric `a` for its claimed
+    eigenvalues `lams` (descending), and a bound on every |lambda_k(A) -
+    lams[k]|: ||E||_F + tr|A| ||G||_F with E = V A V^T - diag(lams) and
+    G = V V^T - I (Weyl's inequality and Ostrowski's theorem; Parlett, The
+    Symmetric Eigenvalue Problem, sections 4 and 11).
 
-    z's eigenvector v is the longest cross product of two rows of B - zI;
-    (u, w) span v's orthogonal complement, and the 2x2 block of B there is
-    solved with hypot, so a near-double pair keeps its tiny gap.
+    Any V makes the bound valid; a good one makes it small. V is built from
+    the better separated outer eigenvalue (the top one on a tie) by `_split`,
+    which fixes the choice in a degenerate eigenspace: A = lambda I gives
+    V[0] = e_z.
     """
-    c = [list(row) for row in b]
-    for i in range(3):
-        c[i][i] -= z
-    v = max((_cross(c[0], c[1]), _cross(c[0], c[2]), _cross(c[1], c[2])), key=lambda p: _dot(p, p))
-    v = _scale(v, 1.0 / sqrt(_dot(v, v)))
+    k = 0 if lams[0] - lams[1] >= lams[1] - lams[2] else 2
+    v, p, q = _split(a, lams[k])[:3]
+    v0, v1, v2 = (v, p, q) if k == 0 else (p, q, v)
+    av0, av1, av2 = _matvec(a, v0), _matvec(a, v1), _matvec(a, v2)
+    e_diag = (_dot(v0, av0) - lams[0], _dot(v1, av1) - lams[1], _dot(v2, av2) - lams[2])
+    e_off = (_dot(v0, av1), _dot(v0, av2), _dot(v1, av2))
+    g_diag = (_dot(v0, v0) - 1.0, _dot(v1, v1) - 1.0, _dot(v2, v2) - 1.0)
+    g_off = (_dot(v0, v1), _dot(v0, v2), _dot(v1, v2))
+    e_norm = sqrt(_dot(e_diag, e_diag) + 2.0 * _dot(e_off, e_off))
+    g_norm = sqrt(_dot(g_diag, g_diag) + 2.0 * _dot(g_off, g_off))
+    return (v0, v1, v2), e_norm + (abs(a[0][0]) + abs(a[1][1]) + abs(a[2][2])) * g_norm
+
+
+def _split(b, z):
+    """(v, p, q, hi, lo): v is the unit eigenvector of symmetric B (rows
+    `b`) for its simple eigenvalue z, and (hi, p), (lo, q) are the
+    eigenpairs of B on v's orthogonal complement.
+
+    v is the longest cross product of two rows of B - zI (Kopp), or e_z
+    where all three vanish; a power-of-two rescale of B, which changes no
+    bit of v, keeps their squares from overflowing or underflowing. The 2x2 block on the complement
+    (u, w) is solved with hypot, so a near-double pair keeps its tiny gap;
+    a scalar block keeps p = u.
+    """
+    (b00, b01, b02), (_, b11, b12), (_, _, b22) = b
+    r0, r1, r2 = (b00 - z, b01, b02), (b01, b11 - z, b12), (b02, b12, b22 - z)
+    crosses = (_cross(r0, r1), _cross(r0, r2), _cross(r1, r2))
+    lengths = [_dot(x, x) for x in crosses]
+    length = max(lengths)
+    e = 0 if 1e-250 < length < 1e250 else -frexp(max(map(abs, r0 + r1 + r2)))[1]
+    if e:  # rows of B - zI near unit size are never rescaled, so this recurses once
+        v, p, q, hi, lo = _split([[ldexp(x, e) for x in row] for row in b], ldexp(z, e))
+        return v, p, q, ldexp(hi, -e), ldexp(lo, -e)
+    v = _scale(crosses[lengths.index(length)], 1.0 / sqrt(length)) if length else (0.0, 0.0, 1.0)
     u = (-v[2], 0.0, v[0]) if abs(v[0]) > abs(v[1]) else (0.0, v[2], -v[1])
     u = _scale(u, 1.0 / sqrt(_dot(u, u)))
     w = _cross(v, u)
     bu, bw = _matvec(b, u), _matvec(b, w)
     m_uu, m_ww, m_uw = _dot(u, bu), _dot(w, bw), _dot(w, bu)
-    mean = 0.5 * (m_uu + m_ww)
-    half_gap = hypot(0.5 * (m_uu - m_ww), m_uw)
-    return mean + half_gap, mean - half_gap
+    mean, half_gap = 0.5 * (m_uu + m_ww), hypot(0.5 * (m_uu - m_ww), m_uw)
+    t = 0.5 * atan2(2.0 * m_uw, m_uu - m_ww)  # the rotation that diagonalizes the block
+    cs, sn = cos(t), sin(t)
+    p = (cs * u[0] + sn * w[0], cs * u[1] + sn * w[1], cs * u[2] + sn * w[2])
+    q = (cs * w[0] - sn * u[0], cs * w[1] - sn * u[1], cs * w[2] - sn * u[2])
+    return v, p, q, mean + half_gap, mean - half_gap
 
 
 def _dot(p, q) -> float:
@@ -171,14 +196,22 @@ def _matvec(b, x) -> tuple[float, float, float]:
     return (_dot(b[0], x), _dot(b[1], x), _dot(b[2], x))
 
 
-def sym3_eigen_jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sym3_eigen_jacobi(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric 3x3 matrix by cyclic Jacobi sweeps.
 
+    Takes any finite 3x3 array-like; off-diagonal pairs are averaged first.
     Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending
     (stable on ties) and eigenvectors as orthonormal columns: a @ V[:, i]
     = w[i] * V[:, i].
     """
-    a = as_sym3(a)
+    import numpy as np
+
+    a = np.asarray(a, dtype=float)
+    if a.shape != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
+    a = 0.5 * (a + a.T)
     m = a.copy()
     v = np.eye(3)
     scale = float(np.linalg.norm(a))
@@ -210,6 +243,8 @@ def sym3_eigen_jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def pauli_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Pauli matrices (sigma_x, sigma_y, sigma_z)."""
+    import numpy as np
+
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
     sz = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -222,6 +257,8 @@ def hermitian_psd_check(m: np.ndarray, tol: float = PSD_TOL) -> bool:
     Raises ValueError when m is not Hermitian within HERMITIAN_TOL: a
     malformed input is a validation failure, not a "not PSD" verdict.
     """
+    import numpy as np
+
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")

@@ -4,16 +4,18 @@ over pure qubit states.
 Independent of the spectral path: evaluates the variance sum on a
 Fibonacci lattice of Bloch vectors, then refines the best point by
 derivative-free coordinate descent in spherical coordinates.
+Each function imports numpy when called, so importing this module does not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import cos, pi, sin, sqrt
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .incompat import validate_directions
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _GOLDEN_ANGLE = pi * (3.0 - sqrt(5.0))
 _REFINE_MIN_STEP = 1e-7
@@ -24,8 +26,7 @@ _REFINE_MIN_STEP = 1e-7
 _COVERING_COEFF = 3.2
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     value: float
     argmin: np.ndarray
     points_evaluated: int
@@ -34,6 +35,8 @@ class OracleResult:
 
 def fibonacci_sphere(num_points: int) -> np.ndarray:
     """Near-uniform lattice of unit vectors (golden-angle spiral)."""
+    import numpy as np
+
     k = np.arange(num_points)
     z = 1.0 - (2.0 * k + 1.0) / num_points
     radius = np.sqrt(np.maximum(1.0 - z * z, 0.0))
@@ -44,15 +47,14 @@ def fibonacci_sphere(num_points: int) -> np.ndarray:
 def _variance_sum_many(dirs: np.ndarray, points: np.ndarray) -> np.ndarray:
     # sum_i n_i^2 - (n_i . r)^2, vectorized over rows of `points`; squaring
     # in place keeps one K x N array alive instead of two
-    tau1 = float(np.sum(dirs * dirs))
+    tau1 = float((dirs * dirs).sum())
     prod = points @ dirs.T
-    return tau1 - np.square(prod, out=prod).sum(axis=1)
+    prod *= prod
+    return tau1 - prod.sum(axis=1)
 
 
-def _spherical(theta: float, phi: float) -> np.ndarray:
-    return np.array(
-        [sin(theta) * cos(phi), sin(theta) * sin(phi), cos(theta)]
-    )
+def _spherical(theta: float, phi: float) -> tuple[float, float, float]:
+    return (sin(theta) * cos(phi), sin(theta) * sin(phi), cos(theta))
 
 
 def sphere_grid_min(directions, num_points: int = 20_000) -> OracleResult:
@@ -62,9 +64,11 @@ def sphere_grid_min(directions, num_points: int = 20_000) -> OracleResult:
     index, and the coordinate descent halves its step from
     2*pi/sqrt(num_points) down to 1e-7.
     """
+    import numpy as np
+
     if num_points < 12:
         raise ValueError("need at least 12 lattice points")
-    dirs = validate_directions(directions)
+    dirs = np.asarray(validate_directions(directions))
     tau1 = float(np.sum(dirs * dirs))
 
     lattice = fibonacci_sphere(num_points)
@@ -96,7 +100,7 @@ def sphere_grid_min(directions, num_points: int = 20_000) -> OracleResult:
                     improved = True
         step *= 0.5
 
-    argmin = _spherical(theta, phi)
+    argmin = np.array(_spherical(theta, phi))
     argmin /= np.linalg.norm(argmin)
     radius = _COVERING_COEFF / sqrt(num_points)
     return OracleResult(
@@ -113,9 +117,11 @@ def mixed_sample_floor(directions, count: int, seed: int = 0) -> float:
     Bloch vectors are drawn uniformly from the unit ball; reproducible for
     a fixed seed. Sanity check that mixed states never beat the bound.
     """
+    import numpy as np
+
     if count < 1:
         raise ValueError("need at least one sample")
-    dirs = validate_directions(directions)
+    dirs = np.asarray(validate_directions(directions))
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(count, 3))
     points /= np.linalg.norm(points, axis=1, keepdims=True)

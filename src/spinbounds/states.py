@@ -71,7 +71,7 @@ class TwoQubitState:
 
 def uncertainty_sum(directions, state: QubitState) -> float:
     """Sum of variances of the spin observables n_i . sigma on the state."""
-    d = validate_directions(directions)
+    d = np.asarray(validate_directions(directions))
     return float(np.sum(d * d) - np.sum(np.square(d @ state.bloch)))
 
 

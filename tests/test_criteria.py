@@ -120,7 +120,7 @@ def test_witness_crossing_at_one_third():
 
 
 def test_conditional_stats_singlet():
-    dist = conditional_stats(singlet(), (0, 0, 1), (0, 0, 1))
+    dist = conditional_stats(singlet(), (0, 0, 1))
     assert len(dist.branches) == 2
     for branch in dist.branches:
         assert branch.probability == pytest.approx(0.5, abs=1e-12)
@@ -129,7 +129,7 @@ def test_conditional_stats_singlet():
 
 
 def test_conditional_stats_maximally_mixed():
-    dist = conditional_stats(werner(0.0), (1, 0, 0), (0, 0, 1))
+    dist = conditional_stats(werner(0.0), (1, 0, 0))
     for branch in dist.branches:
         assert branch.probability == pytest.approx(0.5, abs=1e-12)
         assert np.allclose(branch.bob_bloch, 0.0, atol=1e-12)
@@ -137,7 +137,7 @@ def test_conditional_stats_maximally_mixed():
 
 def test_conditional_stats_product_state_uncorrelated():
     r_b = np.array([0.3, -0.4, 0.5])
-    dist = conditional_stats(product_state((0.2, 0.1, -0.3), r_b), (0, 1, 0), (0, 0, 1))
+    dist = conditional_stats(product_state((0.2, 0.1, -0.3), r_b), (0, 1, 0))
     for branch in dist.branches:
         assert np.allclose(branch.bob_bloch, r_b, atol=1e-10)
 
@@ -148,7 +148,7 @@ def test_conditional_stats_invariants_random():
         state = werner(rng.uniform()) if rng.uniform() < 0.5 else product_state(
             random_ball(rng), random_ball(rng)
         )
-        dist = conditional_stats(state, random_unit(rng), random_unit(rng))
+        dist = conditional_stats(state, random_unit(rng))
         total = sum(b.probability for b in dist.branches)
         assert total == pytest.approx(1.0, abs=1e-10)
         for branch in dist.branches:
@@ -245,7 +245,7 @@ def test_steering_statistics_match_dense_reference(kind):
         for _ in range(int(rng.integers(1, 5))):
             a, b = random_unit(rng), random_unit(rng)
             dense = dense_branches(state.rho, a)
-            branches = conditional_stats(state, a, b).branches
+            branches = conditional_stats(state, a).branches
             assert [br.outcome for br in branches] == [o for o, _, _ in dense]
             for br, (_, p, bloch) in zip(branches, dense):
                 assert abs(br.probability - p) <= 1e-12

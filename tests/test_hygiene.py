@@ -1,8 +1,14 @@
 """Source hygiene that needs no linter: every module of the package uses
-each name it imports. `__init__.py` (re-exports) and `from __future__`
-imports are exempt."""
+each name it imports (`__init__.py`, which re-exports, and `from __future__`
+imports are exempt); the CLI's bound paths import no numpy; and the package
+serves every public name."""
 
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +44,60 @@ def test_unused_imports_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# --- the bound's CLI paths run without numpy; the package serves every name
+
+SRC = PACKAGE.parent
+EXPORTS = {
+    "criteria": (
+        "ConditionalBranch", "ConditionalDistribution", "SteeringReport", "WitnessReport",
+        "conditional_stats", "entanglement_witness", "inference_variance_min", "steering_test",
+    ),
+    "incompat": (
+        "CubicCoefficients", "IncompatibilityResult", "cubic_coefficients", "cubic_coefficients_unit",
+        "directions_from_angles", "incompatibility", "incompatibility_from_angles",
+        "incompatibility_pair", "lambda_max_from_traces", "moment_matrix", "optimal_bloch",
+    ),
+    "linalg3": ("hermitian_psd_check", "pauli_matrices", "sym3_eigen_jacobi", "sym3_spectrum", "sym3_traces"),
+    "oracle": ("OracleResult", "fibonacci_sphere", "mixed_sample_floor", "sphere_grid_min"),
+    "states": ("QubitState", "TwoQubitState", "product_state", "singlet", "uncertainty_sum", "werner"),
+}
+
+
+def test_incompat_and_table_never_import_numpy(tmp_path):
+    dirs = tmp_path / "dirs.json"
+    dirs.write_text(json.dumps({"directions": [[1, 0, 0], [0.5, 0.5, 0.5], [0, 0, 2]]}))
+    argvs = [
+        ["incompat", "--dirs", str(dirs)],
+        ["incompat", "--dirs", str(dirs), "--json"],
+        ["incompat", "--angles", "pi/3", "pi/4", "pi/2", "--json"],
+        ["table", "--csv"],
+    ]
+    child = (
+        "import sys\n"
+        "from spinbounds import cli\n"
+        f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        "print('RESULT', codes, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "RESULT [0, 0, 0, 0] False"
+
+
+def test_every_exported_name_resolves_to_its_module_object():
+    import spinbounds
+
+    names = dir(spinbounds)
+    for module_name, exported in EXPORTS.items():
+        module = importlib.import_module(f"spinbounds.{module_name}")
+        assert getattr(spinbounds, module_name) is module
+        assert module_name in names
+        for name in exported:
+            assert getattr(spinbounds, name) is getattr(module, name), name
+            assert name in names
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        spinbounds.not_a_name  # noqa: B018

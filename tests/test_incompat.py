@@ -17,7 +17,8 @@ from spinbounds.incompat import (
     optimal_bloch,
     validate_directions,
 )
-from spinbounds.linalg3 import sym3_eigen_jacobi
+from spinbounds import incompat
+from spinbounds.linalg3 import sym3_certificate, sym3_eigen_jacobi, sym3_spectrum
 from spinbounds.states import QubitState, uncertainty_sum
 
 XYZ = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
@@ -216,6 +217,21 @@ def test_incompatibility_pair_unit_closed_form():
         assert incompatibility_pair(n1, n2) == pytest.approx(expected, abs=1e-12)
 
 
+def test_incompatibility_pair_past_the_square_overflow():
+    # (s1 - s2) ** 2 raised OverflowError at length 1e78 and gave NaN at 1e160.
+    # incompatibility() rejects 1e78 itself (tr A^3 overflows past ~2.4e51),
+    # so the pair is compared with it through scale covariance, I(s n) = s^2 I(n).
+    n1, n2 = (0.6, 0.8, 0.0), (0.0, 0.56, 1.92)
+    s = 1e78
+    got = incompatibility_pair([s * x for x in n1], [s * x for x in n2])
+    s1_plus_s2 = s * s * (1.0 + 4.0)
+    assert abs(got - s * s * incompatibility([n1, n2]).value) <= 1e-12 * s1_plus_s2
+    for big in ([1e160, 0.0, 0.0], [0.0, 1e160, 0.0]):
+        for pair in ((big, n2), (n1, big)):
+            with pytest.raises(ValueError, match="overflows"):
+                incompatibility_pair(*pair)
+
+
 def test_incompatibility_pair_rejects_zero_vector():
     with pytest.raises(ValueError):
         incompatibility_pair((0, 0, 0), (1, 0, 0))
@@ -291,7 +307,7 @@ def test_optimal_bloch_achieves_bound():
 
 def test_validate_directions_returns_checked_array():
     d = validate_directions([(1, 0, 0), (0, 2, 0)])
-    assert d.dtype == float and d.shape == (2, 3)
+    assert d == [(1.0, 0.0, 0.0), (0.0, 2.0, 0.0)] and all(type(x) is float for row in d for x in row)
     with pytest.raises(ValueError, match="direction 2 has zero length"):
         validate_directions([(1, 0, 0), (0, 1, 0), (0, 0, 0)])
     with pytest.raises(ValueError, match="non-finite"):
@@ -416,3 +432,54 @@ def test_directions_past_the_cube_overflow_are_rejected():
     coeff = cubic_coefficients((1e104, 1e208, 1e300))
     assert coeff.alpha == pytest.approx(math.sqrt(2e208 / 18.0), rel=1e-15)
     assert not math.isfinite(coeff.beta)
+
+
+# --- the residual certificate that replaced the eigh cross-check
+
+CERTIFICATE_SETS = {
+    "generic": np.random.default_rng(3).normal(size=(5, 3)),
+    "orthogonal_pair": np.eye(3)[:2] @ random_rotation(np.random.default_rng(4)).T,
+    "planar_square": planar(0, 45, 90, 135) @ random_rotation(np.random.default_rng(5)).T,
+    "isotropic_xyz": np.eye(3),
+}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("field", ["lam_max", "lam_mid", "lam_min"])
+@pytest.mark.parametrize("name", list(CERTIFICATE_SETS))
+def test_certificate_rejects_a_kernel_off_by_1e8_of_tr_a(name, field, sign, monkeypatch):
+    d = CERTIFICATE_SETS[name]
+    incompatibility(d)  # the true kernel passes
+
+    def wrong_kernel(a):
+        spec = sym3_spectrum(a)
+        tr_a = a[0][0] + a[1][1] + a[2][2]
+        return spec._replace(**{field: getattr(spec, field) + sign * 1e-8 * tr_a})
+
+    monkeypatch.setattr(incompat, "sym3_spectrum", wrong_kernel)
+    with pytest.raises(ArithmeticError, match="closed-form eigenvalue .* fails its residual certificate"):
+        incompatibility(d)
+
+
+@PROPERTY_SETTINGS
+@given(d=direction_sets(), k=st.floats(-9.0, 9.0))
+def test_certificate_holds_on_every_family_at_every_scale(d, k):
+    a, traces = moment_matrix(d * 10.0**k)
+    spec = sym3_spectrum(a)
+    vecs, bound = sym3_certificate(a, spec[:3])
+    assert bound <= 1e-9 * traces[0]
+    # the bound is sound: numpy's spectrum lies within it, up to eigvalsh's own error
+    exact = np.linalg.eigvalsh(np.array(a))[::-1]
+    assert np.abs(exact - spec[:3]).max() <= bound + 1e-14 * traces[0]
+    assert np.abs(np.array(vecs) @ np.array(vecs).T - np.eye(3)).max() <= 1e-15
+
+
+def test_optimizer_has_no_negative_zero_and_a_positive_lead():
+    rng = np.random.default_rng(7)
+    sets = [np.eye(3), np.eye(3)[:2], [(0.0, -1.0, 0.0)], [(0.0, 0.0, -2.0), (0.0, -1.0, 0.0)]]
+    sets += [rng.normal(size=(int(rng.integers(1, 6)), 3)) for _ in range(200)]
+    for d in sets:
+        opt = incompatibility(d).optimizer
+        assert type(opt) is tuple and len(opt) == 3
+        assert next(x for x in opt if x != 0.0) > 0.0
+        assert all(math.copysign(1.0, x) > 0.0 for x in opt if x == 0.0)

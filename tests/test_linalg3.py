@@ -6,6 +6,7 @@ import pytest
 from spinbounds.linalg3 import (
     hermitian_psd_check,
     cubic_roots,
+    sym3_certificate,
     sym3_eigen_jacobi,
     sym3_spectrum,
     sym3_traces,
@@ -165,3 +166,15 @@ def test_spectrum_beyond_cube_overflow_does_not_raise():
     spec = sym3_spectrum(np.diag([1e200, 0.0, 0.0]))
     assert (spec.lam_max, spec.lam_mid, spec.lam_min) == pytest.approx((1e200, 0.0, 0.0), rel=1e-15, abs=1e185)
     assert spec.beta == math.inf
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+def test_certificate_is_sound_for_wrong_claims_and_extreme_scales(scale):
+    # the true spectrum is (1, 0, 0) * scale up to 1e-130; the claim (0, 0, 0)
+    # makes A - 0 I nearly rank one, where the rows' cross products are ~1e-130
+    a = [[scale, 1e-65 * scale, 0.0], [1e-65 * scale, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    vecs, bound = sym3_certificate(a, (0.0, 0.0, 0.0))
+    assert bound >= (1.0 - 1e-12) * scale
+    vecs, bound = sym3_certificate(a, sym3_spectrum(a)[:3])
+    assert bound <= 1e-15 * scale
+    assert np.abs(np.array(vecs) @ np.array(vecs).T - np.eye(3)).max() <= 1e-15
