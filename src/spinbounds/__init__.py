@@ -1,8 +1,9 @@
 """State-independent variance bounds for qubit spin observables, with
 entanglement-witness and EPR-steering criteria built on top.
 
-`states` and `criteria` need numpy, so their names load on first access
-(PEP 562): importing the package for the bound alone imports no numpy.
+`states` and `criteria` load on first access (PEP 562): the bound alone
+needs neither, and importing them would add ~4-5 ms to every import of
+the package. No module imports numpy at import time.
 """
 
 from importlib import import_module
@@ -31,7 +32,7 @@ from .oracle import OracleResult, fibonacci_sphere, mixed_sample_floor, sphere_g
 
 __version__ = "0.1.0"
 
-# name -> the numpy-backed module that defines it; None marks the modules themselves
+# name -> the lazily loaded module that defines it; None marks the modules themselves
 _LAZY = dict.fromkeys(("criteria", "states"))
 _LAZY.update(dict.fromkeys((
     "ConditionalBranch", "ConditionalDistribution", "SteeringReport", "WitnessReport", "conditional_stats",

@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 input/validation error, 3 verify failure,
 4 --assert-violation failed. An ArithmeticError (the closed form failing
 its residual certificate inside the library) is a verify failure:
 it is reported as `error: ...` with exit code 3, never as a traceback.
-`incompat` and `table` run without importing numpy.
+`incompat`, `table`, `witness` and `steer` run without importing numpy;
+`verify` imports it for the oracle's lattice and sample searches.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from .linalg3 import sym3_eigen_jacobi
 from .oracle import mixed_sample_floor, sphere_grid_min
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .states import TwoQubitState
 
 EXIT_OK = 0
@@ -113,8 +112,6 @@ def load_state(spec: str) -> TwoQubitState:
     Builtins: `singlet`, `werner:p`, `product:ax,ay,az:bx,by,bz`. Anything
     else is treated as a path to `{"dim": 4, "re": [...], "im": [...]}`.
     """
-    import numpy as np
-
     from .states import TwoQubitState, product_state, singlet, werner
 
     if spec == "singlet":
@@ -138,31 +135,21 @@ def load_state(spec: str) -> TwoQubitState:
     if data.get("dim") != 4:
         raise InputError(f"{spec}: only dim=4 states are accepted here")
     try:
-        rho = np.asarray(data["re"], dtype=float) + 1j * np.asarray(
-            data["im"], dtype=float
-        )
-        return TwoQubitState(rho)
-    except (KeyError, TypeError, ValueError) as exc:
+        rows = zip(data["re"], data["im"], strict=True)
+        return TwoQubitState([[complex(float(x), float(y)) for x, y in zip(*row, strict=True)] for row in rows])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{spec}: invalid state: {exc}") from exc
 
 
-def load_settings(path: str) -> list[tuple[np.ndarray, np.ndarray]]:
+def load_settings(path: str) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
     """Read `{"settings": [{"alice": [...], "bob": [...]}, ...]}`."""
-    import numpy as np
-
     data = _read_json_object(path, "settings")
     raw = data.get("settings")
     if not isinstance(raw, list) or not raw:
         raise InputError(f"{path}: expected a non-empty 'settings' list")
     try:
-        return [
-            (
-                np.asarray(entry["alice"], dtype=float),
-                np.asarray(entry["bob"], dtype=float),
-            )
-            for entry in raw
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
+        return [(tuple(map(float, entry["alice"])), tuple(map(float, entry["bob"]))) for entry in raw]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed setting entry: {exc}") from exc
 
 
@@ -251,11 +238,9 @@ def cmd_verify(args) -> int:
 
     d_jacobi = abs(res.value - jacobi_value)
     d_oracle = abs(res.value - oracle.value)
-    ok = (
-        d_jacobi <= 1e-9
-        and d_oracle <= 1e-5
-        and floor >= res.value - 1e-10
-    )
+    # absolute tolerances for unit directions, scaled by the mean squared direction length
+    scale = max(1.0, traces[0] / len(dirs))
+    ok = d_jacobi <= 1e-9 * scale and d_oracle <= 1e-5 * scale and floor >= res.value - 1e-10 * scale
     payload = {
         "closed_form": res.value,
         "jacobi": jacobi_value,

@@ -1,7 +1,8 @@
 """Entanglement-witness and EPR-steering tests built on the variance bound.
 
 Both read a two-qubit state only through its Bloch tensors (a, b, T)
-(`states.TwoQubitState`), so every statistic is 3x3 real arithmetic.
+(`states.TwoQubitState`), so every statistic is 3x3 real arithmetic on
+Python floats.
 
 A separable two-qubit state keeps the summed variance of the joint
 observables S_n (x) I + I (x) S_m at or above the sum of the two local
@@ -13,57 +14,38 @@ demonstrates EPR-steering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .incompat import incompatibility
-from .linalg3 import as_vec3
-from .states import TwoQubitState
+from .linalg3 import _dot, _matvec
+from .states import TwoQubitState, _Record, as_vec3
 
 _VIOLATION_SLACK = 1e-10  # exact saturation must not count as a violation
 _BRANCH_EPS = 1e-12  # outcome probabilities below this are treated as absent
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    variance_sum: float
-    bound: float
-    violated: bool
-    margin: float  # bound - variance_sum; positive when violated
+class WitnessReport(_Record):
+    _fields = ("variance_sum", "bound", "violated", "margin")  # margin = bound - variance_sum
 
 
-@dataclass(frozen=True)
-class ConditionalBranch:
-    outcome: int  # +1 or -1
-    probability: float
-    bob_bloch: np.ndarray
+class ConditionalBranch(_Record):
+    _fields = ("outcome", "probability", "bob_bloch")  # outcome +1 or -1; bob_bloch a 3-tuple
 
 
-@dataclass(frozen=True)
-class ConditionalDistribution:
-    branches: tuple[ConditionalBranch, ...]
+class ConditionalDistribution(_Record):
+    _fields = ("branches",)  # a tuple of ConditionalBranch
 
 
-@dataclass(frozen=True)
-class SteeringReport:
-    inference_variances: tuple[float, ...]
-    total: float
-    bound: float
-    violated: bool
-    margin: float
+class SteeringReport(_Record):
+    _fields = ("inference_variances", "total", "bound", "violated", "margin")
 
 
-def _unit(v, what: str) -> np.ndarray:
+def _unit(v, what: str) -> tuple[float, float, float]:
     v = as_vec3(v)
-    if abs(np.dot(v, v) - 1.0) > 2e-9:
+    if abs(_dot(v, v) - 1.0) > 2e-9:
         raise ValueError(f"{what} direction must be unit length")
     return v
 
 
-def entanglement_witness(
-    state: TwoQubitState, alice_dirs, bob_dirs
-) -> WitnessReport:
+def entanglement_witness(state: TwoQubitState, alice_dirs, bob_dirs) -> WitnessReport:
     """Test the separability bound on paired joint observables.
 
     variance_sum = sum_i Var(S_n_i (x) I + I (x) S_m_i), and each term is
@@ -75,18 +57,12 @@ def entanglement_witness(
     bob = [_unit(d, "bob") for d in bob_dirs]
     if len(alice) != len(bob):
         raise ValueError("alice and bob need the same number of directions")
-    variance_sum = float(sum(
-        n @ n + m @ m + 2.0 * (n @ state.T @ m) - (n @ state.a + m @ state.b) ** 2
+    variance_sum = sum(
+        _dot(n, n) + _dot(m, m) + 2.0 * _dot(n, _matvec(state.T, m)) - (_dot(n, state.a) + _dot(m, state.b)) ** 2
         for n, m in zip(alice, bob)
-    ))
-    bound = incompatibility(alice).value + incompatibility(bob).value
-    margin = bound - variance_sum
-    return WitnessReport(
-        variance_sum=variance_sum,
-        bound=bound,
-        violated=variance_sum < bound - _VIOLATION_SLACK,
-        margin=margin,
     )
+    bound = incompatibility(alice).value + incompatibility(bob).value
+    return WitnessReport(variance_sum, bound, variance_sum < bound - _VIOLATION_SLACK, bound - variance_sum)
 
 
 def conditional_stats(state: TwoQubitState, a_dir) -> ConditionalDistribution:
@@ -97,14 +73,15 @@ def conditional_stats(state: TwoQubitState, a_dir) -> ConditionalDistribution:
     2009). Branches with negligible probability are omitted.
     """
     n = _unit(a_dir, "alice")
-    mean_a = float(n @ state.a)
-    steered = state.T.T @ n
+    mean_a = _dot(n, state.a)
+    steered = _matvec(tuple(zip(*state.T)), n)
     branches = []
     for outcome in (+1, -1):
         p = 0.5 * (1.0 + outcome * mean_a)
         if p < _BRANCH_EPS:
             continue
-        branches.append(ConditionalBranch(outcome, p, (state.b + outcome * steered) / (2.0 * p)))
+        bloch = tuple((b + outcome * s) / (2.0 * p) for b, s in zip(state.b, steered))
+        branches.append(ConditionalBranch(outcome, p, bloch))
     return ConditionalDistribution(tuple(branches))
 
 
@@ -119,7 +96,7 @@ def inference_variance_min(state: TwoQubitState, a_dir, b_dir) -> float:
     dist = conditional_stats(state, a_dir)
     total = 0.0
     for branch in dist.branches:
-        mean = float(np.dot(b, branch.bob_bloch))
+        mean = _dot(b, branch.bob_bloch)
         total += branch.probability * (1.0 - mean * mean)
     return total
 
@@ -134,16 +111,7 @@ def steering_test(state: TwoQubitState, settings) -> SteeringReport:
     settings = list(settings)
     if not settings:
         raise ValueError("need at least one measurement setting")
-    variances = tuple(
-        inference_variance_min(state, a, b) for a, b in settings
-    )
-    total = float(sum(variances))
+    variances = tuple(inference_variance_min(state, a, b) for a, b in settings)
+    total = sum(variances)
     bound = incompatibility([b for _, b in settings]).value
-    margin = bound - total
-    return SteeringReport(
-        inference_variances=variances,
-        total=total,
-        bound=bound,
-        violated=total < bound - _VIOLATION_SLACK,
-        margin=margin,
-    )
+    return SteeringReport(variances, total, bound, total < bound - _VIOLATION_SLACK, bound - total)

@@ -1,8 +1,9 @@
 """Small fixed-size linear algebra: 3x3 symmetric spectral tools, the Pauli
 matrices and Hermitian/PSD checks.
 
-The closed-form spectrum and its certificate run on rows of Python floats;
-the numpy-backed helpers import numpy when called.
+The closed-form spectrum, its certificate and the Hermitian/PSD check run
+on rows of Python numbers; the numpy-backed helpers (Jacobi, Pauli
+matrices) import numpy when called.
 """
 
 from __future__ import annotations
@@ -25,18 +26,6 @@ _DEFLATE_BAND = 1e-4
 # matrix scale, with a hard sweep cap (a 3x3 converges in a handful).
 _JACOBI_REL_TOL = 1e-14
 _JACOBI_MAX_SWEEPS = 50
-
-
-def as_vec3(v) -> np.ndarray:
-    """Coerce to a finite float64 numpy 3-vector."""
-    import numpy as np
-
-    a = np.asarray(v, dtype=float)
-    if a.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("vector has non-finite components")
-    return a
 
 
 def sym3_traces(a) -> tuple[float, float, float]:
@@ -251,18 +240,38 @@ def pauli_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sx, sy, sz
 
 
-def hermitian_psd_check(m: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """True iff the Hermitian matrix m has all eigenvalues >= -tol.
+def hermitian_psd_check(m, tol: float = PSD_TOL) -> bool:
+    """True iff the Hermitian matrix m (rows of numbers, or an ndarray) has
+    all eigenvalues >= -tol, i.e. iff every pivot of the LDL^H elimination
+    (Cholesky without square roots) of m + tol I is > 0. Its backward error
+    is ~n eps ||m|| (Higham, Accuracy and Stability, 2nd ed., 10.1).
 
     Raises ValueError when m is not Hermitian within HERMITIAN_TOL: a
     malformed input is a validation failure, not a "not PSD" verdict.
     """
-    import numpy as np
-
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    try:
+        a = [list(map(complex, row)) for row in m]
+    except TypeError:
+        raise ValueError("expected a square matrix") from None
+    n = len(a)
+    if not n or any(len(row) != n for row in a):
         raise ValueError("expected a square matrix")
-    if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:
+    if not all(abs(a[i][j] - a[j][i].conjugate()) <= HERMITIAN_TOL for i in range(n) for j in range(i, n)):
         raise ValueError("density matrix is not Hermitian")
-    w = np.linalg.eigvalsh(m)
-    return bool(w[0] >= -tol)
+    pivots, low = [], []  # low[i][k] = L[i][k] for k < i; L has a unit diagonal
+    for i, a_row in enumerate(a):
+        row, scaled = [], []  # row[k] = L[i][k] and scaled[k] = L[i][k] * pivots[k]
+        for k in range(i):
+            x = a_row[k]
+            for q in range(k):
+                x -= scaled[q] * low[k][q].conjugate()
+            scaled.append(x)
+            row.append(x / pivots[k])
+        pivot = a_row[i].real + tol
+        for q in range(i):
+            pivot -= (scaled[q] * row[q].conjugate()).real
+        if not pivot > 0.0:
+            return False
+        pivots.append(pivot)
+        low.append(row)
+    return True

@@ -244,6 +244,18 @@ def test_verify_bad_input(capsys):
     assert main(["verify", "--dirs", "/nonexistent.json"]) == EXIT_INPUT
 
 
+def test_verify_scales_its_tolerances_with_direction_length(tmp_path, capsys, monkeypatch):
+    # values ~5e6: an absolute 1e-9 on the Jacobi delta once failed this correct result
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"directions": (1e3 * np.random.default_rng(11).normal(size=(6, 3))).tolist()}))
+    assert main(["verify", "--dirs", str(path), "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    exact = cli.incompatibility
+    monkeypatch.setattr(cli, "incompatibility", lambda d: exact(d)._replace(value=exact(d).value * (1.0 + 1e-6)))
+    assert main(["verify", "--dirs", str(path), "--json"]) == EXIT_VERIFY_FAIL
+    assert json.loads(capsys.readouterr().out)["pass"] is False
+
+
 def test_witness_singlet(xyz_file, capsys):
     code = main(
         ["witness", "--state", "singlet", "--alice", xyz_file, "--bob", xyz_file,
@@ -293,6 +305,37 @@ def test_witness_invalid_state_file(tmp_path, xyz_file, capsys):
     path.write_text(json.dumps({"dim": 4, "re": [[1.0] * 4] * 4, "im": [[0.0] * 4] * 4}))
     assert main(["witness", "--state", str(path), "--alice", xyz_file,
                  "--bob", xyz_file]) == EXIT_INPUT
+
+
+MIXED = [[0.25 * (i == j) for j in range(4)] for i in range(4)]
+ZEROS = [[0.0] * 4 for _ in range(4)]
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        {"dim": 4, "re": [row[: 4 - (i == 2)] for i, row in enumerate(MIXED)], "im": ZEROS},
+        {"dim": 4, "re": MIXED, "im": [row[:3] for row in ZEROS]},
+        {"dim": 4, "re": MIXED[:3], "im": ZEROS[:3]},
+        {"dim": 4, "re": MIXED, "im": ZEROS[:3]},
+        {"dim": 4, "re": [["x"] * 4] + MIXED[1:], "im": ZEROS},
+        {"dim": 4, "re": MIXED, "im": [[None] * 4] + ZEROS[1:]},
+        {"dim": 4, "re": [[[0.25]] * 4] + MIXED[1:], "im": ZEROS},
+        {"dim": 4, "re": None, "im": ZEROS},
+        {"dim": 4, "re": MIXED, "im": None},
+        {"dim": 4, "re": MIXED},
+    ],
+    ids=["ragged-re", "ragged-im", "3x4", "im-3x4", "string-entry", "null-entry", "list-entry",
+         "null-re", "null-im", "missing-im"],
+)
+@pytest.mark.parametrize("command", ["witness", "steer"])
+def test_malformed_state_file_is_input_error(command, state, tmp_path, xyz_file, settings_file, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    tail = ["--alice", xyz_file, "--bob", xyz_file] if command == "witness" else ["--settings", settings_file]
+    assert main([command, "--state", str(path), *tail]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: invalid state:") and "Traceback" not in err
 
 
 def test_steer_fixtures(settings_file, capsys):

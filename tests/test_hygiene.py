@@ -1,7 +1,7 @@
 """Source hygiene that needs no linter: every module of the package uses
 each name it imports (`__init__.py`, which re-exports, and `from __future__`
-imports are exempt); the CLI's bound paths import no numpy; and the package
-serves every public name."""
+imports are exempt); the CLI's bound, witness and steering paths import no
+numpy; and the package serves every public name."""
 
 import ast
 import importlib
@@ -46,7 +46,7 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-# --- the bound's CLI paths run without numpy; the package serves every name
+# --- the CLI runs without numpy except for verify; the package serves every name
 
 SRC = PACKAGE.parent
 EXPORTS = {
@@ -86,6 +86,32 @@ def test_incompat_and_table_never_import_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "RESULT [0, 0, 0, 0] False"
+
+
+def test_witness_and_steer_never_import_numpy(tmp_path):
+    xyz = tmp_path / "xyz.json"
+    xyz.write_text(json.dumps({"directions": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+    settings = tmp_path / "settings.json"
+    settings.write_text(json.dumps({"settings": [{"alice": [1, 0, 0], "bob": [0, 0, 1]}, {"alice": [0, 1, 0], "bob": [0, 1, 0]}]}))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"dim": 4, "re": [[0.5, 0, 0, 0.5], [0, 0, 0, 0], [0, 0, 0, 0], [0.5, 0, 0, 0.5]],
+                                 "im": [[0.0] * 4] * 4}))
+    argvs = []
+    for spec in ("singlet", "werner:0.7", "product:0,0.6,0.8:0.1,-0.2,0.3", str(state)):
+        argvs.append(["witness", "--state", spec, "--alice", str(xyz), "--bob", str(xyz)])
+        argvs.append(["steer", "--state", spec, "--settings", str(settings), "--json"])
+    child = (
+        "import sys\n"
+        "from spinbounds import cli\n"
+        f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        "print('RESULT', codes, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"RESULT {[0] * len(argvs)} False"
 
 
 def test_every_exported_name_resolves_to_its_module_object():

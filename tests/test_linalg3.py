@@ -102,6 +102,28 @@ def test_psd_check_tests_hermiticity_at_1e12():
     assert hermitian_psd_check(m, tol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "lam_min", [-1e-9 * (1 + 1e-4), -1e-9 * (1 - 1e-4), 0.0, 1e-3, -1e-3, "rank1", "rank2", "rank3"]
+)
+def test_psd_check_agrees_with_eigvalsh_near_the_tolerance(lam_min):
+    # random 4x4 Hermitian matrices of trace 1 with the smallest eigenvalue
+    # placed 1e-13 to either side of -tol, at 0, at +-1e-3, or with rank 1-3
+    rng = np.random.default_rng(101)
+    tol = 1e-9
+    for _ in range(300):
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        if isinstance(lam_min, str):
+            rank = int(lam_min[-1])
+            lams = np.concatenate([rng.dirichlet(np.ones(rank)), np.zeros(4 - rank)])
+        else:
+            lams = np.concatenate([[lam_min], rng.dirichlet(np.ones(3)) * (1.0 - lam_min)])
+        m = (q * lams) @ q.conj().T
+        m = 0.5 * (m + m.conj().T)
+        expected = bool(np.linalg.eigvalsh(m)[0] >= -tol)
+        assert hermitian_psd_check(m, tol) is expected
+        assert hermitian_psd_check(m.tolist(), tol) is expected
+
+
 def test_jacobi_is_scale_invariant():
     # the stopping rule is relative: a near-double pair at scale 1e-9 keeps
     # its digits (an absolute rule stopped up to 5e-7 relative short)

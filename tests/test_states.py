@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinbounds import states
 from spinbounds.incompat import incompatibility
 from spinbounds.linalg3 import pauli_matrices
 from spinbounds.states import (
@@ -108,14 +109,14 @@ def test_two_qubit_state_validation():
         TwoQubitState(np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex))
 
 
-def test_two_qubit_state_checks_hermiticity_at_1e12_with_one_eigvalsh(monkeypatch):
+def test_two_qubit_state_checks_hermiticity_at_1e12_with_one_psd_check(monkeypatch):
     rho = np.eye(4, dtype=complex) / 4.0
     rho[0, 1] = 1e-11j  # anti-Hermitian part of size 1e-11
     with pytest.raises(ValueError, match="Hermitian"):
         TwoQubitState(rho)
     calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+    check = states.hermitian_psd_check
+    monkeypatch.setattr(states, "hermitian_psd_check", lambda m, tol: calls.append(m) or check(m, tol))
     TwoQubitState(np.eye(4) / 4.0)
     assert len(calls) == 1
 
