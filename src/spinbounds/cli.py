@@ -11,8 +11,8 @@ Exit codes: 0 success, 1 input/validation error, 3 verify failure,
 4 --assert-violation failed. An ArithmeticError (the closed form failing
 its residual certificate inside the library) is a verify failure:
 it is reported as `error: ...` with exit code 3, never as a traceback.
-`incompat`, `table`, `witness` and `steer` run without importing numpy;
-`verify` imports it for the oracle's lattice and sample searches.
+No subcommand imports numpy: `verify`'s Jacobi reference and its oracle
+searches run on Python floats too.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ EXIT_ASSERTION = 4
 
 _DEFAULT_GRID = ["pi/9", "2*pi/9", "pi/3", "4*pi/9", "5*pi/9"]
 
-# verify's lattice and sample searches hold one K x N float64 product for
-# K points and N directions, next to K x 3 coordinates. Capping K * max(N, 3)
-# at 3.2e7 keeps that array within 256 MB (measured peak RSS of a whole
-# verify run with N = 16: 220 MB at K = 1e6, 357 MB at K = 2e6).
+# verify's lattice and sample searches stream their K points, so memory does
+# not grow with K (a whole verify run peaks at ~15 MB RSS at the cap). Capping
+# K * max(N, 3) at 3.2e7 bounds their run time instead: at most ~1.07e7 points
+# per search, which took 12-16 s per search on a 2-core host.
 MAX_SEARCH_FLOATS = 32_000_000
 
 _ANGLE_RE = re.compile(r"^\s*(?:(\d+)\s*\*\s*)?pi\s*(?:/\s*(\d+))?\s*$")
@@ -226,7 +226,7 @@ def cmd_verify(args) -> int:
         if floats > MAX_SEARCH_FLOATS:
             raise InputError(
                 f"{flag} {count} with {len(dirs)} directions needs {floats:.3g} floats; "
-                f"the limit is {MAX_SEARCH_FLOATS:.3g} (256 MB)"
+                f"the limit is {MAX_SEARCH_FLOATS:.3g} (a bound on the search time)"
             )
     res = incompatibility(dirs)
     # independent path: the hand-written Jacobi solver, not the closed form

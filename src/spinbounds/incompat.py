@@ -59,7 +59,7 @@ def validate_directions(directions) -> np.ndarray | list[tuple[float, float, flo
     else:
         try:
             d = [tuple(map(float, row)) for row in directions]
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"expected N x 3 directions: {exc}") from None
         shape = (len(d), *sorted({len(row) for row in d}))
     if 0 in shape:

@@ -1,14 +1,15 @@
 """Small fixed-size linear algebra: 3x3 symmetric spectral tools, the Pauli
 matrices and Hermitian/PSD checks.
 
-The closed-form spectrum, its certificate and the Hermitian/PSD check run
-on rows of Python numbers; the numpy-backed helpers (Jacobi, Pauli
-matrices) import numpy when called.
+The closed-form spectrum, its certificate, the reference Jacobi solver and
+the Hermitian/PSD check run on rows of Python numbers; only
+`pauli_matrices` imports numpy, when called.
 """
 
 from __future__ import annotations
 
-from math import acos, atan2, cos, frexp, hypot, isfinite, ldexp, pi, sin, sqrt
+from math import acos, atan2, copysign, cos, frexp, hypot, isfinite, ldexp, pi, sin, sqrt
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -185,49 +186,48 @@ def _matvec(b, x) -> tuple[float, float, float]:
     return (_dot(b[0], x), _dot(b[1], x), _dot(b[2], x))
 
 
-def sym3_eigen_jacobi(a) -> tuple[np.ndarray, np.ndarray]:
+def sym3_eigen_jacobi(a) -> tuple[tuple, tuple]:
     """Eigendecomposition of a symmetric 3x3 matrix by cyclic Jacobi sweeps.
 
-    Takes any finite 3x3 array-like; off-diagonal pairs are averaged first.
-    Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending
-    (stable on ties) and eigenvectors as orthonormal columns: a @ V[:, i]
-    = w[i] * V[:, i].
+    Takes any finite 3x3 rows of numbers (or an ndarray); off-diagonal
+    pairs are averaged first. Returns (eigenvalues, eigenvectors) with
+    eigenvalues sorted descending (stable on ties) and eigenvectors as the
+    orthonormal columns of rows V: sum_k a[j][k] V[k][i] = w[i] V[j][i].
     """
-    import numpy as np
-
-    a = np.asarray(a, dtype=float)
-    if a.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    try:
+        a = [list(map(float, row)) for row in a]
+    except TypeError:
+        raise ValueError("expected a 3x3 matrix") from None
+    if list(map(len, a)) != [3, 3, 3]:
+        raise ValueError(f"expected a 3x3 matrix, got rows of lengths {list(map(len, a))}")
+    if not all(map(isfinite, a[0] + a[1] + a[2])):
         raise ValueError("matrix has non-finite entries")
-    a = 0.5 * (a + a.T)
-    m = a.copy()
-    v = np.eye(3)
-    scale = float(np.linalg.norm(a))
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    m01, m02, m12 = 0.5 * (a01 + a10), 0.5 * (a02 + a20), 0.5 * (a12 + a21)
+    m = [[a00, m01, m02], [m01, a11, m12], [m02, m12, a22]]
+    v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    scale = hypot(a00, a11, a22, m01, m01, m02, m02, m12, m12)
     for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.sqrt(2.0 * (m[0, 1] ** 2 + m[0, 2] ** 2 + m[1, 2] ** 2))
-        if off <= _JACOBI_REL_TOL * scale:
+        if sqrt(2.0) * hypot(m[0][1], m[0][2], m[1][2]) <= _JACOBI_REL_TOL * scale:
             break
         for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = m[p, q]
+            apq = m[p][q]
             if apq == 0.0:
                 continue
-            theta = (m[q, q] - m[p, p]) / (2.0 * apq)
-            t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-            if theta == 0.0:
-                t = 1.0
-            c = 1.0 / np.sqrt(t * t + 1.0)
+            theta = (m[q][q] - m[p][p]) / (2.0 * apq)
+            t = 1.0 if theta == 0.0 else copysign(1.0, theta) / (abs(theta) + sqrt(theta * theta + 1.0))
+            c = 1.0 / sqrt(t * t + 1.0)
             s = t * c
-            rot = np.eye(3)
-            rot[p, p] = rot[q, q] = c
-            rot[p, q] = s
-            rot[q, p] = -s
-            m = rot.T @ m @ rot
-            v = v @ rot
-    w = np.diag(m).copy()
-    # stable descending sort: by value, ties by original index
-    order = sorted(range(3), key=lambda i: (-w[i], i))
-    return w[order], v[:, order]
+            # m <- R^T m R and v <- v R, with R the identity but for
+            # R[p][p] = R[q][q] = c and R[p][q] = -R[q][p] = s
+            rp, rq = m[p], m[q]
+            for j in range(3):
+                rp[j], rq[j] = c * rp[j] - s * rq[j], s * rp[j] + c * rq[j]
+            for row in m + v:
+                row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+    w = (m[0][0], m[1][1], m[2][2])
+    pick = itemgetter(*sorted(range(3), key=w.__getitem__, reverse=True))  # a stable sort, so ties keep their order
+    return pick(w), tuple(map(pick, v))
 
 
 def pauli_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,21 +1,22 @@
 """Brute-force verification of the variance bound by direct minimization
 over pure qubit states.
 
-Independent of the spectral path: evaluates the variance sum on a
-Fibonacci lattice of Bloch vectors, then refines the best point by
-derivative-free coordinate descent in spherical coordinates.
-Each function imports numpy when called, so importing this module does not.
+Independent of the spectral path: evaluates the variance sum
+tau1 - r^T Q r, with Q = sum_i n_i n_i^T summed here rather than by
+`moment_matrix`, on a Fibonacci lattice of Bloch vectors, then refines the
+best point by derivative-free coordinate descent in spherical coordinates.
+Runs on Python floats and streams the lattice, so it needs no numpy and
+its memory does not grow with the number of points.
 """
 
 from __future__ import annotations
 
-from math import cos, pi, sin, sqrt
-from typing import TYPE_CHECKING, NamedTuple
+import random
+from itertools import islice
+from math import acos, atan2, cos, pi, sin, sqrt
+from typing import Iterator, NamedTuple
 
 from .incompat import validate_directions
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _GOLDEN_ANGLE = pi * (3.0 - sqrt(5.0))
 _REFINE_MIN_STEP = 1e-7
@@ -28,29 +29,37 @@ _COVERING_COEFF = 3.2
 
 class OracleResult(NamedTuple):
     value: float
-    argmin: np.ndarray
+    argmin: tuple[float, float, float]
     points_evaluated: int
     resolution_bound: float
 
 
-def fibonacci_sphere(num_points: int) -> np.ndarray:
-    """Near-uniform lattice of unit vectors (golden-angle spiral)."""
-    import numpy as np
+def fibonacci_sphere(num_points: int) -> Iterator[tuple[float, float, float]]:
+    """Near-uniform lattice of unit vectors (golden-angle spiral), yielded
+    one 3-tuple at a time."""
+    for k in range(num_points):
+        z = 1.0 - (2.0 * k + 1.0) / num_points  # |z| <= 1 - 1/num_points, so 1 - z^2 > 0
+        radius = sqrt(1.0 - z * z)
+        phi = _GOLDEN_ANGLE * k
+        yield radius * cos(phi), radius * sin(phi), z
 
-    k = np.arange(num_points)
-    z = 1.0 - (2.0 * k + 1.0) / num_points
-    radius = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    phi = _GOLDEN_ANGLE * k
-    return np.column_stack((radius * np.cos(phi), radius * np.sin(phi), z))
 
+def _variance_form(directions):
+    """tau1 and the variance sum r -> tau1 - r^T Q r of the validated
+    directions, for r a 3-tuple."""
+    d = validate_directions(directions)
+    qxx = qyy = qzz = qxy = qxz = qyz = 0.0
+    for x, y, z in d.tolist() if hasattr(d, "tolist") else d:
+        qxx, qyy, qzz = qxx + x * x, qyy + y * y, qzz + z * z
+        qxy, qxz, qyz = qxy + x * y, qxz + x * z, qyz + y * z
+    tau1 = qxx + qyy + qzz
+    qxy, qxz, qyz = 2.0 * qxy, 2.0 * qxz, 2.0 * qyz
 
-def _variance_sum_many(dirs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    # sum_i n_i^2 - (n_i . r)^2, vectorized over rows of `points`; squaring
-    # in place keeps one K x N array alive instead of two
-    tau1 = float((dirs * dirs).sum())
-    prod = points @ dirs.T
-    prod *= prod
-    return tau1 - prod.sum(axis=1)
+    def variance_sum(r) -> float:
+        x, y, z = r
+        return tau1 - (x * (qxx * x + qxy * y + qxz * z) + y * (qyy * y + qyz * z) + qzz * z * z)
+
+    return tau1, variance_sum
 
 
 def _spherical(theta: float, phi: float) -> tuple[float, float, float]:
@@ -64,34 +73,22 @@ def sphere_grid_min(directions, num_points: int = 20_000) -> OracleResult:
     index, and the coordinate descent halves its step from
     2*pi/sqrt(num_points) down to 1e-7.
     """
-    import numpy as np
-
     if num_points < 12:
         raise ValueError("need at least 12 lattice points")
-    dirs = np.asarray(validate_directions(directions))
-    tau1 = float(np.sum(dirs * dirs))
+    tau1, variance_sum = _variance_form(directions)
 
-    lattice = fibonacci_sphere(num_points)
-    values = _variance_sum_many(dirs, lattice)
-    best_idx = int(np.argmin(values))  # lowest index on ties
+    x, y, z = min(fibonacci_sphere(num_points), key=variance_sum)  # min keeps the first of equal keys
+    best = variance_sum((x, y, z))
     evaluated = num_points
 
-    def objective(theta: float, phi: float) -> float:
-        r = _spherical(theta, phi)
-        return float(tau1 - np.square(dirs @ r).sum())
-
-    x, y, z = lattice[best_idx]
-    theta = float(np.arccos(np.clip(z, -1.0, 1.0)))
-    phi = float(np.arctan2(y, x))
-    best = float(values[best_idx])
-
+    theta, phi = acos(z), atan2(y, x)
     step = 2.0 * pi / sqrt(num_points)
     while step >= _REFINE_MIN_STEP:
         improved = True
         while improved:
             improved = False
             for d_theta, d_phi in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-                cand = objective(theta + d_theta, phi + d_phi)
+                cand = variance_sum(_spherical(theta + d_theta, phi + d_phi))
                 evaluated += 1
                 if cand < best:
                     best = cand
@@ -100,30 +97,33 @@ def sphere_grid_min(directions, num_points: int = 20_000) -> OracleResult:
                     improved = True
         step *= 0.5
 
-    argmin = np.array(_spherical(theta, phi))
-    argmin /= np.linalg.norm(argmin)
+    x, y, z = _spherical(theta, phi)
+    norm = sqrt(x * x + y * y + z * z)
     radius = _COVERING_COEFF / sqrt(num_points)
     return OracleResult(
         value=best,
-        argmin=argmin,
+        argmin=(x / norm, y / norm, z / norm),
         points_evaluated=evaluated,
         resolution_bound=tau1 * radius * radius + 1e-9,
     )
 
 
+def _ball_points(uniform) -> Iterator[tuple[float, float, float]]:
+    """Endless points uniform in the unit ball, by rejection from the cube [-1, 1]^3."""
+    while True:
+        r = (2.0 * uniform() - 1.0, 2.0 * uniform() - 1.0, 2.0 * uniform() - 1.0)
+        if r[0] * r[0] + r[1] * r[1] + r[2] * r[2] <= 1.0:
+            yield r
+
+
 def mixed_sample_floor(directions, count: int, seed: int = 0) -> float:
     """Minimum variance sum over `count` seeded random mixed states.
 
-    Bloch vectors are drawn uniformly from the unit ball; reproducible for
-    a fixed seed. Sanity check that mixed states never beat the bound.
+    Bloch vectors are drawn uniformly from the unit ball with
+    `random.Random(seed)`; reproducible for a fixed seed. Sanity check that
+    mixed states never beat the bound.
     """
-    import numpy as np
-
     if count < 1:
         raise ValueError("need at least one sample")
-    dirs = np.asarray(validate_directions(directions))
-    rng = np.random.default_rng(seed)
-    points = rng.normal(size=(count, 3))
-    points /= np.linalg.norm(points, axis=1, keepdims=True)
-    points *= rng.uniform(size=(count, 1)) ** (1.0 / 3.0)
-    return float(np.min(_variance_sum_many(dirs, points)))
+    variance_sum = _variance_form(directions)[1]
+    return min(map(variance_sum, islice(_ball_points(random.Random(seed).random), count)))

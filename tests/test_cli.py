@@ -166,6 +166,16 @@ def test_directions_past_the_cube_overflow_are_input_error(command, tmp_path, ca
     assert capsys.readouterr().err.startswith("error: tr A^3 overflows")
 
 
+@pytest.mark.parametrize("command", ["incompat", "verify"])
+def test_integer_too_large_for_a_float_is_input_error(command, tmp_path, capsys):
+    # json reads a 401-digit integer as an int, which float() cannot convert
+    path = tmp_path / "bigint.json"
+    path.write_text('{"directions": [[1' + "0" * 400 + ', 0, 0]]}')
+    assert main([command, "--dirs", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: malformed direction entry:") and "too large" in err
+
+
 def test_table_default_grid(capsys):
     assert main(["table", "--csv"]) == EXIT_OK
     captured = capsys.readouterr()
@@ -467,7 +477,7 @@ optimizer bloch: (0.816497, 0.471405, 0.333333)
 closed form: 2.0000000000
 jacobi:      2.0000000000  (delta 0.000e+00)
 oracle:      2.0000000000  (delta 4.441e-16)
-mixed floor: 2.0002894092
+mixed floor: 2.0004258550
 PASS
 """,
         "",
@@ -475,7 +485,7 @@ PASS
     "verify --dirs xyz.json --json": (
         0,
         """\
-{"closed_form": 2.0, "jacobi": 2.0, "oracle": 1.9999999999999996, "delta_jacobi": 0.0, "delta_oracle": 4.440892098500626e-16, "mixed_floor": 2.0002894092035115, "pass": true}
+{"closed_form": 2.0, "jacobi": 2.0, "oracle": 1.9999999999999996, "delta_jacobi": 0.0, "delta_oracle": 4.440892098500626e-16, "mixed_floor": 2.000425854953523, "pass": true}
 """,
         "",
     ),
@@ -582,7 +592,7 @@ error: angle triple is not realizable by unit vectors: Gram eigenvalue -0.102237
         1,
         "",
         """\
-error: --grid-points 2000001 with 16 directions needs 3.2e+07 floats; the limit is 3.2e+07 (256 MB)
+error: --grid-points 2000001 with 16 directions needs 3.2e+07 floats; the limit is 3.2e+07 (a bound on the search time)
 """,
     ),
 }

@@ -1,7 +1,7 @@
 """Source hygiene that needs no linter: every module of the package uses
 each name it imports (`__init__.py`, which re-exports, and `from __future__`
-imports are exempt); the CLI's bound, witness and steering paths import no
-numpy; and the package serves every public name."""
+imports are exempt); no CLI subcommand imports numpy; and the package
+serves every public name."""
 
 import ast
 import importlib
@@ -46,7 +46,7 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-# --- the CLI runs without numpy except for verify; the package serves every name
+# --- the CLI runs without numpy; the package serves every name
 
 SRC = PACKAGE.parent
 EXPORTS = {
@@ -65,7 +65,7 @@ EXPORTS = {
 }
 
 
-def test_incompat_and_table_never_import_numpy(tmp_path):
+def test_incompat_table_and_verify_never_import_numpy(tmp_path):
     dirs = tmp_path / "dirs.json"
     dirs.write_text(json.dumps({"directions": [[1, 0, 0], [0.5, 0.5, 0.5], [0, 0, 2]]}))
     argvs = [
@@ -73,6 +73,8 @@ def test_incompat_and_table_never_import_numpy(tmp_path):
         ["incompat", "--dirs", str(dirs), "--json"],
         ["incompat", "--angles", "pi/3", "pi/4", "pi/2", "--json"],
         ["table", "--csv"],
+        ["verify", "--dirs", str(dirs)],
+        ["verify", "--dirs", str(dirs), "--json"],
     ]
     child = (
         "import sys\n"
@@ -85,7 +87,7 @@ def test_incompat_and_table_never_import_numpy(tmp_path):
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "RESULT [0, 0, 0, 0] False"
+    assert proc.stdout.splitlines()[-1] == "RESULT [0, 0, 0, 0, 0, 0] False"
 
 
 def test_witness_and_steer_never_import_numpy(tmp_path):

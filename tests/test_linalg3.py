@@ -37,7 +37,7 @@ def test_traces_rank1_projector():
 
 
 def test_jacobi_identity():
-    w, v = sym3_eigen_jacobi(np.eye(3))
+    w, v = map(np.asarray, sym3_eigen_jacobi(np.eye(3)))
     assert np.allclose(w, 1.0)
     assert np.allclose(v @ v.T, np.eye(3), atol=1e-12)
 
@@ -50,7 +50,7 @@ def test_jacobi_diagonal():
 
 def test_jacobi_projector():
     n = np.array([2.0, -1.0, 2.0]) / 3.0
-    w, v = sym3_eigen_jacobi(np.outer(n, n))
+    w, v = map(np.asarray, sym3_eigen_jacobi(np.outer(n, n)))
     assert np.allclose(w, [1.0, 0.0, 0.0], atol=1e-12)
     assert np.allclose(np.abs(v[:, 0] @ n), 1.0, atol=1e-10)
 
@@ -60,7 +60,7 @@ def test_jacobi_random_properties():
     for _ in range(1000):
         a = random_sym3(rng)
         t1, t2, t3 = sym3_traces(a)
-        w, v = sym3_eigen_jacobi(a)
+        w, v = map(np.asarray, sym3_eigen_jacobi(a))
         assert w[0] >= w[1] >= w[2]
         assert np.sum(w) == pytest.approx(t1, abs=1e-9)
         assert np.sum(w**2) == pytest.approx(t2, abs=1e-9)

@@ -23,7 +23,7 @@ def random_set(rng, n):
 
 
 def test_lattice_is_unit_and_spread():
-    points = fibonacci_sphere(500)
+    points = np.asarray(list(fibonacci_sphere(500)))
     assert np.allclose(np.linalg.norm(points, axis=1), 1.0, atol=1e-12)
     # crude uniformity: centroid near the origin
     assert np.linalg.norm(points.mean(axis=0)) < 0.01
