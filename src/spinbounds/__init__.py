@@ -11,7 +11,6 @@ from importlib import import_module
 from .incompat import (
     CubicCoefficients,
     IncompatibilityResult,
-    cubic_coefficients,
     cubic_coefficients_unit,
     directions_from_angles,
     incompatibility,

@@ -32,7 +32,6 @@ from .incompat import (
     validate_directions,
 )
 from .linalg3 import sym3_eigen_jacobi
-from .oracle import mixed_sample_floor, sphere_grid_min
 
 if TYPE_CHECKING:
     from .states import TwoQubitState
@@ -44,11 +43,11 @@ EXIT_ASSERTION = 4
 
 _DEFAULT_GRID = ["pi/9", "2*pi/9", "pi/3", "4*pi/9", "5*pi/9"]
 
-# verify's lattice and sample searches stream their K points, so memory does
-# not grow with K (a whole verify run peaks at ~15 MB RSS at the cap). Capping
-# K * max(N, 3) at 3.2e7 bounds their run time instead: at most ~1.07e7 points
-# per search, which took 12-16 s per search on a 2-core host.
-MAX_SEARCH_FLOATS = 32_000_000
+# verify's lattice and sample searches stream their K points and evaluate
+# tau1 - r^T Q r in O(1) per point, so neither memory nor time per point grows
+# with N (a whole verify run peaks at ~15 MB RSS at the cap). The cap on K
+# bounds their run time: ~1.07e7 points took 12-16 s per search on a 2-core host.
+MAX_SEARCH_POINTS = 10_666_666
 
 _ANGLE_RE = re.compile(r"^\s*(?:(\d+)\s*\*\s*)?pi\s*(?:/\s*(\d+))?\s*$")
 
@@ -178,7 +177,6 @@ def cmd_incompat(args) -> int:
         "alpha": res.coefficients.alpha,
         "beta": res.coefficients.beta,
         "traces": list(res.traces),
-        "method": res.method,
     }
     lines = [
         f"incompatibility: {round5(res.value):.5f}",
@@ -220,13 +218,13 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .oracle import mixed_sample_floor, sphere_grid_min
+
     dirs = load_directions(args.dirs)
     for flag, count in (("--grid-points", args.grid_points), ("--samples", args.samples)):
-        floats = count * max(len(dirs), 3)
-        if floats > MAX_SEARCH_FLOATS:
+        if count > MAX_SEARCH_POINTS:
             raise InputError(
-                f"{flag} {count} with {len(dirs)} directions needs {floats:.3g} floats; "
-                f"the limit is {MAX_SEARCH_FLOATS:.3g} (a bound on the search time)"
+                f"{flag} {count} exceeds the limit of {MAX_SEARCH_POINTS} points (a bound on the search time)"
             )
     res = incompatibility(dirs)
     # independent path: the hand-written Jacobi solver, not the closed form

@@ -21,9 +21,6 @@ from .linalg3 import Sym3Spectrum, _dot, cubic_roots, sym3_certificate, sym3_spe
 if TYPE_CHECKING:
     import numpy as np
 
-# alpha below this fraction of tau1 means a triple eigenvalue tau1/3; the
-# trig ratio beta/alpha^3 is then numerically 0/0 and must be bypassed.
-_ALPHA_DEGENERATE = 1e-12
 _UNIT_TOL = 1e-9
 _GRAM_PSD_TOL = 1e-9
 # The certificate must bound the closed form's error by this fraction of tr A.
@@ -43,7 +40,6 @@ class IncompatibilityResult(NamedTuple):
     optimizer: tuple[float, float, float]  # unit Bloch vector achieving the bound
     coefficients: CubicCoefficients
     traces: tuple[float, float, float]
-    method: str = "closed_form"
 
 
 def validate_directions(directions) -> np.ndarray | list[tuple[float, float, float]]:
@@ -90,28 +86,11 @@ def moment_matrix(directions) -> tuple[tuple, tuple[float, float, float]]:
     return a, sym3_traces(a)  # sym3_traces also rejects an A or a tr A^3 that overflowed
 
 
-def cubic_coefficients(traces: tuple[float, float, float]) -> CubicCoefficients:
-    """(alpha, beta) of the depressed characteristic cubic, from the traces.
-
-    alpha = sqrt((3 tau2 - tau1^2)/18); beta = tau1^3/27 + tau3/6
-    - tau1 tau2 / 6. Valid for any traces coming from a real symmetric
-    matrix; a radicand that roundoff pushed below zero, by at most 1e-12
-    tau1^2, clamps to zero.
-    """
-    t1, t2, t3 = traces
-    radicand = (3.0 * t2 - t1 * t1) / 18.0
-    if radicand < -1e-12 * t1 * t1:
-        raise ValueError(f"inconsistent traces: 3*tau2 - tau1^2 = {18 * radicand:.3e} < 0")
-    alpha = sqrt(max(radicand, 0.0))
-    beta = t1 * t1 * t1 / 27.0 + t3 / 6.0 - t1 * t2 / 6.0
-    return CubicCoefficients(alpha, beta)
-
-
 def cubic_coefficients_unit(directions) -> CubicCoefficients:
     """(alpha, beta) from pairwise dot products of unit directions only.
 
-    Cross-check path for the trace-based `cubic_coefficients`; requires
-    every direction to be unit length.
+    The paper's formula; the tests check `sym3_spectrum`'s coefficients
+    against it. Requires every direction to be unit length.
     """
     vecs = validate_directions(directions)
     for i, v in enumerate(vecs):
@@ -136,21 +115,28 @@ def cubic_coefficients_unit(directions) -> CubicCoefficients:
 def lambda_max_from_traces(traces: tuple[float, float, float]) -> float:
     """Largest eigenvalue of a 3x3 symmetric PSD matrix from its traces.
 
-    tau1/3 + 2 alpha cos(acos(beta/alpha^3) / 3), the same trig root as
-    `sym3_spectrum`. For callers that hold only traces; the trace
-    coefficients cancel at extreme scales, so a matrix in hand should go
-    through `sym3_spectrum` instead.
+    tau1/3 + 2 alpha cos(acos(beta/alpha^3) / 3), with alpha = sqrt((3 tau2
+    - tau1^2)/18) and beta = tau1^3/27 + tau3/6 - tau1 tau2/6; a radicand
+    that roundoff pushed below zero, by at most 1e-12 tau1^2, clamps to
+    zero. These coefficients cancel near double roots (an error up to
+    ~1.1e-8 tau1), so the package takes lambda_max from `sym3_spectrum`;
+    this entry stays only because `bench/baseline.py` times it.
     """
-    t1 = traces[0]
-    coeff = cubic_coefficients(traces)
-    if coeff.alpha <= _ALPHA_DEGENERATE * abs(t1):
+    t1, t2, t3 = traces
+    radicand = (3.0 * t2 - t1 * t1) / 18.0
+    if radicand < -1e-12 * t1 * t1:
+        raise ValueError(f"inconsistent traces: 3*tau2 - tau1^2 = {18 * radicand:.3e} < 0")
+    alpha = sqrt(max(radicand, 0.0))
+    if alpha <= 1e-12 * abs(t1):  # a triple eigenvalue tau1/3: beta/alpha^3 would be 0/0
         return t1 / 3.0
-    return t1 / 3.0 + cubic_roots(coeff.alpha, coeff.beta / coeff.alpha**3)[0]
+    beta = t1 * t1 * t1 / 27.0 + t3 / 6.0 - t1 * t2 / 6.0
+    return t1 / 3.0 + cubic_roots(alpha, beta / alpha**3)[0]
 
 
 def optimal_bloch(directions) -> tuple[float, float, float]:
     """Unit Bloch vector of a pure state attaining the minimum variance sum
-    (see `IncompatibilityResult.optimizer`)."""
+    (`IncompatibilityResult.optimizer`); kept only because
+    `bench/baseline.py` times it."""
     return incompatibility(directions).optimizer
 
 

@@ -91,7 +91,6 @@ def test_incompat_example4_json(example4_file, capsys):
     assert payload["value"] == pytest.approx(0.94955, abs=1e-4)
     assert payload["lambda_max"] == pytest.approx(3.05045, abs=1e-4)
     assert len(payload["optimizer"]) == 3
-    assert payload["method"] == "closed_form"
 
 
 def test_incompat_angles(capsys):
@@ -220,34 +219,37 @@ def test_verify_pass(example4_file, capsys):
 
 def test_verify_fail_exit_code(example4_file, capsys, monkeypatch):
     # force a disagreement to exercise the failure exit code
-    from spinbounds.oracle import OracleResult
+    from spinbounds import oracle
     import numpy as np
 
     monkeypatch.setattr(
-        cli,
+        oracle,
         "sphere_grid_min",
-        lambda dirs, k: OracleResult(0.0, np.array([0.0, 0.0, 1.0]), k, 1.0),
+        lambda dirs, k: oracle.OracleResult(0.0, np.array([0.0, 0.0, 1.0]), k, 1.0),
     )
     assert main(["verify", "--dirs", example4_file]) == EXIT_VERIFY_FAIL
     assert "FAIL" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag", ["--grid-points", "--samples"])
-def test_verify_rejects_search_over_memory_limit(tmp_path, capsys, monkeypatch, flag):
+def test_verify_rejects_search_over_point_limit(tmp_path, capsys, monkeypatch, flag):
+    from spinbounds import oracle
+
     def must_not_run(*args):
         raise AssertionError("the search ran")
 
-    monkeypatch.setattr(cli, "sphere_grid_min", must_not_run)
-    monkeypatch.setattr(cli, "mixed_sample_floor", must_not_run)
-    path = tmp_path / "dirs16.json"
-    path.write_text(json.dumps({"directions": [[1, 0, 0]] * 16}))
-    # 2_000_001 points x 16 directions is just above 3.2e7 floats
-    count = 2_000_001
-    assert main(["verify", "--dirs", str(path), flag, str(count)]) == EXIT_INPUT
-    assert "limit is 3.2e+07" in capsys.readouterr().err
-    # 2_000_000 x 16 is exactly at the limit and reaches the (stubbed) search
-    with pytest.raises(AssertionError, match="the search ran"):
-        main(["verify", "--dirs", str(path), flag, str(count - 1)])
+    monkeypatch.setattr(oracle, "sphere_grid_min", must_not_run)
+    monkeypatch.setattr(oracle, "mixed_sample_floor", must_not_run)
+    # the searches cost O(1) per point, so the cap is on points whatever N is
+    count = 10_666_667
+    for n in (1, 16, 128):
+        path = tmp_path / f"dirs{n}.json"
+        path.write_text(json.dumps({"directions": [[1, 0, 0]] * n}))
+        assert main(["verify", "--dirs", str(path), flag, str(count)]) == EXIT_INPUT
+        assert "limit of 10666666 points" in capsys.readouterr().err
+        # 10_666_666 points is exactly at the limit and reaches the (stubbed) search
+        with pytest.raises(AssertionError, match="the search ran"):
+            main(["verify", "--dirs", str(path), flag, str(count - 1)])
 
 
 def test_verify_bad_input(capsys):
@@ -449,7 +451,7 @@ optimizer bloch: (0.000000, 0.000000, 1.000000)
     "incompat --dirs xyz.json --json": (
         0,
         """\
-{"value": 2.0, "lambda_max": 1.0, "optimizer": [0.0, 0.0, 1.0], "alpha": 0.0, "beta": 0.0, "traces": [3.0, 3.0, 3.0], "method": "closed_form"}
+{"value": 2.0, "lambda_max": 1.0, "optimizer": [0.0, 0.0, 1.0], "alpha": 0.0, "beta": 0.0, "traces": [3.0, 3.0, 3.0]}
 """,
         "",
     ),
@@ -467,7 +469,7 @@ optimizer bloch: (0.816497, 0.471405, 0.333333)
     "incompat --angles 0 0 0 --json": (
         0,
         """\
-{"value": 0.0, "lambda_max": 3.0, "optimizer": [1.0, 0.0, 0.0], "alpha": 1.0, "beta": 1.0, "traces": [3.0, 9.0, 27.0], "method": "closed_form"}
+{"value": 0.0, "lambda_max": 3.0, "optimizer": [1.0, 0.0, 0.0], "alpha": 1.0, "beta": 1.0, "traces": [3.0, 9.0, 27.0]}
 """,
         "",
     ),
@@ -588,11 +590,11 @@ error: list.json: expected a JSON object, got list
 error: angle triple is not realizable by unit vectors: Gram eigenvalue -0.102237 < 0
 """,
     ),
-    "verify --dirs dirs16.json --grid-points 2000001": (
+    "verify --dirs dirs16.json --grid-points 10666667": (
         1,
         "",
         """\
-error: --grid-points 2000001 with 16 directions needs 3.2e+07 floats; the limit is 3.2e+07 (a bound on the search time)
+error: --grid-points 10666667 exceeds the limit of 10666666 points (a bound on the search time)
 """,
     ),
 }

@@ -1,7 +1,7 @@
 """Source hygiene that needs no linter: every module of the package uses
 each name it imports (`__init__.py`, which re-exports, and `from __future__`
-imports are exempt); no CLI subcommand imports numpy; and the package
-serves every public name."""
+imports are exempt); no CLI subcommand imports numpy; importing the CLI
+leaves the oracle unloaded; and the package serves every public name."""
 
 import ast
 import importlib
@@ -46,7 +46,7 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-# --- the CLI runs without numpy; the package serves every name
+# --- the CLI runs without numpy and loads the oracle only for verify; the package serves every name
 
 SRC = PACKAGE.parent
 EXPORTS = {
@@ -55,9 +55,9 @@ EXPORTS = {
         "conditional_stats", "entanglement_witness", "inference_variance_min", "steering_test",
     ),
     "incompat": (
-        "CubicCoefficients", "IncompatibilityResult", "cubic_coefficients", "cubic_coefficients_unit",
-        "directions_from_angles", "incompatibility", "incompatibility_from_angles",
-        "incompatibility_pair", "lambda_max_from_traces", "moment_matrix", "optimal_bloch",
+        "CubicCoefficients", "IncompatibilityResult", "cubic_coefficients_unit", "directions_from_angles",
+        "incompatibility", "incompatibility_from_angles", "incompatibility_pair", "lambda_max_from_traces",
+        "moment_matrix", "optimal_bloch",
     ),
     "linalg3": ("hermitian_psd_check", "pauli_matrices", "sym3_eigen_jacobi", "sym3_spectrum", "sym3_traces"),
     "oracle": ("OracleResult", "fibonacci_sphere", "mixed_sample_floor", "sphere_grid_min"),
@@ -114,6 +114,16 @@ def test_witness_and_steer_never_import_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"RESULT {[0] * len(argvs)} False"
+
+
+def test_cli_import_leaves_the_oracle_unloaded():
+    # only verify searches the sphere; the other subcommands need not compile the oracle
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, spinbounds.cli; print('RESULT', 'spinbounds.oracle' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "RESULT False"
 
 
 def test_every_exported_name_resolves_to_its_module_object():

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinbounds.incompat import (
-    cubic_coefficients,
     cubic_coefficients_unit,
     directions_from_angles,
     incompatibility,
@@ -71,16 +70,17 @@ def test_moment_matrix_rejects_zero_direction():
 
 
 def test_cubic_coefficients_examples():
-    c = cubic_coefficients((3.0, 3.0, 3.0))
+    c = incompatibility(XYZ).coefficients  # traces (3, 3, 3)
     assert c.alpha == pytest.approx(0.0, abs=1e-14)
     assert c.beta == pytest.approx(0.0, abs=1e-14)
 
-    c = cubic_coefficients((2.0, 4.0, 8.0))
+    n = (0.6, 0.8, 0.0)
+    c = incompatibility([n, n]).coefficients  # traces (2, 4, 8)
     assert c.alpha == pytest.approx(2.0 / 3.0)
     assert c.beta == pytest.approx(8.0 / 27.0)
 
     # spectrum (1,0,0): shifted roots are (2/3, -1/3, -1/3)
-    c = cubic_coefficients((1.0, 1.0, 1.0))
+    c = incompatibility([(1.0, 0.0, 0.0)]).coefficients  # traces (1, 1, 1)
     assert c.alpha == pytest.approx(1.0 / 3.0)
     assert c.beta == pytest.approx(1.0 / 27.0)
     for z in (2.0 / 3.0, -1.0 / 3.0):
@@ -89,7 +89,7 @@ def test_cubic_coefficients_examples():
 
 def test_cubic_coefficients_rejects_inconsistent_traces():
     with pytest.raises(ValueError, match="inconsistent"):
-        cubic_coefficients((3.0, 1.0, 1.0))
+        lambda_max_from_traces((3.0, 1.0, 1.0))
 
 
 def test_cubic_coefficients_unit_orthonormal():
@@ -107,20 +107,18 @@ def test_cubic_coefficients_unit_equal_overlaps():
     assert c.beta == pytest.approx(0.125, abs=1e-12)
 
 
-def test_cubic_coefficients_unit_matches_trace_path():
-    _, traces = moment_matrix(EXAMPLE4)
-    via_traces = cubic_coefficients(traces)
+def test_cubic_coefficients_unit_matches_kernel():
+    via_kernel = incompatibility(EXAMPLE4).coefficients
     via_dots = cubic_coefficients_unit(EXAMPLE4)
-    assert via_dots.alpha == pytest.approx(via_traces.alpha, abs=1e-10)
-    assert via_dots.beta == pytest.approx(via_traces.beta, abs=1e-10)
+    assert via_dots.alpha == pytest.approx(via_kernel.alpha, abs=1e-10)
+    assert via_dots.beta == pytest.approx(via_kernel.beta, abs=1e-10)
 
 
 def test_cubic_coefficients_unit_random_agreement():
     rng = np.random.default_rng(23)
     for _ in range(1000):
         dirs = random_set(rng, int(rng.integers(3, 7)), unit=True)
-        _, traces = moment_matrix(dirs)
-        a = cubic_coefficients(traces)
+        a = incompatibility(dirs).coefficients
         b = cubic_coefficients_unit(dirs)
         assert b.alpha == pytest.approx(a.alpha, abs=1e-10)
         assert b.beta == pytest.approx(a.beta, abs=1e-10)
@@ -132,11 +130,12 @@ def test_cubic_coefficients_unit_rejects_non_unit():
 
 
 def test_lambda_max_examples():
-    assert lambda_max_from_traces((3.0, 3.0, 3.0)) == pytest.approx(1.0)
-    assert lambda_max_from_traces((2.0, 4.0, 8.0)) == pytest.approx(2.0)
-    _, traces = moment_matrix(EXAMPLE4)
-    assert traces[0] == pytest.approx(4.0)
-    assert lambda_max_from_traces(traces) == pytest.approx(3.05045, abs=1e-5)
+    assert incompatibility(XYZ).lambda_max == pytest.approx(1.0)
+    n = (0.6, 0.8, 0.0)
+    assert incompatibility([n, n]).lambda_max == pytest.approx(2.0)
+    res = incompatibility(EXAMPLE4)
+    assert res.traces[0] == pytest.approx(4.0)
+    assert res.lambda_max == pytest.approx(3.05045, abs=1e-5)
 
 
 def test_incompatibility_examples():
@@ -150,9 +149,8 @@ def test_incompatibility_closed_form_matches_jacobi():
     rng = np.random.default_rng(5)
     for _ in range(1000):
         dirs = random_set(rng, int(rng.integers(1, 7)))
-        a, traces = moment_matrix(dirs)
-        w, _ = sym3_eigen_jacobi(a)
-        assert lambda_max_from_traces(traces) == pytest.approx(w[0], abs=1e-9)
+        w, _ = sym3_eigen_jacobi(moment_matrix(dirs)[0])
+        assert incompatibility(dirs).lambda_max == pytest.approx(w[0], abs=1e-9)
 
 
 def test_incompatibility_rotation_invariance():
@@ -428,10 +426,6 @@ def test_directions_past_the_cube_overflow_are_rejected():
         for fn in (moment_matrix, incompatibility):
             with pytest.raises(ValueError, match="tr A\\^3 overflows"):
                 fn(d * scale)
-    # the public trace path takes any traces: tau1^3 overflows without raising
-    coeff = cubic_coefficients((1e104, 1e208, 1e300))
-    assert coeff.alpha == pytest.approx(math.sqrt(2e208 / 18.0), rel=1e-15)
-    assert not math.isfinite(coeff.beta)
 
 
 # --- the residual certificate that replaced the eigh cross-check
