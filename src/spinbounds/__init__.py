@@ -3,7 +3,7 @@ entanglement-witness and EPR-steering criteria built on top.
 
 `states`, `criteria` and `oracle` load on first access (PEP 562): the bound
 needs none of them, and they would add ~9 ms to every import that compiles
-from source. No module imports numpy at import time.
+from source. No module imports numpy.
 """
 
 from importlib import import_module
@@ -22,7 +22,6 @@ from .incompat import (
 )
 from .linalg3 import (
     hermitian_psd_check,
-    pauli_matrices,
     sym3_eigen_jacobi,
     sym3_spectrum,
     sym3_traces,

@@ -1,19 +1,15 @@
-"""Small fixed-size linear algebra: 3x3 symmetric spectral tools, the Pauli
-matrices and Hermitian/PSD checks.
+"""Small fixed-size linear algebra: 3x3 symmetric spectral tools and
+Hermitian/PSD checks.
 
 The closed-form spectrum, its certificate, the reference Jacobi solver and
-the Hermitian/PSD check run on rows of Python numbers; only
-`pauli_matrices` imports numpy, when called.
+the Hermitian/PSD check run on rows of Python numbers, without numpy.
 """
 
 from __future__ import annotations
 
 from math import acos, atan2, copysign, cos, frexp, hypot, isfinite, ldexp, pi, sin, sqrt
 from operator import itemgetter
-from typing import TYPE_CHECKING, NamedTuple
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import NamedTuple
 
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-9
@@ -228,16 +224,6 @@ def sym3_eigen_jacobi(a) -> tuple[tuple, tuple]:
     w = (m[0][0], m[1][1], m[2][2])
     pick = itemgetter(*sorted(range(3), key=w.__getitem__, reverse=True))  # a stable sort, so ties keep their order
     return pick(w), tuple(map(pick, v))
-
-
-def pauli_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Pauli matrices (sigma_x, sigma_y, sigma_z)."""
-    import numpy as np
-
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    return sx, sy, sz
 
 
 def hermitian_psd_check(m, tol: float = PSD_TOL) -> bool:

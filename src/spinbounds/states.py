@@ -4,8 +4,8 @@ Single-qubit states are Bloch vectors (all qubit variances are then exact
 closed forms). A two-qubit state is given as a 4x4 density matrix (index
 convention 2*i_A + i_B) and is read through its Bloch tensors (a, b, T),
 rho = (I + a . sigma (x) I + I (x) b . sigma + sum_ij T_ij sigma_i (x) sigma_j)/4
-(Horodecki & Horodecki, PRA 54, 1838, 1996). The two-qubit layer runs on
-Python floats and complex numbers, without numpy.
+(Horodecki & Horodecki, PRA 54, 1838, 1996). Both run on Python floats
+and complex numbers, without numpy.
 """
 
 from __future__ import annotations
@@ -79,14 +79,12 @@ def _bloch_vector(r) -> tuple[float, float, float]:
 
 class QubitState(_Record):
     """Qubit density matrix (I + r . sigma)/2, stored as the Bloch vector r
-    (a numpy array)."""
+    (a 3-tuple of floats)."""
 
     _fields = ("bloch",)
 
     def __post_init__(self):
-        import numpy as np
-
-        vars(self)["bloch"] = np.array(_bloch_vector(self.bloch))
+        vars(self)["bloch"] = _bloch_vector(self.bloch)
 
 
 class TwoQubitState(_Record):
@@ -125,11 +123,10 @@ class TwoQubitState(_Record):
 
 
 def uncertainty_sum(directions, state: QubitState) -> float:
-    """Sum of variances of the spin observables n_i . sigma on the state."""
-    import numpy as np
-
-    d = np.asarray(validate_directions(directions))
-    return float(np.sum(d * d) - np.sum(np.square(d @ state.bloch)))
+    """Sum of variances of the spin observables n_i . sigma on the state,
+    sum_i |n_i|^2 - (n_i . r)^2."""
+    d, r = validate_directions(directions), state.bloch
+    return sum(_dot(n, n) - _dot(n, r) ** 2 for n in (d.tolist() if hasattr(d, "tolist") else d))
 
 
 def singlet() -> TwoQubitState:

@@ -9,7 +9,6 @@ from spinbounds.criteria import (
 )
 from spinbounds import states
 from spinbounds.incompat import incompatibility
-from spinbounds.linalg3 import pauli_matrices
 from spinbounds.states import TwoQubitState, product_state, singlet, werner
 
 XYZ = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
@@ -27,7 +26,11 @@ def random_ball(rng):
 
 # Dense 4x4 reference: Kronecker-product observables on the density matrix,
 # independent of the Bloch tensors the criteria use.
-SIGMA = pauli_matrices()
+SIGMA = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
 I2 = np.eye(2)
 
 

@@ -1,7 +1,9 @@
 """Source hygiene that needs no linter: every module of the package uses
 each name it imports (`__init__.py`, which re-exports, and `from __future__`
-imports are exempt); no CLI subcommand imports numpy; importing the CLI
-leaves the oracle unloaded; and the package serves every public name."""
+imports are exempt); no module imports numpy outside `if TYPE_CHECKING:`;
+every CLI subcommand and public library call runs with numpy blocked;
+importing the CLI leaves the oracle unloaded; and the package serves every
+public name."""
 
 import ast
 import importlib
@@ -17,19 +19,38 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spinbounds"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
-def unused_imports(source: str) -> list[str]:
-    """Names bound by import statements in `source` that no expression reads."""
-    tree = ast.parse(source)
-    imported = {}
+def imports(tree: ast.AST):
+    """(node, bound name, imported module) for each name an import
+    statement under `tree` binds, `from __future__` imports excepted."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+                yield node, alias.asname or alias.name.partition(".")[0], alias.name
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
+                yield node, alias.asname or alias.name, node.module or ""
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements in `source` that no expression reads."""
+    tree = ast.parse(source)
+    imported = {name: node.lineno for node, name, _ in imports(tree)}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
+
+
+def numpy_imports(source: str) -> list[str]:
+    """Imports of numpy in `source` outside an `if TYPE_CHECKING:` block."""
+    tree = ast.parse(source)
+    exempt = {
+        id(node) for block in ast.walk(tree)
+        if isinstance(block, ast.If) and isinstance(block.test, ast.Name) and block.test.id == "TYPE_CHECKING"
+        for stmt in block.body for node in ast.walk(stmt)
+    }
+    return sorted({
+        f"line {node.lineno}: {module}" for node, _, module in imports(tree)
+        if id(node) not in exempt and module.partition(".")[0] == "numpy"
+    })
 
 
 def test_unused_imports_detector():
@@ -46,7 +67,22 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-# --- the CLI runs without numpy and loads the oracle only for verify; the package serves every name
+def test_numpy_imports_detector():
+    source = (
+        "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    import numpy as np\n"
+        "def f():\n    import numpy.linalg\n    from numpy import eye\n    import numpyro\n"
+    )
+    assert numpy_imports(source) == ["line 5: numpy.linalg", "line 6: numpy"]
+
+
+@pytest.mark.parametrize("path", [*MODULES, PACKAGE / "__init__.py"], ids=lambda p: p.name)
+def test_no_numpy_imports(path):
+    # catches imports on code paths that the numpy-blocked runs below never reach
+    assert numpy_imports(path.read_text()) == []
+
+
+# --- the CLI and the library run with numpy blocked; the CLI loads the oracle only for verify;
+# --- the package serves every name
 
 SRC = PACKAGE.parent
 EXPORTS = {
@@ -59,10 +95,36 @@ EXPORTS = {
         "incompatibility", "incompatibility_from_angles", "incompatibility_pair", "lambda_max_from_traces",
         "moment_matrix", "optimal_bloch",
     ),
-    "linalg3": ("hermitian_psd_check", "pauli_matrices", "sym3_eigen_jacobi", "sym3_spectrum", "sym3_traces"),
+    "linalg3": ("hermitian_psd_check", "sym3_eigen_jacobi", "sym3_spectrum", "sym3_traces"),
     "oracle": ("OracleResult", "fibonacci_sphere", "mixed_sample_floor", "sphere_grid_min"),
     "states": ("QubitState", "TwoQubitState", "product_state", "singlet", "uncertainty_sum", "werner"),
 }
+
+
+# Prepended to each child's code: from then on any import of numpy or of a
+# numpy submodule raises, whoever asks for it.
+BLOCK_NUMPY = """\
+import sys
+
+
+class BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError(f"importing {name} is blocked")
+
+
+sys.meta_path.insert(0, BlockNumpy())
+"""
+
+
+def run_without_numpy(code: str) -> str:
+    """Run `code` in a child interpreter with numpy blocked; its last line of output."""
+    proc = subprocess.run(
+        [sys.executable, "-c", BLOCK_NUMPY + code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
 
 
 def test_incompat_table_and_verify_never_import_numpy(tmp_path):
@@ -77,17 +139,25 @@ def test_incompat_table_and_verify_never_import_numpy(tmp_path):
         ["verify", "--dirs", str(dirs), "--json"],
     ]
     child = (
-        "import sys\n"
-        "from spinbounds import cli\n"
+        "from math import pi\n"
+        "from spinbounds import (\n"
+        "    QubitState, cli, directions_from_angles, incompatibility, incompatibility_from_angles,\n"
+        "    incompatibility_pair, moment_matrix, sphere_grid_min, sym3_eigen_jacobi, uncertainty_sum)\n"
         f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
-        "print('RESULT', codes, 'numpy' in sys.modules)\n"
+        "dirs = [(1, 0, 0), (0.5, 0.5, 0.5), (0, 0, 2)]\n"
+        "res = incompatibility(dirs)\n"
+        "checks = [\n"
+        "    abs(uncertainty_sum(dirs, QubitState(res.optimizer)) - res.value) < 1e-9,\n"
+        "    abs(incompatibility_pair((1, 0, 0), (0, 1, 0)) - 1.0) < 1e-12,\n"
+        "    abs(incompatibility_from_angles(pi / 2, pi / 2, pi / 2) - 2.0) < 1e-12,\n"
+        "    abs(incompatibility(directions_from_angles(pi / 3, pi / 4, pi / 2)).value\n"
+        "        - incompatibility_from_angles(pi / 3, pi / 4, pi / 2)) < 1e-9,\n"
+        "    abs(sym3_eigen_jacobi(moment_matrix(dirs)[0])[0][0] - res.lambda_max) < 1e-9,\n"
+        "    abs(sphere_grid_min(dirs, 2000).value - res.value) < 1e-9,\n"
+        "]\n"
+        "print('RESULT', codes, checks, 'numpy' in sys.modules)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", child], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "RESULT [0, 0, 0, 0, 0, 0] False"
+    assert run_without_numpy(child) == f"RESULT {[0] * len(argvs)} {[True] * 6} False"
 
 
 def test_witness_and_steer_never_import_numpy(tmp_path):
@@ -103,27 +173,26 @@ def test_witness_and_steer_never_import_numpy(tmp_path):
         argvs.append(["witness", "--state", spec, "--alice", str(xyz), "--bob", str(xyz)])
         argvs.append(["steer", "--state", spec, "--settings", str(settings), "--json"])
     child = (
-        "import sys\n"
-        "from spinbounds import cli\n"
+        "from spinbounds import (\n"
+        "    TwoQubitState, cli, entanglement_witness, inference_variance_min, product_state, singlet,\n"
+        "    steering_test, werner)\n"
         f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
-        "print('RESULT', codes, 'numpy' in sys.modules)\n"
+        "xyz = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]\n"
+        "phi_plus = TwoQubitState([[0.5, 0, 0, 0.5], [0, 0, 0, 0], [0, 0, 0, 0], [0.5, 0, 0, 0.5]])\n"
+        "checks = [\n"
+        "    entanglement_witness(singlet(), xyz, xyz).violated,\n"
+        "    not entanglement_witness(product_state((0, 0, 1), (0.6, 0, 0.8)), xyz, xyz).violated,\n"
+        "    steering_test(werner(0.9), [(d, d) for d in xyz]).violated,\n"
+        "    abs(inference_variance_min(phi_plus, (0, 0, 1), (0, 0, 1))) < 1e-12,\n"
+        "]\n"
+        "print('RESULT', codes, checks, 'numpy' in sys.modules)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", child], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"RESULT {[0] * len(argvs)} False"
+    assert run_without_numpy(child) == f"RESULT {[0] * len(argvs)} {[True] * 4} False"
 
 
 def test_cli_import_leaves_the_oracle_unloaded():
     # only verify searches the sphere; the other subcommands need not compile the oracle
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, spinbounds.cli; print('RESULT', 'spinbounds.oracle' in sys.modules)"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "RESULT False"
+    assert run_without_numpy("import spinbounds.cli\nprint('RESULT', 'spinbounds.oracle' in sys.modules)\n") == "RESULT False"
 
 
 def test_every_exported_name_resolves_to_its_module_object():

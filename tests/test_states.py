@@ -5,7 +5,6 @@ import pytest
 
 from spinbounds import states
 from spinbounds.incompat import incompatibility
-from spinbounds.linalg3 import pauli_matrices
 from spinbounds.states import (
     QubitState,
     TwoQubitState,
@@ -15,7 +14,10 @@ from spinbounds.states import (
     werner,
 )
 
-SX, SY, SZ = pauli_matrices()
+# The Pauli matrices, written out: the reference the two-qubit tests check against.
+SX = np.array([[0, 1], [1, 0]], dtype=complex)
+SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 XYZ = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
 
 
@@ -35,6 +37,14 @@ def test_qubit_state_validation():
         QubitState((1.0, 1.0, 0.0))
 
 
+def test_qubit_state_equality_hash_and_repr():
+    a, b = QubitState((0, 0, 1)), QubitState(np.array([0.0, 0.0, 1.0]))
+    assert a == b and hash(a) == hash(b)
+    assert a != QubitState((0, 0, 0.5))
+    assert a.bloch == (0.0, 0.0, 1.0) and all(type(x) is float for x in a.bloch)
+    assert repr(a) == "QubitState(bloch=(0.0, 0.0, 1.0))"
+
+
 
 
 def test_uncertainty_sum_examples():
@@ -49,6 +59,12 @@ def test_uncertainty_sum_examples():
     got = uncertainty_sum([n1, n2], QubitState(n1))
     assert got == pytest.approx(1.0 - float(np.dot(n1, n2)) ** 2, abs=1e-12)
 
+    # the same directions as a list of lists and as an ndarray give the same Python float
+    for dirs in ([n1.tolist(), n2.tolist()], np.array([n1, n2])):
+        got = uncertainty_sum(dirs, QubitState(n1))
+        assert type(got) is float
+        assert got == pytest.approx(1.0 - float(np.dot(n1, n2)) ** 2, abs=1e-12)
+
 
 def test_uncertainty_sum_never_undercuts_bound():
     rng = np.random.default_rng(13)
@@ -62,7 +78,7 @@ def test_variance_concavity_in_state():
     rng = np.random.default_rng(37)
     for _ in range(500):
         dirs = [random_unit(rng) for _ in range(3)]
-        r1, r2 = random_mixed(rng).bloch, random_mixed(rng).bloch
+        r1, r2 = np.asarray(random_mixed(rng).bloch), np.asarray(random_mixed(rng).bloch)
         p = rng.uniform()
         mixed = QubitState(p * r1 + (1 - p) * r2)
         lhs = uncertainty_sum(dirs, mixed)
