@@ -45,11 +45,14 @@ class IncompatibilityResult(NamedTuple):
 def validate_directions(directions) -> np.ndarray | list[tuple[float, float, float]]:
     """Validate directions: N >= 1 rows of 3 finite components, no zero row.
 
-    An ndarray comes back as an N x 3 float array; any other input as a
-    list of 3-tuples of Python floats, without importing numpy.
+    A real 2-D ndarray comes back as an N x 3 float array; any other input,
+    a complex ndarray too, as a list of 3-tuples of floats, without numpy.
     """
     np = sys.modules.get("numpy")
-    if np is not None and isinstance(directions, np.ndarray):
+    array = np is not None and isinstance(directions, np.ndarray)
+    if array and (directions.ndim != 2 or directions.dtype.kind not in "biuf"):
+        directions, array = directions.tolist(), False
+    if array:
         d = np.asarray(directions, dtype=float)
         shape = d.shape
     else:
@@ -62,14 +65,14 @@ def validate_directions(directions) -> np.ndarray | list[tuple[float, float, flo
         raise ValueError("need at least one direction")
     if len(shape) != 2 or shape[1] != 3:
         raise ValueError(f"expected N x 3 directions, got shape {shape}")
-    if isinstance(d, list):
-        finite, nonzero = all(map(isfinite, chain.from_iterable(d))), [any(row) for row in d]
+    if array:
+        finite, nonzero = np.isfinite(d).all(), np.count_nonzero(d.any(axis=1)) == len(d)  # a count costs less than .all() at small N
     else:
-        finite, nonzero = np.isfinite(d).all(), d.any(axis=1).tolist()
+        finite, nonzero = all(map(isfinite, chain.from_iterable(d))), all(map(any, d))
     if not finite:
         raise ValueError("directions have non-finite components")
-    if not all(nonzero):
-        raise ValueError(f"direction {nonzero.index(False)} has zero length")
+    if not nonzero:
+        raise ValueError(f"direction {next(i for i, row in enumerate(d) if not any(row))} has zero length")
     return d
 
 
@@ -157,12 +160,12 @@ def incompatibility(directions) -> IncompatibilityResult:
             f"closed-form eigenvalue {spec.lam_max!r} fails its residual certificate: "
             f"the spectrum may be off by {bound:.3e} > {_CERTIFICATE_RTOL} * tr A"
         )
-    top = vecs[0]
-    sign = -1.0 if next(x for x in top if x != 0.0) < 0.0 else 1.0
+    x, y, z = vecs[0]
+    sign = -1.0 if (x or y or z) < 0.0 else 1.0
     return IncompatibilityResult(
         value=traces[0] - spec.lam_max,
         lambda_max=spec.lam_max,
-        optimizer=tuple(sign * x + 0.0 for x in top),  # + 0.0 turns -0.0 into 0.0
+        optimizer=(sign * x + 0.0, sign * y + 0.0, sign * z + 0.0),  # + 0.0 turns -0.0 into 0.0
         coefficients=CubicCoefficients(spec.alpha, spec.beta),
         traces=traces,
     )

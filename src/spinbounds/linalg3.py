@@ -23,6 +23,7 @@ _DEFLATE_BAND = 1e-4
 # matrix scale, with a hard sweep cap (a 3x3 converges in a handful).
 _JACOBI_REL_TOL = 1e-14
 _JACOBI_MAX_SWEEPS = 50
+_ROWS = (list, tuple)  # the kernels read these as is and any other matrix (an ndarray) as rows of floats
 
 
 def sym3_traces(a) -> tuple[float, float, float]:
@@ -31,6 +32,8 @@ def sym3_traces(a) -> tuple[float, float, float]:
     Computed directly from the entries, not via eigenvalues. Raises
     ValueError when tr A^3 overflows.
     """
+    if not isinstance(a, _ROWS):  # an ndarray: compute on Python floats
+        a = [list(map(float, row)) for row in a]
     (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
     d2 = a01 * a01, a02 * a02, a12 * a12
     t1 = a00 + a11 + a22
@@ -85,6 +88,8 @@ def sym3_spectrum(a) -> Sym3Spectrum:
     the other two come exactly from the 2x2 block of B on its eigenvector's
     orthogonal complement (Kopp, arXiv:physics/0610206).
     """
+    if not isinstance(a, _ROWS):  # an ndarray: compute on Python floats
+        a = [list(map(float, row)) for row in a]
     (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
     shift = (a00 + a11 + a22) / 3.0
     b00, b11, b22 = a00 - shift, a11 - shift, a22 - shift
@@ -119,17 +124,22 @@ def sym3_certificate(a, lams) -> tuple[tuple, float]:
     which fixes the choice in a degenerate eigenspace: A = lambda I gives
     V[0] = e_z.
     """
-    k = 0 if lams[0] - lams[1] >= lams[1] - lams[2] else 2
-    v, p, q = _split(a, lams[k])[:3]
-    v0, v1, v2 = (v, p, q) if k == 0 else (p, q, v)
-    av0, av1, av2 = _matvec(a, v0), _matvec(a, v1), _matvec(a, v2)
-    e_diag = (_dot(v0, av0) - lams[0], _dot(v1, av1) - lams[1], _dot(v2, av2) - lams[2])
-    e_off = (_dot(v0, av1), _dot(v0, av2), _dot(v1, av2))
-    g_diag = (_dot(v0, v0) - 1.0, _dot(v1, v1) - 1.0, _dot(v2, v2) - 1.0)
-    g_off = (_dot(v0, v1), _dot(v0, v2), _dot(v1, v2))
-    e_norm = sqrt(_dot(e_diag, e_diag) + 2.0 * _dot(e_off, e_off))
-    g_norm = sqrt(_dot(g_diag, g_diag) + 2.0 * _dot(g_off, g_off))
-    return (v0, v1, v2), e_norm + (abs(a[0][0]) + abs(a[1][1]) + abs(a[2][2])) * g_norm
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    l0, l1, l2 = lams[0], lams[1], lams[2]
+    top = l0 - l1 >= l1 - l2
+    v, p, q = _split(a, l0 if top else l2)[:3]
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = vecs = (v, p, q) if top else (p, q, v)
+    # the columns (r_k, s_k, t_k) of A V^T, then the diagonal and upper triangle of E and G
+    r0, s0, t0 = a00 * x0 + a01 * y0 + a02 * z0, a10 * x0 + a11 * y0 + a12 * z0, a20 * x0 + a21 * y0 + a22 * z0
+    r1, s1, t1 = a00 * x1 + a01 * y1 + a02 * z1, a10 * x1 + a11 * y1 + a12 * z1, a20 * x1 + a21 * y1 + a22 * z1
+    r2, s2, t2 = a00 * x2 + a01 * y2 + a02 * z2, a10 * x2 + a11 * y2 + a12 * z2, a20 * x2 + a21 * y2 + a22 * z2
+    e0, e1, e2 = x0 * r0 + y0 * s0 + z0 * t0 - l0, x1 * r1 + y1 * s1 + z1 * t1 - l1, x2 * r2 + y2 * s2 + z2 * t2 - l2
+    e01, e02, e12 = x0 * r1 + y0 * s1 + z0 * t1, x0 * r2 + y0 * s2 + z0 * t2, x1 * r2 + y1 * s2 + z1 * t2
+    g0, g1, g2 = x0 * x0 + y0 * y0 + z0 * z0 - 1.0, x1 * x1 + y1 * y1 + z1 * z1 - 1.0, x2 * x2 + y2 * y2 + z2 * z2 - 1.0
+    g01, g02, g12 = x0 * x1 + y0 * y1 + z0 * z1, x0 * x2 + y0 * y2 + z0 * z2, x1 * x2 + y1 * y2 + z1 * z2
+    e_norm = sqrt(e0 * e0 + e1 * e1 + e2 * e2 + 2.0 * (e01 * e01 + e02 * e02 + e12 * e12))
+    g_norm = sqrt(g0 * g0 + g1 * g1 + g2 * g2 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12))
+    return vecs, e_norm + (abs(a00) + abs(a11) + abs(a22)) * g_norm
 
 
 def _split(b, z):
@@ -137,45 +147,47 @@ def _split(b, z):
     `b`) for its simple eigenvalue z, and (hi, p), (lo, q) are the
     eigenpairs of B on v's orthogonal complement.
 
-    v is the longest cross product of two rows of B - zI (Kopp), or e_z
-    where all three vanish; a power-of-two rescale of B, which changes no
-    bit of v, keeps their squares from overflowing or underflowing. The 2x2 block on the complement
-    (u, w) is solved with hypot, so a near-double pair keeps its tiny gap;
-    a scalar block keeps p = u.
+    v is the longest cross product of two rows of B - zI (Kopp), the first
+    on a tie, or e_z where all three vanish; a power-of-two rescale of B,
+    which changes no bit of v, keeps their squares from overflowing or
+    underflowing. The 2x2 block on the complement (u, w) is solved with
+    hypot, so a near-double pair keeps its tiny gap; a scalar block keeps
+    p = u.
     """
-    (b00, b01, b02), (_, b11, b12), (_, _, b22) = b
-    r0, r1, r2 = (b00 - z, b01, b02), (b01, b11 - z, b12), (b02, b12, b22 - z)
-    crosses = (_cross(r0, r1), _cross(r0, r2), _cross(r1, r2))
-    lengths = [_dot(x, x) for x in crosses]
-    length = max(lengths)
-    e = 0 if 1e-250 < length < 1e250 else -frexp(max(map(abs, r0 + r1 + r2)))[1]
-    if e:  # rows of B - zI near unit size are never rescaled, so this recurses once
-        v, p, q, hi, lo = _split([[ldexp(x, e) for x in row] for row in b], ldexp(z, e))
-        return v, p, q, ldexp(hi, -e), ldexp(lo, -e)
-    v = _scale(crosses[lengths.index(length)], 1.0 / sqrt(length)) if length else (0.0, 0.0, 1.0)
-    u = (-v[2], 0.0, v[0]) if abs(v[0]) > abs(v[1]) else (0.0, v[2], -v[1])
-    u = _scale(u, 1.0 / sqrt(_dot(u, u)))
-    w = _cross(v, u)
-    bu, bw = _matvec(b, u), _matvec(b, w)
-    m_uu, m_ww, m_uw = _dot(u, bu), _dot(w, bw), _dot(w, bu)
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    d0, d1, d2 = b00 - z, b11 - z, b22 - z  # B - zI has rows (d0, b01, b02), (b01, d1, b12), (b02, b12, d2)
+    vx, vy, vz = b01 * b12 - b02 * d1, b02 * b01 - d0 * b12, d0 * d1 - b01 * b01  # row 0 x row 1
+    length = vx * vx + vy * vy + vz * vz
+    cx, cy, cz = b01 * d2 - b02 * b12, b02 * b02 - d0 * d2, d0 * b12 - b01 * b02  # row 0 x row 2
+    if (n := cx * cx + cy * cy + cz * cz) > length:
+        vx, vy, vz, length = cx, cy, cz, n
+    cx, cy, cz = d1 * d2 - b12 * b12, b12 * b02 - b01 * d2, b01 * b12 - d1 * b02  # row 1 x row 2
+    if (n := cx * cx + cy * cy + cz * cz) > length:
+        vx, vy, vz, length = cx, cy, cz, n
+    if not 1e-250 < length < 1e250:
+        e = -frexp(max(abs(d0), abs(b01), abs(b02), abs(d1), abs(b12), abs(d2)))[1]
+        if e:  # rows of B - zI near unit size are never rescaled, so this recurses once
+            v, p, q, hi, lo = _split([[ldexp(x, e) for x in row] for row in b], ldexp(z, e))
+            return v, p, q, ldexp(hi, -e), ldexp(lo, -e)
+    f = 1.0 / sqrt(length) if length else 0.0
+    vx, vy, vz = (vx * f, vy * f, vz * f) if length else (0.0, 0.0, 1.0)
+    ux, uy, uz = (-vz, 0.0, vx) if abs(vx) > abs(vy) else (0.0, vz, -vy)
+    f = 1.0 / sqrt(ux * ux + uy * uy + uz * uz)
+    ux, uy, uz = ux * f, uy * f, uz * f
+    wx, wy, wz = vy * uz - vz * uy, vz * ux - vx * uz, vx * uy - vy * ux  # w = v x u
+    bux, buy, buz = b00 * ux + b01 * uy + b02 * uz, b10 * ux + b11 * uy + b12 * uz, b20 * ux + b21 * uy + b22 * uz
+    bwx, bwy, bwz = b00 * wx + b01 * wy + b02 * wz, b10 * wx + b11 * wy + b12 * wz, b20 * wx + b21 * wy + b22 * wz
+    m_uu, m_ww, m_uw = ux * bux + uy * buy + uz * buz, wx * bwx + wy * bwy + wz * bwz, wx * bux + wy * buy + wz * buz
     mean, half_gap = 0.5 * (m_uu + m_ww), hypot(0.5 * (m_uu - m_ww), m_uw)
     t = 0.5 * atan2(2.0 * m_uw, m_uu - m_ww)  # the rotation that diagonalizes the block
     cs, sn = cos(t), sin(t)
-    p = (cs * u[0] + sn * w[0], cs * u[1] + sn * w[1], cs * u[2] + sn * w[2])
-    q = (cs * w[0] - sn * u[0], cs * w[1] - sn * u[1], cs * w[2] - sn * u[2])
-    return v, p, q, mean + half_gap, mean - half_gap
+    p = (cs * ux + sn * wx, cs * uy + sn * wy, cs * uz + sn * wz)
+    q = (cs * wx - sn * ux, cs * wy - sn * uy, cs * wz - sn * uz)
+    return (vx, vy, vz), p, q, mean + half_gap, mean - half_gap
 
 
 def _dot(p, q) -> float:
     return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
-
-
-def _cross(p, q) -> tuple[float, float, float]:
-    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
-
-
-def _scale(p, f) -> tuple[float, float, float]:
-    return (p[0] * f, p[1] * f, p[2] * f)
 
 
 def _matvec(b, x) -> tuple[float, float, float]:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -314,6 +315,46 @@ def test_validate_directions_returns_checked_array():
         validate_directions([(1, 0)])
     with pytest.raises(ValueError, match="at least one"):
         validate_directions([])
+
+
+def test_complex_directions_are_rejected_as_an_ndarray_and_as_a_list():
+    # an ndarray was cast to float with a ComplexWarning, which dropped the
+    # imaginary part and returned 1.0
+    d = np.array([[1 + 1j, 0, 0], [0, 1, 0]])
+    for directions in (d, d.tolist()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="expected N x 3 directions: .*complex"):
+                incompatibility(directions)
+
+
+def _bad_direction_sets():
+    d = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.6, 0.8]])
+    for bad in (math.nan, math.inf, -math.inf):
+        for col in range(3):
+            x = d.copy()
+            x[1, col] = bad
+            yield pytest.param(x, id=f"{bad}-in-column-{col}")
+    for row in range(3):
+        x = d.copy()
+        x[row] = 0.0
+        yield pytest.param(x, id=f"zero-row-{row}")
+    for shape in ((0, 3), (3,), (2, 2), (2, 4)):
+        yield pytest.param(np.ones(shape), id=f"shape-{shape}")
+    yield pytest.param(d.astype(complex), id="complex")
+    units = np.array([random_unit(np.random.default_rng(seed)) for seed in range(3)])
+    for scale in (1e52, 1e152):
+        yield pytest.param(units * scale, id=f"overflow-{scale:g}")
+
+
+@pytest.mark.parametrize("x", list(_bad_direction_sets()))
+def test_ndarray_and_list_rejections_agree(x):
+    errors = []
+    for directions in (x, x.tolist()):
+        with pytest.raises(ValueError) as info:
+            incompatibility(directions)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
 
 
 # --- properties over the whole domain: degenerate spectra, any rotation, any scale
