@@ -33,8 +33,8 @@ __version__ = "0.1.0"
 _LAZY = dict.fromkeys(("criteria", "oracle", "states"))
 _LAZY.update(dict.fromkeys(("OracleResult", "fibonacci_sphere", "mixed_sample_floor", "sphere_grid_min"), "oracle"))
 _LAZY.update(dict.fromkeys((
-    "ConditionalBranch", "ConditionalDistribution", "SteeringReport", "WitnessReport", "conditional_stats",
-    "entanglement_witness", "inference_variance_min", "steering_test"), "criteria"))
+    "ConditionalBranch", "SteeringReport", "WitnessReport", "conditional_stats", "entanglement_witness",
+    "inference_variance_min", "steering_test"), "criteria"))
 _LAZY.update(dict.fromkeys(
     ("QubitState", "TwoQubitState", "product_state", "singlet", "uncertainty_sum", "werner"), "states"))
 

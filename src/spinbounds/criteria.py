@@ -30,10 +30,6 @@ class ConditionalBranch(_Record):
     _fields = ("outcome", "probability", "bob_bloch")  # outcome +1 or -1; bob_bloch a 3-tuple
 
 
-class ConditionalDistribution(_Record):
-    _fields = ("branches",)  # a tuple of ConditionalBranch
-
-
 class SteeringReport(_Record):
     _fields = ("inference_variances", "total", "bound", "violated", "margin")
 
@@ -65,12 +61,13 @@ def entanglement_witness(state: TwoQubitState, alice_dirs, bob_dirs) -> WitnessR
     return WitnessReport(variance_sum, bound, variance_sum < bound - _VIOLATION_SLACK, bound - variance_sum)
 
 
-def conditional_stats(state: TwoQubitState, a_dir) -> ConditionalDistribution:
+def conditional_stats(state: TwoQubitState, a_dir) -> tuple[ConditionalBranch, ...]:
     """Born-rule statistics of Alice's +-1 outcome and Bob's conditional state.
 
     p(+-) = (1 +- a . n)/2 and Bob's conditional Bloch vector is
     r_B|+- = (b +- T^T n)/(2 p(+-)) (Cavalcanti et al., PRA 80, 032112,
-    2009). Branches with negligible probability are omitted.
+    2009). One ConditionalBranch per outcome, +1 first; branches with
+    negligible probability are omitted.
     """
     n = _unit(a_dir, "alice")
     mean_a = _dot(n, state.a)
@@ -82,7 +79,7 @@ def conditional_stats(state: TwoQubitState, a_dir) -> ConditionalDistribution:
             continue
         bloch = tuple((b + outcome * s) / (2.0 * p) for b, s in zip(state.b, steered))
         branches.append(ConditionalBranch(outcome, p, bloch))
-    return ConditionalDistribution(tuple(branches))
+    return tuple(branches)
 
 
 def inference_variance_min(state: TwoQubitState, a_dir, b_dir) -> float:
@@ -93,9 +90,8 @@ def inference_variance_min(state: TwoQubitState, a_dir, b_dir) -> float:
     [0, 1].
     """
     b = _unit(b_dir, "bob")
-    dist = conditional_stats(state, a_dir)
     total = 0.0
-    for branch in dist.branches:
+    for branch in conditional_stats(state, a_dir):
         mean = _dot(b, branch.bob_bloch)
         total += branch.probability * (1.0 - mean * mean)
     return total

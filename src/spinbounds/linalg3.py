@@ -124,6 +124,8 @@ def sym3_certificate(a, lams) -> tuple[tuple, float]:
     which fixes the choice in a degenerate eigenspace: A = lambda I gives
     V[0] = e_z.
     """
+    if not isinstance(a, _ROWS):  # an ndarray: compute on Python floats
+        a = [list(map(float, row)) for row in a]
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
     l0, l1, l2 = lams[0], lams[1], lams[2]
     top = l0 - l1 >= l1 - l2

@@ -21,17 +21,11 @@ from .incompat import validate_directions
 _GOLDEN_ANGLE = pi * (3.0 - sqrt(5.0))
 _REFINE_MIN_STEP = 1e-7
 
-# Conservative covering radius of the Fibonacci lattice, ~3.2/sqrt(K); the
-# objective is quadratic around its minimum so the grid error is
-# tau1 * radius^2.
-_COVERING_COEFF = 3.2
-
 
 class OracleResult(NamedTuple):
     value: float
     argmin: tuple[float, float, float]
     points_evaluated: int
-    resolution_bound: float
 
 
 def fibonacci_sphere(num_points: int) -> Iterator[tuple[float, float, float]]:
@@ -45,8 +39,8 @@ def fibonacci_sphere(num_points: int) -> Iterator[tuple[float, float, float]]:
 
 
 def _variance_form(directions):
-    """tau1 and the variance sum r -> tau1 - r^T Q r of the validated
-    directions, for r a 3-tuple."""
+    """The variance sum r -> tau1 - r^T Q r of the validated directions,
+    for r a 3-tuple."""
     d = validate_directions(directions)
     qxx = qyy = qzz = qxy = qxz = qyz = 0.0
     for x, y, z in d.tolist() if hasattr(d, "tolist") else d:
@@ -59,7 +53,7 @@ def _variance_form(directions):
         x, y, z = r
         return tau1 - (x * (qxx * x + qxy * y + qxz * z) + y * (qyy * y + qyz * z) + qzz * z * z)
 
-    return tau1, variance_sum
+    return variance_sum
 
 
 def _spherical(theta: float, phi: float) -> tuple[float, float, float]:
@@ -75,7 +69,7 @@ def sphere_grid_min(directions, num_points: int = 20_000) -> OracleResult:
     """
     if num_points < 12:
         raise ValueError("need at least 12 lattice points")
-    tau1, variance_sum = _variance_form(directions)
+    variance_sum = _variance_form(directions)
 
     x, y, z = min(fibonacci_sphere(num_points), key=variance_sum)  # min keeps the first of equal keys
     best = variance_sum((x, y, z))
@@ -99,13 +93,7 @@ def sphere_grid_min(directions, num_points: int = 20_000) -> OracleResult:
 
     x, y, z = _spherical(theta, phi)
     norm = sqrt(x * x + y * y + z * z)
-    radius = _COVERING_COEFF / sqrt(num_points)
-    return OracleResult(
-        value=best,
-        argmin=(x / norm, y / norm, z / norm),
-        points_evaluated=evaluated,
-        resolution_bound=tau1 * radius * radius + 1e-9,
-    )
+    return OracleResult(best, (x / norm, y / norm, z / norm), evaluated)
 
 
 def _ball_points(uniform) -> Iterator[tuple[float, float, float]]:
@@ -125,5 +113,5 @@ def mixed_sample_floor(directions, count: int, seed: int = 0) -> float:
     """
     if count < 1:
         raise ValueError("need at least one sample")
-    variance_sum = _variance_form(directions)[1]
+    variance_sum = _variance_form(directions)
     return min(map(variance_sum, islice(_ball_points(random.Random(seed).random), count)))

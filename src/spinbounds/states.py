@@ -63,7 +63,7 @@ def as_vec3(v) -> tuple[float, float, float]:
     """Coerce to a 3-tuple of finite Python floats."""
     try:
         r = tuple(map(float, v))
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"expected a 3-vector: {exc}") from None
     if len(r) != 3 or not all(map(isfinite, r)):
         raise ValueError(f"expected a 3-vector of finite components, got {r}")

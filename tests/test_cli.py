@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -207,7 +208,7 @@ def test_table_bad_angle(capsys):
 
 def test_verify_pass(example4_file, capsys):
     code = main(
-        ["verify", "--dirs", example4_file, "--grid-points", "20000", "--json"]
+        ["verify", "--dirs", example4_file, "--json"]
     )
     assert code == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
@@ -220,36 +221,41 @@ def test_verify_pass(example4_file, capsys):
 def test_verify_fail_exit_code(example4_file, capsys, monkeypatch):
     # force a disagreement to exercise the failure exit code
     from spinbounds import oracle
-    import numpy as np
 
     monkeypatch.setattr(
         oracle,
         "sphere_grid_min",
-        lambda dirs, k: oracle.OracleResult(0.0, np.array([0.0, 0.0, 1.0]), k, 1.0),
+        lambda dirs: oracle.OracleResult(0.0, (0.0, 0.0, 1.0), 20_000),
     )
     assert main(["verify", "--dirs", example4_file]) == EXIT_VERIFY_FAIL
     assert "FAIL" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flag", ["--grid-points", "--samples"])
-def test_verify_rejects_search_over_point_limit(tmp_path, capsys, monkeypatch, flag):
-    from spinbounds import oracle
+# Every option string of every subcommand: a new or removed option must edit this on purpose.
+OPTIONS = {
+    "incompat": {"-h", "--help", "--json", "--dirs", "--angles"},
+    "table": {"-h", "--help", "--theta3", "--grid", "--csv"},
+    "verify": {"-h", "--help", "--json", "--dirs"},
+    "witness": {"-h", "--help", "--state", "--assert-violation", "--json", "--alice", "--bob"},
+    "steer": {"-h", "--help", "--state", "--assert-violation", "--json", "--settings"},
+}
 
-    def must_not_run(*args):
-        raise AssertionError("the search ran")
 
-    monkeypatch.setattr(oracle, "sphere_grid_min", must_not_run)
-    monkeypatch.setattr(oracle, "mixed_sample_floor", must_not_run)
-    # the searches cost O(1) per point, so the cap is on points whatever N is
-    count = 10_666_667
-    for n in (1, 16, 128):
-        path = tmp_path / f"dirs{n}.json"
-        path.write_text(json.dumps({"directions": [[1, 0, 0]] * n}))
-        assert main(["verify", "--dirs", str(path), flag, str(count)]) == EXIT_INPUT
-        assert "limit of 10666666 points" in capsys.readouterr().err
-        # 10_666_666 points is exactly at the limit and reaches the (stubbed) search
-        with pytest.raises(AssertionError, match="the search ran"):
-            main(["verify", "--dirs", str(path), flag, str(count - 1)])
+def test_option_inventory():
+    (subcommands,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    found = {
+        name: {s for action in sub._actions for s in action.option_strings}
+        for name, sub in subcommands.choices.items()
+    }
+    assert found == OPTIONS
+
+
+@pytest.mark.parametrize("flag", ["--grid-points", "--samples", "--seed"])
+def test_verify_search_flags_are_usage_errors(example4_file, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--dirs", example4_file, flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def test_verify_bad_input(capsys):
@@ -588,13 +594,6 @@ error: list.json: expected a JSON object, got list
         "",
         """\
 error: angle triple is not realizable by unit vectors: Gram eigenvalue -0.102237 < 0
-""",
-    ),
-    "verify --dirs dirs16.json --grid-points 10666667": (
-        1,
-        "",
-        """\
-error: --grid-points 10666667 exceeds the limit of 10666666 points (a bound on the search time)
 """,
     ),
 }

@@ -123,25 +123,23 @@ def test_witness_crossing_at_one_third():
 
 
 def test_conditional_stats_singlet():
-    dist = conditional_stats(singlet(), (0, 0, 1))
-    assert len(dist.branches) == 2
-    for branch in dist.branches:
+    branches = conditional_stats(singlet(), (0, 0, 1))
+    assert len(branches) == 2
+    for branch in branches:
         assert branch.probability == pytest.approx(0.5, abs=1e-12)
         expected = np.array([0.0, 0.0, -branch.outcome])
         assert np.allclose(branch.bob_bloch, expected, atol=1e-10)
 
 
 def test_conditional_stats_maximally_mixed():
-    dist = conditional_stats(werner(0.0), (1, 0, 0))
-    for branch in dist.branches:
+    for branch in conditional_stats(werner(0.0), (1, 0, 0)):
         assert branch.probability == pytest.approx(0.5, abs=1e-12)
         assert np.allclose(branch.bob_bloch, 0.0, atol=1e-12)
 
 
 def test_conditional_stats_product_state_uncorrelated():
     r_b = np.array([0.3, -0.4, 0.5])
-    dist = conditional_stats(product_state((0.2, 0.1, -0.3), r_b), (0, 1, 0))
-    for branch in dist.branches:
+    for branch in conditional_stats(product_state((0.2, 0.1, -0.3), r_b), (0, 1, 0)):
         assert np.allclose(branch.bob_bloch, r_b, atol=1e-10)
 
 
@@ -151,10 +149,10 @@ def test_conditional_stats_invariants_random():
         state = werner(rng.uniform()) if rng.uniform() < 0.5 else product_state(
             random_ball(rng), random_ball(rng)
         )
-        dist = conditional_stats(state, random_unit(rng))
-        total = sum(b.probability for b in dist.branches)
+        branches = conditional_stats(state, random_unit(rng))
+        total = sum(b.probability for b in branches)
         assert total == pytest.approx(1.0, abs=1e-10)
-        for branch in dist.branches:
+        for branch in branches:
             assert np.linalg.norm(branch.bob_bloch) <= 1.0 + 1e-10
 
 
@@ -187,6 +185,21 @@ def test_steering_werner_fixtures():
 def test_steering_rejects_empty_settings():
     with pytest.raises(ValueError):
         steering_test(singlet(), [])
+
+
+HUGE = 10**400  # an int too large for a float
+
+
+@pytest.mark.parametrize("call", [
+    lambda: states.QubitState((HUGE, 0, 0)),
+    lambda: product_state((0, 0, 1), (0, HUGE, 0)),
+    lambda: entanglement_witness(singlet(), [(0, 0, HUGE)], [(0, 0, 1)]),
+    lambda: steering_test(singlet(), [((HUGE, 0, 0), (1, 0, 0))]),
+], ids=["QubitState", "product_state", "entanglement_witness", "steering_test"])
+def test_overflowing_vector_is_a_value_error(call):
+    # as `validate_directions` does for a direction set
+    with pytest.raises(ValueError, match="expected a 3-vector: int too large to convert to float"):
+        call()
 
 
 def test_steering_total_monotone_in_werner_parameter():
@@ -248,7 +261,7 @@ def test_steering_statistics_match_dense_reference(kind):
         for _ in range(int(rng.integers(1, 5))):
             a, b = random_unit(rng), random_unit(rng)
             dense = dense_branches(state.rho, a)
-            branches = conditional_stats(state, a).branches
+            branches = conditional_stats(state, a)
             assert [br.outcome for br in branches] == [o for o, _, _ in dense]
             for br, (_, p, bloch) in zip(branches, dense):
                 assert abs(br.probability - p) <= 1e-12

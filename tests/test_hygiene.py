@@ -87,8 +87,8 @@ def test_no_numpy_imports(path):
 SRC = PACKAGE.parent
 EXPORTS = {
     "criteria": (
-        "ConditionalBranch", "ConditionalDistribution", "SteeringReport", "WitnessReport",
-        "conditional_stats", "entanglement_witness", "inference_variance_min", "steering_test",
+        "ConditionalBranch", "SteeringReport", "WitnessReport", "conditional_stats", "entanglement_witness",
+        "inference_variance_min", "steering_test",
     ),
     "incompat": (
         "CubicCoefficients", "IncompatibilityResult", "cubic_coefficients_unit", "directions_from_angles",
