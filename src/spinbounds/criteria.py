@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .incompat import incompatibility
 from .linalg3 import _dot, _matvec
-from .states import TwoQubitState, _Record, as_vec3
+from .states import TwoQubitState, _Record, _plain, as_vec3
 
 _VIOLATION_SLACK = 1e-10  # exact saturation must not count as a violation
 _BRANCH_EPS = 1e-12  # outcome probabilities below this are treated as absent
@@ -49,15 +49,17 @@ def entanglement_witness(state: TwoQubitState, alice_dirs, bob_dirs) -> WitnessR
     the two local incompatibilities. Violation certifies entanglement;
     non-violation certifies nothing.
     """
-    alice = [_unit(d, "alice") for d in alice_dirs]
-    bob = [_unit(d, "bob") for d in bob_dirs]
+    alice = [_unit(d, "alice") for d in _plain(alice_dirs)]
+    bob = [_unit(d, "bob") for d in _plain(bob_dirs)]
     if len(alice) != len(bob):
         raise ValueError("alice and bob need the same number of directions")
     variance_sum = sum(
         _dot(n, n) + _dot(m, m) + 2.0 * _dot(n, _matvec(state.T, m)) - (_dot(n, state.a) + _dot(m, state.b)) ** 2
         for n, m in zip(alice, bob)
     )
-    bound = incompatibility(alice).value + incompatibility(bob).value
+    alice_bound = incompatibility(alice).value
+    # lists that compare equal (0.0 == -0.0) give one moment matrix, whose sums start from 0: one bound, to the bit
+    bound = alice_bound + (alice_bound if bob == alice else incompatibility(bob).value)
     return WitnessReport(variance_sum, bound, variance_sum < bound - _VIOLATION_SLACK, bound - variance_sum)
 
 
@@ -82,19 +84,36 @@ def conditional_stats(state: TwoQubitState, a_dir) -> tuple[ConditionalBranch, .
     return tuple(branches)
 
 
+def _inference_variance(state: TwoQubitState, n, m) -> float:
+    """sum_A p(A) (1 - (m . r_B|A)^2) for unit n (Alice) and m (Bob): the
+    arithmetic of `conditional_stats`, in its order, on unpacked floats."""
+    (nx, ny, nz), (mx, my, mz), (ax, ay, az), (bx, by, bz) = n, m, state.a, state.b
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = state.T
+    mean_a = nx * ax + ny * ay + nz * az
+    sx, sy, sz = t00 * nx + t10 * ny + t20 * nz, t01 * nx + t11 * ny + t21 * nz, t02 * nx + t12 * ny + t22 * nz
+    total = 0.0
+    p = 0.5 * (1.0 + mean_a)  # outcome +1
+    if p >= _BRANCH_EPS:
+        q = 2.0 * p
+        mean = mx * ((bx + sx) / q) + my * ((by + sy) / q) + mz * ((bz + sz) / q)
+        total += p * (1.0 - mean * mean)
+    p = 0.5 * (1.0 - mean_a)  # outcome -1
+    if p >= _BRANCH_EPS:
+        q = 2.0 * p
+        mean = mx * ((bx - sx) / q) + my * ((by - sy) / q) + mz * ((bz - sz) / q)
+        total += p * (1.0 - mean * mean)
+    return total
+
+
 def inference_variance_min(state: TwoQubitState, a_dir, b_dir) -> float:
     """Minimal inference variance of Bob's spin along b_dir given Alice's outcome.
 
     Uses the conditional mean as estimator: sum_A p(A) (1 - <B>_A^2) with
-    <B>_A = b . r_{B|A}; outcomes are +-1 so <B^2> = 1. Result lies in
-    [0, 1].
+    <B>_A = b . r_{B|A} (r_{B|A} as in `conditional_stats`); outcomes are
+    +-1 so <B^2> = 1. Result lies in [0, 1].
     """
-    b = _unit(b_dir, "bob")
-    total = 0.0
-    for branch in conditional_stats(state, a_dir):
-        mean = _dot(b, branch.bob_bloch)
-        total += branch.probability * (1.0 - mean * mean)
-    return total
+    m = _unit(b_dir, "bob")
+    return _inference_variance(state, _unit(a_dir, "alice"), m)
 
 
 def steering_test(state: TwoQubitState, settings) -> SteeringReport:
@@ -104,10 +123,14 @@ def steering_test(state: TwoQubitState, settings) -> SteeringReport:
     `settings` is a sequence of (alice_dir, bob_dir) pairs. Violation
     demonstrates steering (no local-hidden-state model for Bob).
     """
-    settings = list(settings)
+    settings = list(_plain(settings))
     if not settings:
         raise ValueError("need at least one measurement setting")
-    variances = tuple(inference_variance_min(state, a, b) for a, b in settings)
+    bob, variances = [], []
+    for a, b in settings:
+        m = _unit(b, "bob")
+        variances.append(_inference_variance(state, _unit(a, "alice"), m))
+        bob.append(m)
     total = sum(variances)
-    bound = incompatibility([b for _, b in settings]).value
-    return SteeringReport(variances, total, bound, total < bound - _VIOLATION_SLACK, bound - total)
+    bound = incompatibility(bob).value
+    return SteeringReport(tuple(variances), total, bound, total < bound - _VIOLATION_SLACK, bound - total)

@@ -127,7 +127,7 @@ def sym3_certificate(a, lams) -> tuple[tuple, float]:
     if not isinstance(a, _ROWS):  # an ndarray: compute on Python floats
         a = [list(map(float, row)) for row in a]
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
-    l0, l1, l2 = lams[0], lams[1], lams[2]
+    l0, l1, l2 = float(lams[0]), float(lams[1]), float(lams[2])
     top = l0 - l1 >= l1 - l2
     v, p, q = _split(a, l0 if top else l2)[:3]
     (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = vecs = (v, p, q) if top else (p, q, v)

@@ -12,22 +12,9 @@ from __future__ import annotations
 
 import sys
 from math import isfinite, sqrt
-from operator import itemgetter
 
 from .incompat import validate_directions
 from .linalg3 import _dot, hermitian_psd_check
-
-# Nonzero entries (row, column, value) of I, sigma_x, sigma_y, sigma_z.
-_PAULI = (((0, 0, 1), (1, 1, 1)), ((0, 1, 1), (1, 0, 1)), ((0, 1, -1j), (1, 0, 1j)), ((0, 0, 1), (1, 1, -1)))
-_PART = {1: 0, -1j: 1, -1: 2, 1j: 3}  # Re(v z) = (Re z, Im z, -Re z, -Im z)[_PART[v]]
-# _BLOCH[4 mu + nu - 1] gathers the terms Re(v rho[i][j]) of tr(rho sigma_mu (x) sigma_nu),
-# (mu, nu) != (0, 0), in rho's row-major order: numpy's einsum summed them so, and the
-# Werner outputs keep their last bits.
-_BLOCH = [
-    itemgetter(*(16 * _PART[v] + 4 * i + j for i, j, v in sorted(
-        (2 * c + d, 2 * r + s, u * w) for r, c, u in _PAULI[mu] for s, d, w in _PAULI[nu])))
-    for mu in range(4) for nu in range(4)
-][1:]
 
 
 class _Record:
@@ -40,7 +27,9 @@ class _Record:
 
     def __init__(self, *args, **kwargs):
         names = self._fields
-        if len(args) > len(names) or sorted(kwargs) != sorted(names[len(args):]):
+        if (kwargs or len(args) != len(names)) and (  # a full positional call needs no name check
+            len(args) > len(names) or sorted(kwargs) != sorted(names[len(args):])
+        ):
             raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
         vars(self).update(zip(names, args), **kwargs)
         if hasattr(self, "__post_init__"):
@@ -59,10 +48,17 @@ class _Record:
         return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
 
 
+def _plain(x):
+    """An ndarray as nested lists of Python scalars (~20x faster to read than
+    its scalars, and a complex one stays complex); anything else as given."""
+    np = sys.modules.get("numpy")
+    return x.tolist() if np is not None and isinstance(x, np.ndarray) else x
+
+
 def as_vec3(v) -> tuple[float, float, float]:
     """Coerce to a 3-tuple of finite Python floats."""
     try:
-        r = tuple(map(float, v))
+        r = tuple(map(float, _plain(v)))
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"expected a 3-vector: {exc}") from None
     if len(r) != 3 or not all(map(isfinite, r)):
@@ -99,12 +95,8 @@ class TwoQubitState(_Record):
     _fields = ("rho",)
 
     def __post_init__(self):
-        rho = self.rho
-        np = sys.modules.get("numpy")
-        if np is not None and isinstance(rho, np.ndarray):
-            rho = rho.tolist()  # ~20x faster than reading its scalars
         try:
-            rho = tuple(tuple(map(complex, row)) for row in rho)
+            rho = tuple(tuple(map(complex, row)) for row in _plain(self.rho))
         except TypeError:
             rho = ()
         if len(rho) != 4 or any(len(row) != 4 for row in rho):
@@ -115,11 +107,16 @@ class TwoQubitState(_Record):
             raise ValueError(f"trace is {trace:.12g}, expected 1")
         if not psd:
             raise ValueError("density matrix is not positive semidefinite")
-        re, im = [z.real for row in rho for z in row], [z.imag for row in rho for z in row]
-        parts = re + im + [-x for x in re] + [-x for x in im]
-        m = [sum(g(parts)) for g in _BLOCH]
-        t = (tuple(m[4:7]), tuple(m[8:11]), tuple(m[12:15]))
-        vars(self).update(rho=rho, a=tuple(m[3:12:4]), b=tuple(m[0:3]), T=t)
+        r00, r01, r02, r03, r10, r11, r12, r13, r20, r21, r22, r23, r30, r31, r32, r33 = [z.real for row in rho for z in row]
+        _, i01, i02, i03, i10, _, i12, i13, i20, i21, _, i23, i30, i31, i32, _ = [z.imag for row in rho for z in row]
+        # each M[mu, nu] sums its four terms +-Re/Im rho[i][j] from 0.0 in rho's row-major order
+        # (so a -0.0 term rounds as in a sum()); the golden Werner outputs pin these bits
+        a = (0.0 + r02 + r13 + r20 + r31, 0.0 - i02 - i13 + i20 + i31, 0.0 + r00 + r11 - r22 - r33)
+        b = (0.0 + r01 + r10 + r23 + r32, 0.0 - i01 + i10 - i23 + i32, 0.0 + r00 - r11 + r22 - r33)
+        t = ((0.0 + r03 + r12 + r21 + r30, 0.0 - i03 + i12 - i21 + i30, 0.0 + r02 - r13 + r20 - r31),
+             (0.0 - i03 - i12 + i21 + i30, 0.0 - r03 + r12 + r21 - r30, 0.0 - i02 + i13 + i20 - i31),
+             (0.0 + r01 + r10 - r23 - r32, 0.0 - i01 + i10 + i23 - i32, 0.0 + r00 - r11 - r22 + r33))
+        vars(self).update(rho=rho, a=a, b=b, T=t)
 
 
 def uncertainty_sum(directions, state: QubitState) -> float:

@@ -602,7 +602,6 @@ error: angle triple is not realizable by unit vectors: Gram eigenvalue -0.102237
 @pytest.mark.parametrize("command", list(GOLDEN))
 def test_golden_cli_output(command, xyz_file, settings_file, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "dirs16.json").write_text(json.dumps({"directions": [[1, 0, 0]] * 16}))
     (tmp_path / "list.json").write_text("[1, 0, 0]")
     code, out, err = GOLDEN[command]
     assert main(command.split()) == code

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from spinbounds.criteria import (
     inference_variance_min,
     steering_test,
 )
-from spinbounds import states
+from spinbounds import criteria, states
 from spinbounds.incompat import incompatibility
 from spinbounds.states import TwoQubitState, product_state, singlet, werner
 
@@ -202,6 +204,63 @@ def test_overflowing_vector_is_a_value_error(call):
         call()
 
 
+NAN = float("nan")
+Z = (0.0, 0.0, 1.0)
+# Bad input given as nested lists; each test also passes the same input as an ndarray.
+BAD_VECTORS = {  # where one 3-vector is expected
+    "complex": [0.5 + 1j, 0.0, 0.0],
+    "nan": [NAN, 0.0, 0.0],
+    "wrong-length": [0.0, 1.0],
+    "2-D": [[0.0, 0.0, 1.0]],
+}
+BAD_SETS = {  # where a list of directions is expected
+    "complex": [[1.0, 0.0, 0.0], [0.0, 1j, 0.0]],
+    "nan": [[1.0, 0.0, 0.0], [0.0, NAN, 1.0]],
+    "wrong-length": [[1.0, 0.0], [0.0, 1.0]],
+    "1-D": [0.0, 0.0, 1.0],
+}
+BAD_SETTINGS = {  # where (alice, bob) pairs are expected
+    "complex": [[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0.0, 1j, 0.0], [0.0, 1.0, 0.0]]],
+    "nan": [[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[NAN, 1.0, 0.0], [0.0, 1.0, 0.0]]],
+    "wrong-length": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]]],
+    "1-D": [0.0, 0.0, 1.0],
+}
+PARITY = [(name, case, bad[case], call, as_array) for name, bad, call, as_array in [
+    ("QubitState", BAD_VECTORS, lambda x: states.QubitState(x), np.array),
+    ("product_state", BAD_VECTORS, lambda x: product_state(Z, x), np.array),
+    ("conditional_stats", BAD_VECTORS, lambda x: conditional_stats(singlet(), x), np.array),
+    ("inference_variance_min-alice", BAD_VECTORS, lambda x: inference_variance_min(singlet(), x, Z), np.array),
+    ("inference_variance_min-bob", BAD_VECTORS, lambda x: inference_variance_min(singlet(), Z, x), np.array),
+    ("entanglement_witness-alice", BAD_SETS, lambda x: entanglement_witness(singlet(), x, XYZ[:2]), np.array),
+    ("entanglement_witness-bob", BAD_SETS, lambda x: entanglement_witness(singlet(), XYZ[:2], x), np.array),
+    ("steering_test", BAD_SETTINGS, lambda x: steering_test(singlet(), x), np.array),
+    # the form the benchmark uses: a list of pairs of 1-D arrays
+    ("steering_test-pairs", BAD_SETTINGS, lambda x: steering_test(singlet(), x),
+     lambda x: [(np.array(a), np.array(b)) for a, b in x]),
+] for case in bad if (name, case) != ("steering_test-pairs", "1-D")]
+
+
+def raised(call, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's ComplexWarning, when a complex scalar is cut to its real part
+        try:
+            call(x)
+        except (TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("case, bad, call, as_array", [p[1:] for p in PARITY], ids=[f"{p[0]}-{p[1]}" for p in PARITY])
+def test_ndarray_and_list_inputs_fail_alike(case, bad, call, as_array):
+    # an ndarray is read through tolist(), so it fails as the list does: a
+    # complex one is rejected, not cut to its real part
+    from_list = raised(call, bad)
+    assert from_list is not None
+    if case == "complex":
+        assert from_list == (ValueError, "expected a 3-vector: float() argument must be a string or a real number, not 'complex'")
+    assert raised(call, as_array(bad)) == from_list
+
+
 def test_steering_total_monotone_in_werner_parameter():
     totals = [
         steering_test(werner(p), XYZ_SETTINGS).total
@@ -281,3 +340,25 @@ def test_werner_checks_positivity_once(monkeypatch):
     monkeypatch.setattr(states, "hermitian_psd_check", counting)
     werner(0.5)
     assert len(calls) == 1
+
+
+def test_witness_computes_one_bound_when_bob_equals_alice(monkeypatch):
+    calls = []
+    bound = criteria.incompatibility
+    monkeypatch.setattr(criteria, "incompatibility", lambda d: calls.append(d) or bound(d))
+    for bob, count in [(XYZ, 1), (np.array(XYZ), 1), ([(1.0, -0.0, -0.0)] + XYZ[1:], 1), (XYZ[::-1], 2)]:
+        calls.clear()
+        entanglement_witness(werner(0.8), XYZ, bob)
+        assert len(calls) == count
+
+
+def test_steering_makes_no_branch_records(monkeypatch):
+    made, stats = [], []
+    branch, conditional = criteria.ConditionalBranch, criteria.conditional_stats
+    monkeypatch.setattr(criteria, "ConditionalBranch", lambda *args: made.append(args) or branch(*args))
+    monkeypatch.setattr(criteria, "conditional_stats", lambda *args: stats.append(args) or conditional(*args))
+    steering_test(werner(0.8), XYZ_SETTINGS)
+    inference_variance_min(werner(0.8), XYZ[0], XYZ[1])
+    assert made == [] and stats == []
+    criteria.conditional_stats(werner(0.8), XYZ[0])  # the patches see the records it makes
+    assert len(made) == 2 and len(stats) == 1

@@ -215,11 +215,13 @@ def test_spectrum_and_traces_of_an_ndarray_are_python_floats():
         spec, traces = sym3_spectrum(a), sym3_traces(a)
         big = sym3_spectrum(np.diag([1e200, 0.0, 0.0]))
         vecs, bound = sym3_certificate(a, (2.0, 1.0, 0.5))
+        claimed = sym3_certificate(a.tolist(), np.array([2.0, 1.0, 0.5]))  # numpy-scalar claims
     assert spec == sym3_spectrum(a.tolist()) and traces == sym3_traces(a.tolist())
     assert all(type(x) is float for x in spec + traces + big)
     assert big.beta == math.inf
-    assert (vecs, bound) == sym3_certificate(a.tolist(), (2.0, 1.0, 0.5))
-    assert all(type(x) is float for x in (bound, *vecs[0], *vecs[1], *vecs[2]))
+    assert (vecs, bound) == sym3_certificate(a.tolist(), (2.0, 1.0, 0.5)) == claimed
+    for vecs, bound in ((vecs, bound), claimed):
+        assert all(type(x) is float for x in (bound, *vecs[0], *vecs[1], *vecs[2]))
 
 
 # --- the straight-line `_split` and certificate against the helper-call code
