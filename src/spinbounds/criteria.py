@@ -35,8 +35,8 @@ class SteeringReport(_Record):
 
 
 def _unit(v, what: str) -> tuple[float, float, float]:
-    v = as_vec3(v)
-    if abs(_dot(v, v) - 1.0) > 2e-9:
+    x, y, z = v = as_vec3(v)
+    if abs(x * x + y * y + z * z - 1.0) > 2e-9:
         raise ValueError(f"{what} direction must be unit length")
     return v
 
@@ -53,10 +53,14 @@ def entanglement_witness(state: TwoQubitState, alice_dirs, bob_dirs) -> WitnessR
     bob = [_unit(d, "bob") for d in _plain(bob_dirs)]
     if len(alice) != len(bob):
         raise ValueError("alice and bob need the same number of directions")
-    variance_sum = sum(
-        _dot(n, n) + _dot(m, m) + 2.0 * _dot(n, _matvec(state.T, m)) - (_dot(n, state.a) + _dot(m, state.b)) ** 2
-        for n, m in zip(alice, bob)
-    )
+    (ax, ay, az), (bx, by, bz) = state.a, state.b
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = state.T
+    variance_sum = 0.0  # sum()'s order before Python 3.12; each term in the operand order of _dot and _matvec
+    for (nx, ny, nz), (mx, my, mz) in zip(alice, bob):
+        tx, ty, tz = t00 * mx + t01 * my + t02 * mz, t10 * mx + t11 * my + t12 * mz, t20 * mx + t21 * my + t22 * mz
+        norms = nx * nx + ny * ny + nz * nz + (mx * mx + my * my + mz * mz)
+        mean = nx * ax + ny * ay + nz * az + (mx * bx + my * by + mz * bz)
+        variance_sum += norms + 2.0 * (nx * tx + ny * ty + nz * tz) - mean**2
     alice_bound = incompatibility(alice).value
     # lists that compare equal (0.0 == -0.0) give one moment matrix, whose sums start from 0: one bound, to the bit
     bound = alice_bound + (alice_bound if bob == alice else incompatibility(bob).value)

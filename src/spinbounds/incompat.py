@@ -13,10 +13,9 @@ from __future__ import annotations
 import sys
 from itertools import chain, combinations
 from math import copysign, cos, hypot, isfinite, sqrt
-from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
-from .linalg3 import Sym3Spectrum, _dot, cubic_roots, sym3_certificate, sym3_spectrum, sym3_traces
+from .linalg3 import _ROWS, Sym3Spectrum, _dot, cubic_roots, sym3_certificate, sym3_spectrum, sym3_traces
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,11 +41,19 @@ class IncompatibilityResult(NamedTuple):
     traces: tuple[float, float, float]
 
 
+def _plain(x):
+    """An ndarray as nested lists of Python scalars (~20x faster to read than
+    its scalars, and a complex one stays complex); anything else as given."""
+    np = sys.modules.get("numpy")
+    return x.tolist() if np is not None and isinstance(x, np.ndarray) else x
+
+
 def validate_directions(directions) -> np.ndarray | list[tuple[float, float, float]]:
     """Validate directions: N >= 1 rows of 3 finite components, no zero row.
 
     A real 2-D ndarray comes back as an N x 3 float array; any other input,
     a complex ndarray too, as a list of 3-tuples of floats, without numpy.
+    An ndarray row is read through `tolist()`, so a complex one stays complex.
     """
     np = sys.modules.get("numpy")
     array = np is not None and isinstance(directions, np.ndarray)
@@ -57,7 +64,7 @@ def validate_directions(directions) -> np.ndarray | list[tuple[float, float, flo
         shape = d.shape
     else:
         try:
-            d = [tuple(map(float, row)) for row in directions]
+            d = [tuple(map(float, _plain(row))) for row in directions]
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"expected N x 3 directions: {exc}") from None
         shape = (len(d), *sorted({len(row) for row in d}))
@@ -78,14 +85,34 @@ def validate_directions(directions) -> np.ndarray | list[tuple[float, float, flo
 
 def moment_matrix(directions) -> tuple[tuple, tuple[float, float, float]]:
     """Second-moment matrix A = sum_i n_i n_i^T = D^T D, as rows of floats,
-    and its trace powers."""
-    d = validate_directions(directions)
-    if isinstance(d, list):
-        x, y, z = zip(*d)
-        xy, xz, yz = sum(map(mul, x, y)), sum(map(mul, x, z)), sum(map(mul, y, z))
-        a = ((sum(map(mul, x, x)), xy, xz), (xy, sum(map(mul, y, y)), yz), (xz, yz, sum(map(mul, z, z))))
-    else:
-        a = (d.T @ d).tolist()  # exactly symmetric: numpy evaluates X.T @ X as one triangle (syrk)
+    and its trace powers, in one pass: a real 2-D ndarray takes D^T D, other
+    input is summed in floats as its rows are read. A non-finite diagonal, a
+    row that is not 3 numbers, a zero row or no row at all sends the input to
+    `validate_directions`, which words the rejection."""
+    np = sys.modules.get("numpy")
+    array = np is not None and isinstance(directions, np.ndarray)
+    if array and directions.ndim == 2 and directions.dtype.kind in "biuf":
+        d = np.asarray(directions, dtype=float)
+        with np.errstate(invalid="ignore", over="ignore"):  # syrk: exactly symmetric; the checks below catch inf
+            a = (d.T @ d).tolist() if d.shape[1] == 3 and np.count_nonzero(d.any(axis=1)) == len(d) else None
+    else:  # validate_directions reads an iterable once, and any other ndarray through tolist()
+        d = directions if isinstance(directions, _ROWS) else validate_directions(directions)
+        a = None
+        try:
+            xx = xy = xz = yy = yz = zz = 0.0  # each sum adds in row order from 0.0, as sum() did before 3.12
+            for row in d:
+                x, y, z = row if isinstance(row, _ROWS) else _plain(row)
+                x, y, z = float(x), float(y), float(z)
+                if not (x or y or z):
+                    break
+                xx, xy, xz = xx + x * x, xy + x * y, xz + x * z
+                yy, yz, zz = yy + y * y, yz + y * z, zz + z * z
+            else:
+                a = ((xx, xy, xz), (xy, yy, yz), (xz, yz, zz))
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if not (a and len(d) and isfinite(a[0][0] + a[1][1] + a[2][2])):
+        validate_directions(d)  # raises, unless every component is finite and A overflowed
     return a, sym3_traces(a)  # sym3_traces also rejects an A or a tr A^3 that overflowed
 
 
@@ -154,21 +181,17 @@ def incompatibility(directions) -> IncompatibilityResult:
     """
     a, traces = moment_matrix(directions)
     spec = sym3_spectrum(a)
-    vecs, bound = sym3_certificate(a, spec[:3])
+    vecs, bound = sym3_certificate(a, spec)
+    lam, _, _, alpha, beta = spec
     if not bound <= _CERTIFICATE_RTOL * traces[0]:
         raise ArithmeticError(
-            f"closed-form eigenvalue {spec.lam_max!r} fails its residual certificate: "
+            f"closed-form eigenvalue {lam!r} fails its residual certificate: "
             f"the spectrum may be off by {bound:.3e} > {_CERTIFICATE_RTOL} * tr A"
         )
     x, y, z = vecs[0]
     sign = -1.0 if (x or y or z) < 0.0 else 1.0
-    return IncompatibilityResult(
-        value=traces[0] - spec.lam_max,
-        lambda_max=spec.lam_max,
-        optimizer=(sign * x + 0.0, sign * y + 0.0, sign * z + 0.0),  # + 0.0 turns -0.0 into 0.0
-        coefficients=CubicCoefficients(spec.alpha, spec.beta),
-        traces=traces,
-    )
+    optimizer = (sign * x + 0.0, sign * y + 0.0, sign * z + 0.0)  # + 0.0 turns -0.0 into 0.0
+    return IncompatibilityResult(traces[0] - lam, lam, optimizer, CubicCoefficients(alpha, beta), traces)
 
 
 def incompatibility_pair(n1, n2) -> float:

@@ -10,11 +10,10 @@ and complex numbers, without numpy.
 
 from __future__ import annotations
 
-import sys
 from math import isfinite, sqrt
 
-from .incompat import validate_directions
-from .linalg3 import _dot, hermitian_psd_check
+from .incompat import _plain, validate_directions
+from .linalg3 import _ROWS, _dot, hermitian_psd_check
 
 
 class _Record:
@@ -48,20 +47,17 @@ class _Record:
         return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
 
 
-def _plain(x):
-    """An ndarray as nested lists of Python scalars (~20x faster to read than
-    its scalars, and a complex one stays complex); anything else as given."""
-    np = sys.modules.get("numpy")
-    return x.tolist() if np is not None and isinstance(x, np.ndarray) else x
-
-
 def as_vec3(v) -> tuple[float, float, float]:
     """Coerce to a 3-tuple of finite Python floats."""
     try:
-        r = tuple(map(float, _plain(v)))
+        if isinstance(v, _ROWS) and len(v) == 3:  # the common case, unpacked
+            x, y, z = v
+            r = float(x), float(y), float(z)
+        else:
+            r = tuple(map(float, _plain(v)))
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"expected a 3-vector: {exc}") from None
-    if len(r) != 3 or not all(map(isfinite, r)):
+    if len(r) != 3 or not (isfinite(r[0]) and isfinite(r[1]) and isfinite(r[2])):
         raise ValueError(f"expected a 3-vector of finite components, got {r}")
     return r
 
