@@ -130,11 +130,12 @@ def steering_test(state: TwoQubitState, settings) -> SteeringReport:
     settings = list(_plain(settings))
     if not settings:
         raise ValueError("need at least one measurement setting")
-    bob, variances = [], []
+    bob, variances, total = [], [], 0.0
     for a, b in settings:
         m = _unit(b, "bob")
-        variances.append(_inference_variance(state, _unit(a, "alice"), m))
+        variance = _inference_variance(state, _unit(a, "alice"), m)
+        total += variance  # left to right from 0.0, as sum() added before 3.12
+        variances.append(variance)
         bob.append(m)
-    total = sum(variances)
     bound = incompatibility(bob).value
     return SteeringReport(tuple(variances), total, bound, total < bound - _VIOLATION_SLACK, bound - total)

@@ -13,12 +13,9 @@ from __future__ import annotations
 import sys
 from itertools import chain, combinations
 from math import copysign, cos, hypot, isfinite, sqrt
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .linalg3 import _ROWS, Sym3Spectrum, _dot, cubic_roots, sym3_certificate, sym3_spectrum, sym3_traces
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _UNIT_TOL = 1e-9
 _GRAM_PSD_TOL = 1e-9
@@ -48,37 +45,25 @@ def _plain(x):
     return x.tolist() if np is not None and isinstance(x, np.ndarray) else x
 
 
-def validate_directions(directions) -> np.ndarray | list[tuple[float, float, float]]:
+def validate_directions(directions) -> list[tuple[float, float, float]]:
     """Validate directions: N >= 1 rows of 3 finite components, no zero row.
 
-    A real 2-D ndarray comes back as an N x 3 float array; any other input,
-    a complex ndarray too, as a list of 3-tuples of floats, without numpy.
-    An ndarray row is read through `tolist()`, so a complex one stays complex.
+    Every input, an ndarray too, comes back as a list of 3-tuples of Python
+    floats. An ndarray, or an ndarray row, is read through `tolist()`, so a
+    complex one stays complex and is rejected as that list would be.
     """
-    np = sys.modules.get("numpy")
-    array = np is not None and isinstance(directions, np.ndarray)
-    if array and (directions.ndim != 2 or directions.dtype.kind not in "biuf"):
-        directions, array = directions.tolist(), False
-    if array:
-        d = np.asarray(directions, dtype=float)
-        shape = d.shape
-    else:
-        try:
-            d = [tuple(map(float, _plain(row))) for row in directions]
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"expected N x 3 directions: {exc}") from None
-        shape = (len(d), *sorted({len(row) for row in d}))
+    try:
+        d = [tuple(map(float, _plain(row))) for row in _plain(directions)]
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"expected N x 3 directions: {exc}") from None
+    shape = (len(d), *sorted({len(row) for row in d}))
     if 0 in shape:
         raise ValueError("need at least one direction")
     if len(shape) != 2 or shape[1] != 3:
         raise ValueError(f"expected N x 3 directions, got shape {shape}")
-    if array:
-        finite, nonzero = np.isfinite(d).all(), np.count_nonzero(d.any(axis=1)) == len(d)  # a count costs less than .all() at small N
-    else:
-        finite, nonzero = all(map(isfinite, chain.from_iterable(d))), all(map(any, d))
-    if not finite:
+    if not all(map(isfinite, chain.from_iterable(d))):
         raise ValueError("directions have non-finite components")
-    if not nonzero:
+    if not all(map(any, d)):
         raise ValueError(f"direction {next(i for i, row in enumerate(d) if not any(row))} has zero length")
     return d
 
@@ -91,6 +76,7 @@ def moment_matrix(directions) -> tuple[tuple, tuple[float, float, float]]:
     `validate_directions`, which words the rejection."""
     np = sys.modules.get("numpy")
     array = np is not None and isinstance(directions, np.ndarray)
+    # D^T D takes ~9-12 us at any N; tolist() and the float loop take 3 us at N = 2 but 37 us at N = 128 (timeit)
     if array and directions.ndim == 2 and directions.dtype.kind in "biuf":
         d = np.asarray(directions, dtype=float)
         with np.errstate(invalid="ignore", over="ignore"):  # syrk: exactly symmetric; the checks below catch inf

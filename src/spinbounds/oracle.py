@@ -41,9 +41,8 @@ def fibonacci_sphere(num_points: int) -> Iterator[tuple[float, float, float]]:
 def _variance_form(directions):
     """The variance sum r -> tau1 - r^T Q r of the validated directions,
     for r a 3-tuple."""
-    d = validate_directions(directions)
     qxx = qyy = qzz = qxy = qxz = qyz = 0.0
-    for x, y, z in d.tolist() if hasattr(d, "tolist") else d:
+    for x, y, z in validate_directions(directions):
         qxx, qyy, qzz = qxx + x * x, qyy + y * y, qzz + z * z
         qxy, qxz, qyz = qxy + x * y, qxz + x * z, qyz + y * z
     tau1 = qxx + qyy + qzz

@@ -118,8 +118,10 @@ class TwoQubitState(_Record):
 def uncertainty_sum(directions, state: QubitState) -> float:
     """Sum of variances of the spin observables n_i . sigma on the state,
     sum_i |n_i|^2 - (n_i . r)^2."""
-    d, r = validate_directions(directions), state.bloch
-    return sum(_dot(n, n) - _dot(n, r) ** 2 for n in (d.tolist() if hasattr(d, "tolist") else d))
+    r, total = state.bloch, 0.0
+    for n in validate_directions(directions):  # left to right from 0.0, as sum() added before 3.12
+        total += _dot(n, n) - _dot(n, r) ** 2
+    return total
 
 
 def singlet() -> TwoQubitState:

@@ -317,6 +317,33 @@ def test_validate_directions_returns_checked_array():
         validate_directions([])
 
 
+def test_validate_directions_reads_an_ndarray_as_its_list():
+    # one path for every input: an ndarray comes back as the float tuples of its tolist()
+    rng = np.random.default_rng(16)
+    arrays = [
+        rng.normal(size=(5, 3)),
+        np.array([[1, 0, -2], [3, 4, 0]]),
+        np.array([[True, False, False], [False, True, True]]),
+        rng.normal(size=(4, 3)).astype(np.float32),
+        np.array([[-0.0, 1.0, 0.0]]),
+    ]
+    for a in arrays:
+        d = validate_directions(a)
+        assert type(d) is list and d == validate_directions(a.tolist())
+        assert all(type(row) is tuple and len(row) == 3 for row in d)
+        assert all(type(x) is float for row in d for x in row)
+        assert [float.hex(x) for row in d for x in row] == [float.hex(float(x)) for x in a.ravel()]
+
+
+def test_cubic_coefficients_unit_rejects_an_overflowing_ndarray_without_a_warning():
+    # the rows were numpy arrays, whose squared length overflowed with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (np.array([[1e200, 0, 0]]), np.array([[1e200, 0, 0], [0, 1, 0]])):
+            with pytest.raises(ValueError, match="direction 0 is not unit length"):
+                cubic_coefficients_unit(d)
+
+
 def test_complex_directions_are_rejected_as_an_ndarray_and_as_a_list():
     # an ndarray was cast to float with a ComplexWarning, which dropped the
     # imaginary part and returned 1.0

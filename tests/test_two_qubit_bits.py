@@ -7,6 +7,9 @@ they replaced is copied here as the reference: the `_BLOCH` gather table,
 `inference_variance_min` through `conditional_stats`, and the witness with
 two bound calls. Every float they return must keep its bits, signed zeros
 included.
+
+The references add with `sum311`, an explicit loop from 0, as `sum()`
+added floats before Python 3.12 and as the package does on every version.
 """
 
 import math
@@ -33,10 +36,18 @@ _BLOCH = [
 ][1:]
 
 
+def sum311(values):
+    """sum() as CPython 3.11 adds floats: from 0, left to right."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def reference_bloch(rho):
     re, im = [z.real for row in rho for z in row], [z.imag for row in rho for z in row]
     parts = re + im + [-x for x in re] + [-x for x in im]
-    m = [sum(g(parts)) for g in _BLOCH]
+    m = [sum311(g(parts)) for g in _BLOCH]
     return tuple(m[3:12:4]), tuple(m[0:3]), (tuple(m[4:7]), tuple(m[8:11]), tuple(m[12:15]))
 
 
@@ -46,7 +57,7 @@ def vec(d):
 
 def reference_witness(state, alice_dirs, bob_dirs):
     alice, bob = list(map(vec, alice_dirs)), list(map(vec, bob_dirs))
-    variance_sum = sum(
+    variance_sum = sum311(
         _dot(n, n) + _dot(m, m) + 2.0 * _dot(n, _matvec(state.T, m)) - (_dot(n, state.a) + _dot(m, state.b)) ** 2
         for n, m in zip(alice, bob)
     )
@@ -65,7 +76,7 @@ def reference_inference_variance(state, a_dir, b_dir):
 
 def reference_steering(state, settings):
     variances = tuple(reference_inference_variance(state, a, b) for a, b in settings)
-    total = sum(variances)
+    total = sum311(variances)
     bound = incompatibility([b for _, b in settings]).value
     return variances, total, bound, total < bound - 1e-10, bound - total
 
