@@ -79,7 +79,7 @@ def _read_json_object(path: str, what: str) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object, got {type(data).__name__}")

@@ -15,7 +15,6 @@ demonstrates EPR-steering.
 from __future__ import annotations
 
 from .incompat import incompatibility
-from .linalg3 import _dot, _matvec
 from .states import TwoQubitState, _Record, _plain, as_vec3
 
 _VIOLATION_SLACK = 1e-10  # exact saturation must not count as a violation
@@ -24,10 +23,6 @@ _BRANCH_EPS = 1e-12  # outcome probabilities below this are treated as absent
 
 class WitnessReport(_Record):
     _fields = ("variance_sum", "bound", "violated", "margin")  # margin = bound - variance_sum
-
-
-class ConditionalBranch(_Record):
-    _fields = ("outcome", "probability", "bob_bloch")  # outcome +1 or -1; bob_bloch a 3-tuple
 
 
 class SteeringReport(_Record):
@@ -55,7 +50,7 @@ def entanglement_witness(state: TwoQubitState, alice_dirs, bob_dirs) -> WitnessR
         raise ValueError("alice and bob need the same number of directions")
     (ax, ay, az), (bx, by, bz) = state.a, state.b
     (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = state.T
-    variance_sum = 0.0  # sum()'s order before Python 3.12; each term in the operand order of _dot and _matvec
+    variance_sum = 0.0  # sum()'s order before Python 3.12; each dot product adds x, y, z in turn
     for (nx, ny, nz), (mx, my, mz) in zip(alice, bob):
         tx, ty, tz = t00 * mx + t01 * my + t02 * mz, t10 * mx + t11 * my + t12 * mz, t20 * mx + t21 * my + t22 * mz
         norms = nx * nx + ny * ny + nz * nz + (mx * mx + my * my + mz * mz)
@@ -67,30 +62,11 @@ def entanglement_witness(state: TwoQubitState, alice_dirs, bob_dirs) -> WitnessR
     return WitnessReport(variance_sum, bound, variance_sum < bound - _VIOLATION_SLACK, bound - variance_sum)
 
 
-def conditional_stats(state: TwoQubitState, a_dir) -> tuple[ConditionalBranch, ...]:
-    """Born-rule statistics of Alice's +-1 outcome and Bob's conditional state.
-
-    p(+-) = (1 +- a . n)/2 and Bob's conditional Bloch vector is
-    r_B|+- = (b +- T^T n)/(2 p(+-)) (Cavalcanti et al., PRA 80, 032112,
-    2009). One ConditionalBranch per outcome, +1 first; branches with
-    negligible probability are omitted.
-    """
-    n = _unit(a_dir, "alice")
-    mean_a = _dot(n, state.a)
-    steered = _matvec(tuple(zip(*state.T)), n)
-    branches = []
-    for outcome in (+1, -1):
-        p = 0.5 * (1.0 + outcome * mean_a)
-        if p < _BRANCH_EPS:
-            continue
-        bloch = tuple((b + outcome * s) / (2.0 * p) for b, s in zip(state.b, steered))
-        branches.append(ConditionalBranch(outcome, p, bloch))
-    return tuple(branches)
-
-
 def _inference_variance(state: TwoQubitState, n, m) -> float:
-    """sum_A p(A) (1 - (m . r_B|A)^2) for unit n (Alice) and m (Bob): the
-    arithmetic of `conditional_stats`, in its order, on unpacked floats."""
+    """sum_A p(A) (1 - (m . r_B|A)^2) for unit n (Alice) and m (Bob), on
+    unpacked floats: p(+-) = (1 +- a . n)/2 and r_B|+- = (b +- T^T n)/(2 p(+-))
+    (Cavalcanti et al., PRA 80, 032112, 2009); an outcome with p below
+    _BRANCH_EPS adds nothing."""
     (nx, ny, nz), (mx, my, mz), (ax, ay, az), (bx, by, bz) = n, m, state.a, state.b
     (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = state.T
     mean_a = nx * ax + ny * ay + nz * az
@@ -113,8 +89,10 @@ def inference_variance_min(state: TwoQubitState, a_dir, b_dir) -> float:
     """Minimal inference variance of Bob's spin along b_dir given Alice's outcome.
 
     Uses the conditional mean as estimator: sum_A p(A) (1 - <B>_A^2) with
-    <B>_A = b . r_{B|A} (r_{B|A} as in `conditional_stats`); outcomes are
-    +-1 so <B^2> = 1. Result lies in [0, 1].
+    <B>_A = b . r_B|A, where Alice's outcome A = +-1 has probability
+    p(+-) = (1 +- a . n)/2 and leaves Bob's Bloch vector at
+    r_B|+- = (b +- T^T n)/(2 p(+-)) (Cavalcanti et al., PRA 80, 032112,
+    2009); outcomes are +-1 so <B^2> = 1. Result lies in [0, 1].
     """
     m = _unit(b_dir, "bob")
     return _inference_variance(state, _unit(a_dir, "alice"), m)

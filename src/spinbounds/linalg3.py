@@ -192,10 +192,6 @@ def _dot(p, q) -> float:
     return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
 
 
-def _matvec(b, x) -> tuple[float, float, float]:
-    return (_dot(b[0], x), _dot(b[1], x), _dot(b[2], x))
-
-
 def sym3_eigen_jacobi(a) -> tuple[tuple, tuple]:
     """Eigendecomposition of a symmetric 3x3 matrix by cyclic Jacobi sweeps.
 

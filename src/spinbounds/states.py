@@ -18,19 +18,17 @@ from .linalg3 import _ROWS, _dot, hermitian_psd_check
 
 class _Record:
     """A frozen record without `dataclasses` (whose import is ~10% of a CLI
-    run): construction by position or keyword in `_fields` order, then
-    `__post_init__` if the class has one; `vars()`, equality, hashing and a
-    dataclass repr."""
+    run): construction by position only, one argument per name in `_fields`,
+    then `__post_init__` if the class has one; `vars()`, equality, hashing
+    and a dataclass repr."""
 
     _fields: tuple[str, ...] = ()
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args):
         names = self._fields
-        if (kwargs or len(args) != len(names)) and (  # a full positional call needs no name check
-            len(args) > len(names) or sorted(kwargs) != sorted(names[len(args):])
-        ):
+        if len(args) != len(names):
             raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
-        vars(self).update(zip(names, args), **kwargs)
+        vars(self).update(zip(names, args))
         if hasattr(self, "__post_init__"):
             self.__post_init__()
 

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from spinbounds import cli
@@ -115,6 +114,7 @@ def test_incompat_unrealizable_angles(capsys):
 def test_incompat_dirs_rotated_orthogonal_pair(tmp_path, capsys):
     # a Haar-rotated orthogonal pair: a double top eigenvalue, which the
     # trig root alone gets wrong by ~1e-8
+    np = pytest.importorskip("numpy", exc_type=ImportError)
     rng = np.random.default_rng(0)
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))
     dirs = (np.eye(3)[:2] @ (q * np.sign(np.diag(r))).T).tolist()
@@ -161,7 +161,7 @@ def test_non_finite_angle_is_input_error(argv, capsys):
 @pytest.mark.parametrize("command", ["incompat", "verify"])
 def test_directions_past_the_cube_overflow_are_input_error(command, tmp_path, capsys):
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"directions": (np.eye(3) * 1e52).tolist()}))
+    path.write_text(json.dumps({"directions": [[1e52 if i == j else 0.0 for j in range(3)] for i in range(3)]}))
     assert main([command, "--dirs", str(path)]) == EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: tr A^3 overflows")
 
@@ -264,6 +264,7 @@ def test_verify_bad_input(capsys):
 
 def test_verify_scales_its_tolerances_with_direction_length(tmp_path, capsys, monkeypatch):
     # values ~5e6: an absolute 1e-9 on the Jacobi delta once failed this correct result
+    np = pytest.importorskip("numpy", exc_type=ImportError)
     path = tmp_path / "long.json"
     path.write_text(json.dumps({"directions": (1e3 * np.random.default_rng(11).normal(size=(6, 3))).tolist()}))
     assert main(["verify", "--dirs", str(path), "--json"]) == EXIT_OK
@@ -390,7 +391,10 @@ def test_steer_bad_settings(tmp_path, capsys):
     assert main(["steer", "--state", "singlet", "--settings", str(path)]) == EXIT_INPUT
 
 
-@pytest.mark.parametrize("content", ["[[1, 0, 0]]", "3", "null"])
+NESTED = "[" * 100000 + "]" * 100000  # past the parser's recursion limit
+
+
+@pytest.mark.parametrize("content", ["[[1, 0, 0]]", "3", "null", pytest.param(NESTED, id="nested")])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -412,7 +416,7 @@ def test_json_file_without_top_level_object_is_input_error(
     bad.write_text(content)
     paths = {"BAD": str(bad), "XYZ": xyz_file, "SETTINGS": settings_file}
     assert main([paths.get(a, a) for a in argv]) == EXIT_INPUT
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err.startswith("error: cannot read" if content == NESTED else "error:")
 
 
 def test_subprocess_end_to_end(xyz_file):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spinbounds.criteria import (
-    conditional_stats,
     entanglement_witness,
     inference_variance_min,
     steering_test,
@@ -124,38 +123,42 @@ def test_witness_crossing_at_one_third():
     assert 0.5 * (lo + hi) == pytest.approx(1.0 / 3.0, abs=1e-3)
 
 
+# Bob's statistics conditioned on Alice's outcome, read through the inference variance
+
+
 def test_conditional_stats_singlet():
-    branches = conditional_stats(singlet(), (0, 0, 1))
-    assert len(branches) == 2
-    for branch in branches:
-        assert branch.probability == pytest.approx(0.5, abs=1e-12)
-        expected = np.array([0.0, 0.0, -branch.outcome])
-        assert np.allclose(branch.bob_bloch, expected, atol=1e-10)
+    # Alice's outcome along z leaves Bob at -outcome z: no spread along +-z
+    z = (0.0, 0.0, 1.0)
+    for m in (z, (0.0, 0.0, -1.0)):
+        assert inference_variance_min(singlet(), z, m) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_conditional_stats_maximally_mixed():
-    for branch in conditional_stats(werner(0.0), (1, 0, 0)):
-        assert branch.probability == pytest.approx(0.5, abs=1e-12)
-        assert np.allclose(branch.bob_bloch, 0.0, atol=1e-12)
+    rng = np.random.default_rng(61)
+    for n, m in [((1, 0, 0), (1, 0, 0))] + [(random_unit(rng), random_unit(rng)) for _ in range(100)]:
+        assert inference_variance_min(werner(0.0), n, m) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_conditional_stats_product_state_uncorrelated():
+    # Bob's conditional state is r_b whatever Alice measures
+    rng = np.random.default_rng(63)
     r_b = np.array([0.3, -0.4, 0.5])
-    for branch in conditional_stats(product_state((0.2, 0.1, -0.3), r_b), (0, 1, 0)):
-        assert np.allclose(branch.bob_bloch, r_b, atol=1e-10)
+    state = product_state((0.2, 0.1, -0.3), r_b)
+    for n, m in [((0, 1, 0), (0, 0, 1))] + [(random_unit(rng), random_unit(rng)) for _ in range(100)]:
+        expected = 1.0 - float(np.dot(m, r_b)) ** 2
+        assert inference_variance_min(state, n, m) == pytest.approx(expected, abs=1e-10)
 
 
 def test_conditional_stats_invariants_random():
+    # conditioning on Alice's outcome cannot raise Bob's variance 1 - (m . b)^2
     rng = np.random.default_rng(67)
     for _ in range(1000):
         state = werner(rng.uniform()) if rng.uniform() < 0.5 else product_state(
             random_ball(rng), random_ball(rng)
         )
-        branches = conditional_stats(state, random_unit(rng))
-        total = sum(b.probability for b in branches)
-        assert total == pytest.approx(1.0, abs=1e-10)
-        for branch in branches:
-            assert np.linalg.norm(branch.bob_bloch) <= 1.0 + 1e-10
+        n, m = random_unit(rng), random_unit(rng)
+        value = inference_variance_min(state, n, m)
+        assert -1e-10 <= value <= 1.0 - float(np.dot(m, state.b)) ** 2 + 1e-10
 
 
 def test_inference_variance_fixtures():
@@ -228,7 +231,6 @@ BAD_SETTINGS = {  # where (alice, bob) pairs are expected
 PARITY = [(name, case, bad[case], call, as_array) for name, bad, call, as_array in [
     ("QubitState", BAD_VECTORS, lambda x: states.QubitState(x), np.array),
     ("product_state", BAD_VECTORS, lambda x: product_state(Z, x), np.array),
-    ("conditional_stats", BAD_VECTORS, lambda x: conditional_stats(singlet(), x), np.array),
     ("inference_variance_min-alice", BAD_VECTORS, lambda x: inference_variance_min(singlet(), x, Z), np.array),
     ("inference_variance_min-bob", BAD_VECTORS, lambda x: inference_variance_min(singlet(), Z, x), np.array),
     ("entanglement_witness-alice", BAD_SETS, lambda x: entanglement_witness(singlet(), x, XYZ[:2]), np.array),
@@ -320,11 +322,6 @@ def test_steering_statistics_match_dense_reference(kind):
         for _ in range(int(rng.integers(1, 5))):
             a, b = random_unit(rng), random_unit(rng)
             dense = dense_branches(state.rho, a)
-            branches = conditional_stats(state, a)
-            assert [br.outcome for br in branches] == [o for o, _, _ in dense]
-            for br, (_, p, bloch) in zip(branches, dense):
-                assert abs(br.probability - p) <= 1e-12
-                assert np.max(np.abs(br.bob_bloch - bloch)) <= 1e-12
             expected = sum(p * (1.0 - float(b @ r) ** 2) for _, p, r in dense)
             assert abs(inference_variance_min(state, a, b) - expected) <= 1e-12
 
@@ -350,15 +347,3 @@ def test_witness_computes_one_bound_when_bob_equals_alice(monkeypatch):
         calls.clear()
         entanglement_witness(werner(0.8), XYZ, bob)
         assert len(calls) == count
-
-
-def test_steering_makes_no_branch_records(monkeypatch):
-    made, stats = [], []
-    branch, conditional = criteria.ConditionalBranch, criteria.conditional_stats
-    monkeypatch.setattr(criteria, "ConditionalBranch", lambda *args: made.append(args) or branch(*args))
-    monkeypatch.setattr(criteria, "conditional_stats", lambda *args: stats.append(args) or conditional(*args))
-    steering_test(werner(0.8), XYZ_SETTINGS)
-    inference_variance_min(werner(0.8), XYZ[0], XYZ[1])
-    assert made == [] and stats == []
-    criteria.conditional_stats(werner(0.8), XYZ[0])  # the patches see the records it makes
-    assert len(made) == 2 and len(stats) == 1

@@ -86,10 +86,7 @@ def test_no_numpy_imports(path):
 
 SRC = PACKAGE.parent
 EXPORTS = {
-    "criteria": (
-        "ConditionalBranch", "SteeringReport", "WitnessReport", "conditional_stats", "entanglement_witness",
-        "inference_variance_min", "steering_test",
-    ),
+    "criteria": ("SteeringReport", "WitnessReport", "entanglement_witness", "inference_variance_min", "steering_test"),
     "incompat": (
         "CubicCoefficients", "IncompatibilityResult", "cubic_coefficients_unit", "directions_from_angles",
         "incompatibility", "incompatibility_from_angles", "incompatibility_pair", "lambda_max_from_traces",

@@ -34,7 +34,7 @@ from spinbounds.incompat import (
     incompatibility_pair,
     moment_matrix,
 )
-from spinbounds.linalg3 import _dot, _matvec, sym3_certificate, sym3_spectrum, sym3_traces
+from spinbounds.linalg3 import _dot, sym3_certificate, sym3_spectrum, sym3_traces
 from spinbounds.states import QubitState, TwoQubitState, as_vec3, product_state, uncertainty_sum, werner
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -128,6 +128,10 @@ def reference_unit(v, what):
 
 def plain(x):
     return x.tolist() if isinstance(x, np.ndarray) else x
+
+
+def _matvec(b, x):
+    return (_dot(b[0], x), _dot(b[1], x), _dot(b[2], x))
 
 
 def reference_witness(state, alice_dirs, bob_dirs):

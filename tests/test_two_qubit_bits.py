@@ -4,9 +4,9 @@
 statistics run on unpacked floats without per-branch records, and the
 witness computes one bound when Bob's directions equal Alice's. The code
 they replaced is copied here as the reference: the `_BLOCH` gather table,
-`inference_variance_min` through `conditional_stats`, and the witness with
-two bound calls. Every float they return must keep its bits, signed zeros
-included.
+the per-branch conditional statistics that the inference variance was
+summed from (`reference_branches`), and the witness with two bound calls.
+Every float they return must keep its bits, signed zeros included.
 
 The references add with `sum311`, an explicit loop from 0, as `sum()`
 added floats before Python 3.12 and as the package does on every version.
@@ -19,9 +19,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbounds.criteria import conditional_stats, entanglement_witness, inference_variance_min, steering_test
+from spinbounds.criteria import entanglement_witness, inference_variance_min, steering_test
 from spinbounds.incompat import incompatibility
-from spinbounds.linalg3 import _dot, _matvec
+from spinbounds.linalg3 import _dot
 from spinbounds.states import TwoQubitState, product_state, werner
 
 # Nonzero entries (row, column, value) of I, sigma_x, sigma_y, sigma_z.
@@ -51,6 +51,10 @@ def reference_bloch(rho):
     return tuple(m[3:12:4]), tuple(m[0:3]), (tuple(m[4:7]), tuple(m[8:11]), tuple(m[12:15]))
 
 
+def _matvec(b, x):
+    return (_dot(b[0], x), _dot(b[1], x), _dot(b[2], x))
+
+
 def vec(d):
     return tuple(map(float, d))
 
@@ -65,12 +69,28 @@ def reference_witness(state, alice_dirs, bob_dirs):
     return variance_sum, bound, variance_sum < bound - 1e-10, bound - variance_sum
 
 
+def reference_branches(state, a_dir):
+    """(outcome, probability, Bob's conditional Bloch vector), +1 first;
+    outcomes below probability 1e-12 are omitted."""
+    n = vec(a_dir)
+    mean_a = _dot(n, state.a)
+    steered = _matvec(tuple(zip(*state.T)), n)
+    branches = []
+    for outcome in (+1, -1):
+        p = 0.5 * (1.0 + outcome * mean_a)
+        if p < 1e-12:
+            continue
+        bloch = tuple((b + outcome * s) / (2.0 * p) for b, s in zip(state.b, steered))
+        branches.append((outcome, p, bloch))
+    return tuple(branches)
+
+
 def reference_inference_variance(state, a_dir, b_dir):
     b = vec(b_dir)
     total = 0.0
-    for branch in conditional_stats(state, a_dir):
-        mean = _dot(b, branch.bob_bloch)
-        total += branch.probability * (1.0 - mean * mean)
+    for _, probability, bob_bloch in reference_branches(state, a_dir):
+        mean = _dot(b, bob_bloch)
+        total += probability * (1.0 - mean * mean)
     return total
 
 
@@ -173,7 +193,7 @@ def test_skipped_branch_is_bit_identical():
         state = product_state(r_a, ball(rng))
         for sign in (1.0, -1.0):
             n = tuple(sign * x for x in r_a)
-            assert len(conditional_stats(state, n)) == 1
+            assert len(reference_branches(state, n)) == 1
             pairs = [(n, m) for m in directions(rng, 3)]
             assert_bit_identical(state, [n], [n], pairs)
 
