@@ -16,9 +16,7 @@ from .incompat import (
     incompatibility,
     incompatibility_from_angles,
     incompatibility_pair,
-    lambda_max_from_traces,
     moment_matrix,
-    optimal_bloch,
 )
 from .linalg3 import (
     hermitian_psd_check,

@@ -25,6 +25,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .incompat import (
+    _plain,
     directions_from_angles,
     incompatibility,
     incompatibility_from_angles,
@@ -128,8 +129,8 @@ def load_state(spec: str) -> TwoQubitState:
     if data.get("dim") != 4:
         raise InputError(f"{spec}: only dim=4 states are accepted here")
     try:
-        rows = zip(data["re"], data["im"], strict=True)
-        return TwoQubitState([[complex(float(x), float(y)) for x, y in zip(*row, strict=True)] for row in rows])
+        rows = zip(_plain(data["re"]), _plain(data["im"]), strict=True)
+        return TwoQubitState([[complex(float(x), float(y)) for x, y in zip(*map(_plain, row), strict=True)] for row in rows])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{spec}: invalid state: {exc}") from exc
 
@@ -141,13 +142,14 @@ def load_settings(path: str) -> list[tuple[tuple[float, ...], tuple[float, ...]]
     if not isinstance(raw, list) or not raw:
         raise InputError(f"{path}: expected a non-empty 'settings' list")
     try:
-        return [(tuple(map(float, entry["alice"])), tuple(map(float, entry["bob"]))) for entry in raw]
+        return [(tuple(map(float, _plain(entry["alice"]))), tuple(map(float, _plain(entry["bob"])))) for entry in raw]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed setting entry: {exc}") from exc
 
 
 def _emit(args, payload: dict, lines: list[str]) -> int:
-    """Print `payload` as one JSON line under --json, else the text `lines`;
+    """Print `payload` (for `witness` and `steer`, the report's fields in
+    order) as one JSON line under --json, else the text `lines`;
     EXIT_ASSERTION if --assert-violation is set and nothing was violated."""
     print(json.dumps(payload) if getattr(args, "json", False) else "\n".join(lines))
     if getattr(args, "assert_violation", False) and not payload["violated"]:
@@ -256,19 +258,13 @@ def cmd_witness(args) -> int:
     alice = load_directions(args.alice)
     bob = load_directions(args.bob)
     report = entanglement_witness(state, alice, bob)
-    payload = {
-        "variance_sum": report.variance_sum,
-        "bound": report.bound,
-        "margin": report.margin,
-        "violated": report.violated,
-    }
     lines = [
         f"variance sum: {report.variance_sum:.10f}",
         f"bound:        {report.bound:.10f}",
         f"margin:       {report.margin:.10f}",
         "ENTANGLED (bound violated)" if report.violated else "no violation",
     ]
-    return _emit(args, payload, lines)
+    return _emit(args, vars(report), lines)
 
 
 def cmd_steer(args) -> int:
@@ -277,20 +273,13 @@ def cmd_steer(args) -> int:
     state = load_state(args.state)
     settings = load_settings(args.settings)
     report = steering_test(state, settings)
-    payload = {
-        "inference_variances": list(report.inference_variances),
-        "total": report.total,
-        "bound": report.bound,
-        "margin": report.margin,
-        "violated": report.violated,
-    }
     lines = [f"setting {i}: inference variance {v:.10f}" for i, v in enumerate(report.inference_variances)]
     lines += [
         f"total: {report.total:.10f}",
         f"bound: {report.bound:.10f}",
         "STEERING (bound violated)" if report.violated else "no violation",
     ]
-    return _emit(args, payload, lines)
+    return _emit(args, vars(report), lines)
 
 
 def build_parser() -> argparse.ArgumentParser:

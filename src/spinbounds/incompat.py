@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .linalg3 import _ROWS, Sym3Spectrum, _dot, cubic_roots, sym3_certificate, sym3_spectrum, sym3_traces
 
-_UNIT_TOL = 1e-9
+_UNIT_TOL = 2e-9  # | |n|^2 - 1 | allowed where a direction must be unit length
 _GRAM_PSD_TOL = 1e-9
 # The certificate must bound the closed form's error by this fraction of tr A.
 _CERTIFICATE_RTOL = 1e-9
@@ -40,9 +40,12 @@ class IncompatibilityResult(NamedTuple):
 
 def _plain(x):
     """An ndarray as nested lists of Python scalars (~20x faster to read than
-    its scalars, and a complex one stays complex); anything else as given."""
+    its scalars; complex stays complex); text raises TypeError; else as given."""
     np = sys.modules.get("numpy")
-    return x.tolist() if np is not None and isinstance(x, np.ndarray) else x
+    x = x.tolist() if np is not None and isinstance(x, np.ndarray) else x
+    if isinstance(x, (str, bytes)):  # not a sequence of its characters
+        raise TypeError(f"a {type(x).__name__} is not a sequence of numbers")
+    return x
 
 
 def validate_directions(directions) -> list[tuple[float, float, float]]:
@@ -110,7 +113,7 @@ def cubic_coefficients_unit(directions) -> CubicCoefficients:
     """
     vecs = validate_directions(directions)
     for i, v in enumerate(vecs):
-        if abs(_dot(v, v) - 1.0) > 2.0 * _UNIT_TOL:
+        if abs(_dot(v, v) - 1.0) > _UNIT_TOL:
             raise ValueError(f"direction {i} is not unit length")
     n = len(vecs)
     pair_sq = sum(_dot(vecs[j], vecs[h]) ** 2 for j, h in combinations(range(n), 2))

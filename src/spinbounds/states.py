@@ -90,7 +90,7 @@ class TwoQubitState(_Record):
 
     def __post_init__(self):
         try:
-            rho = tuple(tuple(map(complex, row)) for row in _plain(self.rho))
+            rho = tuple(tuple(map(complex, _plain(row))) for row in _plain(self.rho))
         except TypeError:
             rho = ()
         if len(rho) != 4 or any(len(row) != 4 for row in rho):

@@ -419,6 +419,46 @@ def test_json_file_without_top_level_object_is_input_error(
     assert capsys.readouterr().err.startswith("error: cannot read" if content == NESTED else "error:")
 
 
+TEXT_FILES = {  # each string was read as a vector of its characters, and the run exited 0
+    "dirs": {"directions": ["100", "010", "001"]},
+    "settings": {"settings": [{"alice": "100", "bob": "100"}]},
+    "state": {"dim": 4, "re": ["1000", "0000", "0000", "0000"], "im": ["0000"] * 4},  # |00><00|
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["incompat", "--dirs", "dirs"],
+        ["witness", "--state", "singlet", "--alice", "dirs", "--bob", "XYZ"],
+        ["witness", "--state", "singlet", "--alice", "XYZ", "--bob", "dirs"],
+        ["steer", "--state", "singlet", "--settings", "settings"],
+        ["steer", "--state", "state", "--settings", "SETTINGS"],
+    ],
+    ids=["dirs", "alice", "bob", "settings", "state"],
+)
+def test_text_where_numbers_belong_is_input_error(argv, tmp_path, xyz_file, settings_file, capsys):
+    paths = {"XYZ": xyz_file, "SETTINGS": settings_file}
+    for name, content in TEXT_FILES.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
+    assert main([paths.get(a, a) for a in argv]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    bad = next(paths[a] for a in argv if a in TEXT_FILES)
+    assert err.startswith(f"error: {bad}: ") and "is not a sequence of numbers" in err and "Traceback" not in err
+
+
+def test_witness_and_steer_json_is_the_reports_fields_in_order(xyz_file, settings_file, capsys):
+    from spinbounds.criteria import SteeringReport, WitnessReport
+
+    for argv, report in [
+        (["witness", "--state", "werner:0.8", "--alice", xyz_file, "--bob", xyz_file], WitnessReport),
+        (["steer", "--state", "werner:0.8", "--settings", settings_file], SteeringReport),
+    ]:
+        assert main([*argv, "--json"]) == EXIT_OK
+        assert tuple(json.loads(capsys.readouterr().out)) == report._fields
+
+
 def test_subprocess_end_to_end(xyz_file):
     # the child imports the package under test, whether or not it is installed
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}

@@ -215,18 +215,21 @@ BAD_VECTORS = {  # where one 3-vector is expected
     "nan": [NAN, 0.0, 0.0],
     "wrong-length": [0.0, 1.0],
     "2-D": [[0.0, 0.0, 1.0]],
+    "text": "001",  # each string was read as a vector of its characters
 }
 BAD_SETS = {  # where a list of directions is expected
     "complex": [[1.0, 0.0, 0.0], [0.0, 1j, 0.0]],
     "nan": [[1.0, 0.0, 0.0], [0.0, NAN, 1.0]],
     "wrong-length": [[1.0, 0.0], [0.0, 1.0]],
     "1-D": [0.0, 0.0, 1.0],
+    "text": ["100", "010"],
 }
 BAD_SETTINGS = {  # where (alice, bob) pairs are expected
     "complex": [[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0.0, 1j, 0.0], [0.0, 1.0, 0.0]]],
     "nan": [[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[NAN, 1.0, 0.0], [0.0, 1.0, 0.0]]],
     "wrong-length": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]]],
     "1-D": [0.0, 0.0, 1.0],
+    "text": [["100", "100"], ["010", "010"]],
 }
 PARITY = [(name, case, bad[case], call, as_array) for name, bad, call, as_array in [
     ("QubitState", BAD_VECTORS, lambda x: states.QubitState(x), np.array),

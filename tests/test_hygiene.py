@@ -1,6 +1,7 @@
 """Source hygiene that needs no linter: every module of the package uses
 each name it imports (`__init__.py`, which re-exports, and `from __future__`
-imports are exempt); no module imports numpy outside `if TYPE_CHECKING:`;
+imports are exempt); a private name is imported only from the module that
+defines it; no module imports numpy outside `if TYPE_CHECKING:`;
 every CLI subcommand and public library call runs with numpy blocked;
 importing the CLI leaves the oracle unloaded; and the package serves every
 public name."""
@@ -53,6 +54,27 @@ def numpy_imports(source: str) -> list[str]:
     })
 
 
+def borrowed_private_names(path: Path) -> list[str]:
+    """`from .module import _name` in `path` where `module` does not itself
+    define `_name` (by def, class or assignment at its top level)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            owner = ast.parse((PACKAGE / f"{node.module}.py").read_text()).body
+            defined = {s.name for s in owner if isinstance(s, (ast.FunctionDef, ast.ClassDef))} | {
+                t.id for s in owner if isinstance(s, (ast.Assign, ast.AnnAssign))
+                for t in (s.targets if isinstance(s, ast.Assign) else [s.target]) if isinstance(t, ast.Name)
+            }
+            found += [f"line {node.lineno}: {a.name} from {node.module}" for a in node.names
+                      if a.name.startswith("_") and a.name not in defined]
+    return found
+
+
+@pytest.mark.parametrize("path", [*MODULES, PACKAGE / "__init__.py"], ids=lambda p: p.name)
+def test_private_names_are_imported_from_their_owner(path):
+    assert borrowed_private_names(path) == []
+
+
 def test_unused_imports_detector():
     source = (
         "from __future__ import annotations\n"
@@ -89,8 +111,7 @@ EXPORTS = {
     "criteria": ("SteeringReport", "WitnessReport", "entanglement_witness", "inference_variance_min", "steering_test"),
     "incompat": (
         "CubicCoefficients", "IncompatibilityResult", "cubic_coefficients_unit", "directions_from_angles",
-        "incompatibility", "incompatibility_from_angles", "incompatibility_pair", "lambda_max_from_traces",
-        "moment_matrix", "optimal_bloch",
+        "incompatibility", "incompatibility_from_angles", "incompatibility_pair", "moment_matrix",
     ),
     "linalg3": ("hermitian_psd_check", "sym3_eigen_jacobi", "sym3_spectrum", "sym3_traces"),
     "oracle": ("OracleResult", "fibonacci_sphere", "mixed_sample_floor", "sphere_grid_min"),

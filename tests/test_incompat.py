@@ -355,6 +355,15 @@ def test_complex_directions_are_rejected_as_an_ndarray_and_as_a_list():
                 incompatibility(directions)
 
 
+def test_text_is_not_a_direction():
+    # each string was read as a vector of its characters: the set gave 2.0 and the pair 1.0
+    digits = ["100", "010", "001"]
+    for call in (lambda: incompatibility(digits), lambda: incompatibility(np.array(digits)),
+                 lambda: incompatibility([s.encode() for s in digits]), lambda: incompatibility_pair(*digits[:2])):
+        with pytest.raises(ValueError, match=r"^expected N x 3 directions: a (str|bytes) is not a sequence of numbers$"):
+            call()
+
+
 def _bad_direction_sets():
     d = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.6, 0.8]])
     for bad in (math.nan, math.inf, -math.inf):

@@ -142,7 +142,7 @@ def reference_witness(state, alice_dirs, bob_dirs):
         for n, m in zip(alice, bob)
     )
     bound = reference_incompatibility(alice).value + reference_incompatibility(bob).value
-    return variance_sum, bound, variance_sum < bound - 1e-10, bound - variance_sum
+    return variance_sum, bound, bound - variance_sum, variance_sum < bound - 1e-10
 
 
 def reference_steering(state, settings):
@@ -151,9 +151,9 @@ def reference_steering(state, settings):
         m = reference_unit(b, "bob")
         variances.append(criteria._inference_variance(state, reference_unit(a, "alice"), m))
         bob.append(m)
-    total = sum(variances)
+    total = sum311(variances)
     bound = reference_incompatibility(bob).value
-    return tuple(variances), total, bound, total < bound - 1e-10, bound - total
+    return tuple(variances), total, bound, bound - total, total < bound - 1e-10
 
 
 def bits(x):
@@ -340,13 +340,16 @@ def test_not_iterable_and_a_generator_of_bad_rows_keep_their_message():
         yield (1.0, 0.0, 0.0)
         raise TypeError("no more rows")
 
-    for make in (lambda: None, lambda: 5, bad_rows, lambda: "abc", lambda: iter([(1, 0, 0), (0, 0, 0)])):
+    for make in (lambda: None, lambda: 5, bad_rows, lambda: iter([(1, 0, 0), (0, 0, 0)])):
         for fn, reference in ((moment_matrix, reference_moment_matrix), (incompatibility, reference_incompatibility)):
             with pytest.raises(ValueError) as got:
                 fn(make())
             with pytest.raises(ValueError) as expected:
                 reference(make())
             assert str(got.value) == str(expected.value)
+    for fn in (moment_matrix, incompatibility):  # the reference reads text as rows of characters
+        with pytest.raises(ValueError, match=r"^expected N x 3 directions: a str is not a sequence of numbers$"):
+            fn("abc")
 
 
 VECTORS = [
@@ -359,10 +362,15 @@ VECTORS = [
 ]
 
 
+# the reference reads text as a vector of its characters ("123" as (1.0, 2.0, 3.0)); text is rejected
+TEXT_REJECTED = (ValueError, "expected a 3-vector: a str is not a sequence of numbers")
+
+
 @pytest.mark.parametrize("v", VECTORS, ids=range(len(VECTORS)))
 def test_as_vec3_and_unit_keep_their_results_and_rejections(v):
-    assert outcome(as_vec3, v) == outcome(reference_as_vec3, v)
-    assert outcome(criteria._unit, v, "bob") == outcome(reference_unit, v, "bob")
+    text = isinstance(v, str)
+    assert outcome(as_vec3, v) == (TEXT_REJECTED if text else outcome(reference_as_vec3, v))
+    assert outcome(criteria._unit, v, "bob") == (TEXT_REJECTED if text else outcome(reference_unit, v, "bob"))
 
 
 # --- complex 1-D array rows in a list
