@@ -129,7 +129,7 @@ def load_state(spec: str) -> TwoQubitState:
     if data.get("dim") != 4:
         raise InputError(f"{spec}: only dim=4 states are accepted here")
     try:
-        rows = zip(_plain(data["re"]), _plain(data["im"]), strict=True)
+        rows = zip(data["re"], data["im"], strict=True)
         return TwoQubitState([[complex(float(x), float(y)) for x, y in zip(*map(_plain, row), strict=True)] for row in rows])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{spec}: invalid state: {exc}") from exc
@@ -148,9 +148,9 @@ def load_settings(path: str) -> list[tuple[tuple[float, ...], tuple[float, ...]]
 
 
 def _emit(args, payload: dict, lines: list[str]) -> int:
-    """Print `payload` (for `witness` and `steer`, the report's fields in
-    order) as one JSON line under --json, else the text `lines`;
-    EXIT_ASSERTION if --assert-violation is set and nothing was violated."""
+    """Print `payload` (for `witness` and `steer`, the report's fields) as one JSON line under --json,
+    `violated` last, else the text `lines`; EXIT_ASSERTION if --assert-violation is set and not violated."""
+    payload = dict(sorted(payload.items(), key=lambda item: item[0] == "violated"))  # stable: only the verdict moves
     print(json.dumps(payload) if getattr(args, "json", False) else "\n".join(lines))
     if getattr(args, "assert_violation", False) and not payload["violated"]:
         return EXIT_ASSERTION

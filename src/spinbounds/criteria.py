@@ -22,11 +22,11 @@ _BRANCH_EPS = 1e-12  # outcome probabilities below this are treated as absent
 
 
 class WitnessReport(_Record):
-    _fields = ("variance_sum", "bound", "margin", "violated")  # margin = bound - variance_sum
+    _fields = ("variance_sum", "bound", "violated", "margin")  # margin = bound - variance_sum
 
 
 class SteeringReport(_Record):
-    _fields = ("inference_variances", "total", "bound", "margin", "violated")  # margin = bound - total
+    _fields = ("inference_variances", "total", "bound", "violated", "margin")
 
 
 def _unit(v, what: str) -> tuple[float, float, float]:
@@ -59,7 +59,7 @@ def entanglement_witness(state: TwoQubitState, alice_dirs, bob_dirs) -> WitnessR
     alice_bound = incompatibility(alice).value
     # lists that compare equal (0.0 == -0.0) give one moment matrix, whose sums start from 0: one bound, to the bit
     bound = alice_bound + (alice_bound if bob == alice else incompatibility(bob).value)
-    return WitnessReport(variance_sum, bound, bound - variance_sum, variance_sum < bound - _VIOLATION_SLACK)
+    return WitnessReport(variance_sum, bound, variance_sum < bound - _VIOLATION_SLACK, bound - variance_sum)
 
 
 def _inference_variance(state: TwoQubitState, n, m) -> float:
@@ -116,4 +116,4 @@ def steering_test(state: TwoQubitState, settings) -> SteeringReport:
         variances.append(variance)
         bob.append(m)
     bound = incompatibility(bob).value
-    return SteeringReport(tuple(variances), total, bound, bound - total, total < bound - _VIOLATION_SLACK)
+    return SteeringReport(tuple(variances), total, bound, total < bound - _VIOLATION_SLACK, bound - total)

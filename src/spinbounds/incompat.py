@@ -43,7 +43,7 @@ def _plain(x):
     its scalars; complex stays complex); text raises TypeError; else as given."""
     np = sys.modules.get("numpy")
     x = x.tolist() if np is not None and isinstance(x, np.ndarray) else x
-    if isinstance(x, (str, bytes)):  # not a sequence of its characters
+    if isinstance(x, (str, bytes, bytearray, memoryview)):  # not a sequence of its characters
         raise TypeError(f"a {type(x).__name__} is not a sequence of numbers")
     return x
 

@@ -448,15 +448,25 @@ def test_text_where_numbers_belong_is_input_error(argv, tmp_path, xyz_file, sett
     assert err.startswith(f"error: {bad}: ") and "is not a sequence of numbers" in err and "Traceback" not in err
 
 
-def test_witness_and_steer_json_is_the_reports_fields_in_order(xyz_file, settings_file, capsys):
-    from spinbounds.criteria import SteeringReport, WitnessReport
+def test_witness_and_steer_json_is_the_reports_fields_verdict_last(xyz_file, settings_file, monkeypatch, capsys):
+    from spinbounds import criteria
 
-    for argv, report in [
-        (["witness", "--state", "werner:0.8", "--alice", xyz_file, "--bob", xyz_file], WitnessReport),
-        (["steer", "--state", "werner:0.8", "--settings", settings_file], SteeringReport),
+    for argv, test, report in [
+        (["witness", "--state", "werner:0.8", "--alice", xyz_file, "--bob", xyz_file], "entanglement_witness",
+         criteria.WitnessReport),
+        (["steer", "--state", "werner:0.8", "--settings", settings_file], "steering_test", criteria.SteeringReport),
     ]:
         assert main([*argv, "--json"]) == EXIT_OK
-        assert tuple(json.loads(capsys.readouterr().out)) == report._fields
+        verdict_last = (*(f for f in report._fields if f != "violated"), "violated")
+        assert tuple(json.loads(capsys.readouterr().out)) == verdict_last
+
+        class Extended(report):  # a field added to the report reaches the JSON with no CLI edit
+            _fields = (*report._fields, "budget")
+
+        with monkeypatch.context() as m:
+            m.setattr(criteria, test, lambda *a, real=getattr(criteria, test): Extended(*vars(real(*a)).values(), 0.5))
+            assert main([*argv, "--json"]) == EXIT_OK
+        assert tuple(json.loads(capsys.readouterr().out)) == (*verdict_last[:-1], "budget", "violated")
 
 
 def test_subprocess_end_to_end(xyz_file):

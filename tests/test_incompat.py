@@ -358,9 +358,13 @@ def test_complex_directions_are_rejected_as_an_ndarray_and_as_a_list():
 def test_text_is_not_a_direction():
     # each string was read as a vector of its characters: the set gave 2.0 and the pair 1.0
     digits = ["100", "010", "001"]
+    encoded = [s.encode() for s in digits]
     for call in (lambda: incompatibility(digits), lambda: incompatibility(np.array(digits)),
-                 lambda: incompatibility([s.encode() for s in digits]), lambda: incompatibility_pair(*digits[:2])):
-        with pytest.raises(ValueError, match=r"^expected N x 3 directions: a (str|bytes) is not a sequence of numbers$"):
+                 lambda: incompatibility(encoded), lambda: incompatibility([bytearray(s) for s in encoded]),
+                 lambda: incompatibility([memoryview(s) for s in encoded]), lambda: incompatibility_pair(*digits[:2])):
+        with pytest.raises(
+            ValueError, match=r"^expected N x 3 directions: a (str|bytes|bytearray|memoryview) is not a sequence of numbers$"
+        ):
             call()
 
 

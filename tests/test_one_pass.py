@@ -142,7 +142,7 @@ def reference_witness(state, alice_dirs, bob_dirs):
         for n, m in zip(alice, bob)
     )
     bound = reference_incompatibility(alice).value + reference_incompatibility(bob).value
-    return variance_sum, bound, bound - variance_sum, variance_sum < bound - 1e-10
+    return variance_sum, bound, variance_sum < bound - 1e-10, bound - variance_sum
 
 
 def reference_steering(state, settings):
@@ -153,7 +153,7 @@ def reference_steering(state, settings):
         bob.append(m)
     total = sum311(variances)
     bound = reference_incompatibility(bob).value
-    return tuple(variances), total, bound, bound - total, total < bound - 1e-10
+    return tuple(variances), total, bound, total < bound - 1e-10, bound - total
 
 
 def bits(x):

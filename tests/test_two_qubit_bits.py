@@ -66,7 +66,7 @@ def reference_witness(state, alice_dirs, bob_dirs):
         for n, m in zip(alice, bob)
     )
     bound = incompatibility(alice).value + incompatibility(bob).value
-    return variance_sum, bound, bound - variance_sum, variance_sum < bound - 1e-10
+    return variance_sum, bound, variance_sum < bound - 1e-10, bound - variance_sum
 
 
 def reference_branches(state, a_dir):
@@ -98,7 +98,7 @@ def reference_steering(state, settings):
     variances = tuple(reference_inference_variance(state, a, b) for a, b in settings)
     total = sum311(variances)
     bound = incompatibility([b for _, b in settings]).value
-    return variances, total, bound, bound - total, total < bound - 1e-10
+    return variances, total, bound, total < bound - 1e-10, bound - total
 
 
 def bits(x):
