@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 # name -> the lazily loaded module that defines it; None marks the modules themselves
 _LAZY = dict.fromkeys(("criteria", "oracle", "states"))
-_LAZY.update(dict.fromkeys(("OracleResult", "fibonacci_sphere", "mixed_sample_floor", "sphere_grid_min"), "oracle"))
+_LAZY.update(dict.fromkeys(("OracleResult", "mixed_sample_floor", "sphere_grid_min"), "oracle"))
 _LAZY.update(dict.fromkeys(
     ("SteeringReport", "WitnessReport", "entanglement_witness", "inference_variance_min", "steering_test"), "criteria"))
 _LAZY.update(dict.fromkeys(

@@ -116,19 +116,20 @@ def cubic_coefficients_unit(directions) -> CubicCoefficients:
         if abs(_dot(v, v) - 1.0) > _UNIT_TOL:
             raise ValueError(f"direction {i} is not unit length")
     n = len(vecs)
-    pair_sq = sum(_dot(vecs[j], vecs[h]) ** 2 for j, h in combinations(range(n), 2))
+    pair_sq = 0.0  # both sums add left to right from 0.0, as sum() did before 3.12
+    for j, h in combinations(range(n), 2):
+        pair_sq += _dot(vecs[j], vecs[h]) ** 2
     radicand = (pair_sq - n * (n - 3) / 6.0) / 3.0
     if radicand < -1e-9:
         raise ValueError("inconsistent pair sums for unit directions")
     alpha = sqrt(max(radicand, 0.0))
-    triple = sum(
-        _dot(vecs[h], vecs[j]) * _dot(vecs[t], vecs[h]) * _dot(vecs[j], vecs[t])
-        for h, j, t in combinations(range(n), 3)
-    )
+    triple = 0.0
+    for h, j, t in combinations(range(n), 3):
+        triple += _dot(vecs[h], vecs[j]) * _dot(vecs[t], vecs[h]) * _dot(vecs[j], vecs[t])
     # pair term: for unit directions tau3 = N + 6*pair_sq + 6*triple, which
     # makes the coefficient of pair_sq in beta -(N-3)/3
     beta = triple - (n - 3) / 3.0 * pair_sq + n * (2 * n - 3) * (n - 3) / 54.0
-    return CubicCoefficients(alpha, float(beta))
+    return CubicCoefficients(alpha, beta)
 
 
 def lambda_max_from_traces(traces: tuple[float, float, float]) -> float:

@@ -1,25 +1,21 @@
-"""Brute-force verification of the variance bound by direct minimization
-over pure qubit states.
-
-Independent of the spectral path: evaluates the variance sum
-tau1 - r^T Q r, with Q = sum_i n_i n_i^T summed here rather than by
-`moment_matrix`, on a Fibonacci lattice of Bloch vectors, then refines the
-best point by derivative-free coordinate descent in spherical coordinates.
-Runs on Python floats and streams the lattice, so it needs no numpy and
-its memory does not grow with the number of points.
+"""Brute-force check of the variance bound: direct minimization over pure
+qubit states, on Python floats. Independent of the spectral path, it sums
+Q = sum_i n_i n_i^T itself (not by `moment_matrix`) and minimizes
+tau1 - r^T Q r exactly on each great circle through the pole e_z, searching
+the circles' azimuth in one dimension.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import islice
-from math import acos, atan2, cos, pi, sin, sqrt
+from math import atan2, cos, pi, sin, sqrt
 from typing import Iterator, NamedTuple
 
 from .incompat import validate_directions
 
-_GOLDEN_ANGLE = pi * (3.0 - sqrt(5.0))
 _REFINE_MIN_STEP = 1e-7
+_HALF_SQRT2 = sqrt(0.5)
 
 
 class OracleResult(NamedTuple):
@@ -28,19 +24,8 @@ class OracleResult(NamedTuple):
     points_evaluated: int
 
 
-def fibonacci_sphere(num_points: int) -> Iterator[tuple[float, float, float]]:
-    """Near-uniform lattice of unit vectors (golden-angle spiral), yielded
-    one 3-tuple at a time."""
-    for k in range(num_points):
-        z = 1.0 - (2.0 * k + 1.0) / num_points  # |z| <= 1 - 1/num_points, so 1 - z^2 > 0
-        radius = sqrt(1.0 - z * z)
-        phi = _GOLDEN_ANGLE * k
-        yield radius * cos(phi), radius * sin(phi), z
-
-
 def _variance_form(directions):
-    """The variance sum r -> tau1 - r^T Q r of the validated directions,
-    for r a 3-tuple."""
+    """The variance sum r -> tau1 - r^T Q r of the validated directions, r a 3-tuple."""
     qxx = qyy = qzz = qxy = qxz = qyz = 0.0
     for x, y, z in validate_directions(directions):
         qxx, qyy, qzz = qxx + x * x, qyy + y * y, qzz + z * z
@@ -55,44 +40,43 @@ def _variance_form(directions):
     return variance_sum
 
 
-def _spherical(theta: float, phi: float) -> tuple[float, float, float]:
-    return (sin(theta) * cos(phi), sin(theta) * sin(phi), cos(theta))
+def sphere_grid_min(directions, num_points: int = 192) -> OracleResult:
+    """Minimum variance sum over pure states, by an exact search on great circles.
 
-
-def sphere_grid_min(directions, num_points: int = 20_000) -> OracleResult:
-    """Minimum variance sum over pure states, by lattice search + refinement.
-
-    Deterministic: the lattice is fixed, ties go to the lowest lattice
-    index, and the coordinate descent halves its step from
-    2*pi/sqrt(num_points) down to 1e-7.
+    Every r is, up to sign, on a circle r(t) = cos t e_z + sin t d with
+    d = (cos phi, sin phi, 0), 0 <= phi < pi, where f(r(t)) = c - a cos 2t -
+    b sin 2t. f at the pole, at d and at (e_z + d)/sqrt(2) gives a and b, so
+    t = atan2(b, a)/2 is that circle's minimum. The best of num_points // 3
+    equally spaced circles seeds a search in phi whose step halves from
+    their spacing down to 1e-7. Candidates compare by value only; ties keep
+    the circle found first.
     """
     if num_points < 12:
         raise ValueError("need at least 12 lattice points")
     variance_sum = _variance_form(directions)
+    f_pole = variance_sum((0.0, 0.0, 1.0))
+    evaluated = 1
 
-    x, y, z = min(fibonacci_sphere(num_points), key=variance_sum)  # min keeps the first of equal keys
-    best = variance_sum((x, y, z))
-    evaluated = num_points
+    def circle_min(phi):
+        nonlocal evaluated
+        evaluated += 3
+        c, s = cos(phi), sin(phi)
+        f_eq = variance_sum((c, s, 0.0))
+        f_mid = variance_sum((_HALF_SQRT2 * c, _HALF_SQRT2 * s, _HALF_SQRT2))
+        t = 0.5 * atan2(f_pole + f_eq - 2.0 * f_mid, f_eq - f_pole)
+        r = (sin(t) * c, sin(t) * s, cos(t))
+        return variance_sum(r), r
 
-    theta, phi = acos(z), atan2(y, x)
-    step = 2.0 * pi / sqrt(num_points)
+    circles = num_points // 3
+    step = pi / circles
+    best, r, phi = min(((*circle_min(k * step), k * step) for k in range(circles)), key=lambda c: c[0])  # first of ties
     while step >= _REFINE_MIN_STEP:
-        improved = True
-        while improved:
-            improved = False
-            for d_theta, d_phi in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-                cand = variance_sum(_spherical(theta + d_theta, phi + d_phi))
-                evaluated += 1
-                if cand < best:
-                    best = cand
-                    theta += d_theta
-                    phi += d_phi
-                    improved = True
+        for move in (step, -step):
+            while (cand := circle_min(phi + move))[0] < best:
+                best, r = cand
+                phi += move
         step *= 0.5
-
-    x, y, z = _spherical(theta, phi)
-    norm = sqrt(x * x + y * y + z * z)
-    return OracleResult(best, (x / norm, y / norm, z / norm), evaluated)
+    return OracleResult(best, r, evaluated)
 
 
 def _ball_points(uniform) -> Iterator[tuple[float, float, float]]:

@@ -114,7 +114,7 @@ EXPORTS = {
         "incompatibility", "incompatibility_from_angles", "incompatibility_pair", "moment_matrix",
     ),
     "linalg3": ("hermitian_psd_check", "sym3_eigen_jacobi", "sym3_spectrum", "sym3_traces"),
-    "oracle": ("OracleResult", "fibonacci_sphere", "mixed_sample_floor", "sphere_grid_min"),
+    "oracle": ("OracleResult", "mixed_sample_floor", "sphere_grid_min"),
     "states": ("QubitState", "TwoQubitState", "product_state", "singlet", "uncertainty_sum", "werner"),
 }
 

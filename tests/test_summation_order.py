@@ -13,6 +13,7 @@ import math
 import random
 
 from spinbounds import criteria, incompat, states
+from spinbounds.incompat import cubic_coefficients_unit
 from spinbounds.criteria import entanglement_witness, inference_variance_min, steering_test
 from spinbounds.states import QubitState, TwoQubitState, product_state, uncertainty_sum, werner
 
@@ -74,6 +75,12 @@ def qubit_panel(seed=17):
         yield dirs, QubitState(ball(rng))
 
 
+def unit_panel(seed=18):
+    rng = random.Random(seed)
+    for _ in range(300):
+        yield [unit(rng) for _ in range(rng.randint(1, 12))]
+
+
 def hexes(*values):
     return [float.hex(v) for v in values]
 
@@ -104,6 +111,8 @@ def panel_bits():
         out += hexes(report.total, report.bound, witness.variance_sum, witness.bound)
     for dirs, state in qubit_panel():
         out += hexes(uncertainty_sum(dirs, state))
+    for dirs in unit_panel():
+        out += hexes(*cubic_coefficients_unit(dirs))
     return out
 
 
