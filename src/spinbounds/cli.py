@@ -222,7 +222,7 @@ def cmd_verify(args) -> int:
     a, traces = moment_matrix(dirs)
     w, _ = sym3_eigen_jacobi(a)
     jacobi_value = traces[0] - w[0]
-    # fixed effort: the great-circle search at its default (~400 evaluations), 1000 mixed states from seed 0
+    # fixed effort: sphere_grid_min's default and 1000 mixed states from seed 0
     oracle = sphere_grid_min(dirs)
     floor = mixed_sample_floor(dirs, 1000)
 

@@ -1,16 +1,15 @@
 """Brute-force check of the variance bound: direct minimization over pure
 qubit states, on Python floats. Independent of the spectral path, it sums
 Q = sum_i n_i n_i^T itself (not by `moment_matrix`) and minimizes
-tau1 - r^T Q r exactly on each great circle through the pole e_z, searching
-the circles' azimuth in one dimension.
-"""
+tau1 - r^T Q r exactly on each great circle through e_z, and through e_x,
+searching the circles' azimuth in one dimension."""
 
 from __future__ import annotations
 
 import random
 from itertools import islice
 from math import atan2, cos, pi, sin, sqrt
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .incompat import validate_directions
 
@@ -40,22 +39,9 @@ def _variance_form(directions):
     return variance_sum
 
 
-def sphere_grid_min(directions, num_points: int = 192) -> OracleResult:
-    """Minimum variance sum over pure states, by an exact search on great circles.
-
-    Every r is, up to sign, on a circle r(t) = cos t e_z + sin t d with
-    d = (cos phi, sin phi, 0), 0 <= phi < pi, where f(r(t)) = c - a cos 2t -
-    b sin 2t. f at the pole, at d and at (e_z + d)/sqrt(2) gives a and b, so
-    t = atan2(b, a)/2 is that circle's minimum. The best of num_points // 3
-    equally spaced circles seeds a search in phi whose step halves from
-    their spacing down to 1e-7. Candidates compare by value only; ties keep
-    the circle found first.
-    """
-    if num_points < 12:
-        raise ValueError("need at least 12 lattice points")
-    variance_sum = _variance_form(directions)
-    f_pole = variance_sum((0.0, 0.0, 1.0))
-    evaluated = 1
+def _circle_search(variance_sum, circles: int):
+    """(value, r, evaluations) of the search about the pole e_z; see `sphere_grid_min`."""
+    f_pole, evaluated = variance_sum((0.0, 0.0, 1.0)), 1
 
     def circle_min(phi):
         nonlocal evaluated
@@ -67,34 +53,48 @@ def sphere_grid_min(directions, num_points: int = 192) -> OracleResult:
         r = (sin(t) * c, sin(t) * s, cos(t))
         return variance_sum(r), r
 
-    circles = num_points // 3
     step = pi / circles
-    best, r, phi = min(((*circle_min(k * step), k * step) for k in range(circles)), key=lambda c: c[0])  # first of ties
-    while step >= _REFINE_MIN_STEP:
+    best, r, phi = min(((*circle_min(k * step), k * step) for k in range(circles)), key=lambda c: c[0])
+    while (step := 0.5 * step) >= _REFINE_MIN_STEP:
         for move in (step, -step):
+            start = phi
             while (cand := circle_min(phi + move))[0] < best:
-                best, r = cand
-                phi += move
-        step *= 0.5
-    return OracleResult(best, r, evaluated)
+                (best, r), phi = cand, phi + move
+            if phi != start:  # the other direction leads back uphill
+                break
+    return best, r, evaluated
 
 
-def _ball_points(uniform) -> Iterator[tuple[float, float, float]]:
-    """Endless points uniform in the unit ball, by rejection from the cube [-1, 1]^3."""
-    while True:
-        r = (2.0 * uniform() - 1.0, 2.0 * uniform() - 1.0, 2.0 * uniform() - 1.0)
-        if r[0] * r[0] + r[1] * r[1] + r[2] * r[2] <= 1.0:
-            yield r
+def sphere_grid_min(directions, num_points: int = 120) -> OracleResult:
+    """Minimum variance sum f over pure states, by exact searches on great circles.
+
+    On r(t) = cos t p + sin t d, d the unit vector normal to the pole p at
+    azimuth phi, f is c - a cos 2t - b sin 2t; f at p, d and (p + d)/sqrt(2)
+    gives a and b, so t = atan2(b, a)/2 is the circle's exact minimum. About
+    p = e_z and about p = e_x, the best of num_points // 6 equally spaced
+    azimuths in [0, pi) seeds a search in phi whose step halves down to 1e-7;
+    candidates compare by value only, and the lower of the two is returned.
+    The best-circle value is flat, and the search can stall, only where the
+    circle's minimum stays at the pole: the pole at or near the middle
+    eigenvector of Q, which e_z and e_x cannot both be. points_evaluated
+    counts every evaluation: about num_points for the seeds, then the refinement's."""
+    if num_points < 12:
+        raise ValueError("need num_points >= 12: num_points // 6 seed circles about each of two poles")
+    variance_sum = _variance_form(directions)
+    value, r, count = _circle_search(variance_sum, num_points // 6)
+    x_value, (y, z, x), x_count = _circle_search(lambda q: variance_sum((q[2], q[0], q[1])), num_points // 6)
+    if x_value < value:
+        value, r = x_value, (x, y, z)
+    return OracleResult(value, r, count + x_count)
 
 
 def mixed_sample_floor(directions, count: int, seed: int = 0) -> float:
-    """Minimum variance sum over `count` seeded random mixed states.
-
-    Bloch vectors are drawn uniformly from the unit ball with
-    `random.Random(seed)`; reproducible for a fixed seed. Sanity check that
-    mixed states never beat the bound.
-    """
+    """Minimum variance sum over `count` mixed states, a check that none beats the
+    bound. Bloch vectors are uniform in the unit ball: rejection from the cube
+    [-1, 1]^3 with `random.Random(seed)`, reproducible for a fixed seed."""
     if count < 1:
         raise ValueError("need at least one sample")
-    variance_sum = _variance_form(directions)
-    return min(map(variance_sum, islice(_ball_points(random.Random(seed).random), count)))
+    variance_sum, uniform = _variance_form(directions), random.Random(seed).random
+    cube = iter(lambda: (2.0 * uniform() - 1.0, 2.0 * uniform() - 1.0, 2.0 * uniform() - 1.0), None)
+    ball = (r for r in cube if r[0] * r[0] + r[1] * r[1] + r[2] * r[2] <= 1.0)
+    return min(map(variance_sum, islice(ball, count)))

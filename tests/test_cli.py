@@ -234,6 +234,20 @@ def test_verify_is_sharp_when_the_top_pair_is_near_degenerate(tmp_path, capsys):
     assert payload["delta_oracle"] <= 1e-12
 
 
+@pytest.mark.parametrize("a", [0.32, 0.37])
+def test_verify_is_sharp_when_the_middle_eigenvector_is_at_the_pole(a, tmp_path, capsys):
+    # lambda_2 at e_z, 1e-4 below lambda_1 at azimuth a: about e_z the best-circle value
+    # is flat at the pole's except in a basin +-0.014 rad wide, which no azimuth k pi/20,
+    # k pi/32 or k pi/64 meets for a = 0.37
+    dirs = [[math.cos(a), math.sin(a), 0.0], [-0.7 * math.sin(a), 0.7 * math.cos(a), 0.0], [0.0, 0.0, 0.99995]]
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps({"directions": dirs}))
+    assert main(["verify", "--dirs", str(path), "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["pass"] is True
+    assert payload["delta_oracle"] <= 1e-12
+
+
 def test_verify_fail_exit_code(example4_file, capsys, monkeypatch):
     # force a disagreement to exercise the failure exit code
     from spinbounds import oracle
@@ -554,7 +568,7 @@ optimizer bloch: (0.816497, 0.471405, 0.333333)
         """\
 closed form: 2.0000000000
 jacobi:      2.0000000000  (delta 0.000e+00)
-oracle:      2.0000000000  (delta 0.000e+00)
+oracle:      2.0000000000  (delta 2.220e-16)
 mixed floor: 2.0004258550
 PASS
 """,
@@ -563,7 +577,7 @@ PASS
     "verify --dirs xyz.json --json": (
         0,
         """\
-{"closed_form": 2.0, "jacobi": 2.0, "oracle": 2.0, "delta_jacobi": 0.0, "delta_oracle": 0.0, "mixed_floor": 2.000425854953523, "pass": true}
+{"closed_form": 2.0, "jacobi": 2.0, "oracle": 1.9999999999999998, "delta_jacobi": 0.0, "delta_oracle": 2.220446049250313e-16, "mixed_floor": 2.000425854953523, "pass": true}
 """,
         "",
     ),

@@ -72,6 +72,23 @@ def near_equator(rng):
     return with_spectrum(spread(rng), frame(rng, top))
 
 
+def middle_at_an_axis(rng):
+    """The middle eigenvector at or near an axis and the top one 1e-8 to 1e-3
+    above it, at any azimuth: about that axis the best-circle value is flat
+    except in a basin narrower than the seed circles' spacing."""
+    eps = rng.choice((0.0, log_uniform(rng, 1e-12, 1e-1)))
+    psi, a = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, math.pi)
+    middle = (math.sin(eps) * math.cos(psi), math.sin(eps) * math.sin(psi), math.cos(eps))
+    dot = math.cos(a) * middle[0] + math.sin(a) * middle[1]
+    top = (math.cos(a) - dot * middle[0], math.sin(a) - dot * middle[1], -dot * middle[2])
+    top = scaled(top, 1.0 / math.hypot(*top))
+    m, t = middle, top
+    bottom = (m[1] * t[2] - m[2] * t[1], m[2] * t[0] - m[0] * t[2], m[0] * t[1] - m[1] * t[0])
+    dirs = with_spectrum((1.0, 1.0 - log_uniform(rng, 1e-8, 1e-3), rng.uniform(0.05, 0.6)), (top, middle, bottom))
+    shift = rng.randrange(3)
+    return [v[shift:] + v[:shift] for v in dirs]
+
+
 def top_pair_gap(rng):
     gap = log_uniform(rng, 1e-12, 0.3)
     return with_spectrum((1.0, 1.0 - gap, rng.uniform(0.01, 0.6)), frame(rng, unit(rng)))
@@ -107,6 +124,7 @@ FAMILIES = {
     "repeated_eigenvalues": repeated_eigenvalues,
     "near_pole": near_pole,
     "near_equator": near_equator,
+    "middle_at_an_axis": middle_at_an_axis,
     "rescaled": rescaled,
 }
 
