@@ -148,10 +148,11 @@ def load_settings(path: str) -> list[tuple[tuple[float, ...], tuple[float, ...]]
 
 
 def _emit(args, payload: dict, lines: list[str]) -> int:
-    """Print `payload` (for `witness` and `steer`, the report's fields) as one JSON line under --json,
-    `violated` last, else the text `lines`; EXIT_ASSERTION if --assert-violation is set and not violated."""
+    """For the subcommands with --json: print `payload` (a result's or report's fields, `verify`'s checks)
+    as one JSON line, `violated` last, else the text `lines`; EXIT_ASSERTION if --assert-violation is set
+    and not violated."""
     payload = dict(sorted(payload.items(), key=lambda item: item[0] == "violated"))  # stable: only the verdict moves
-    print(json.dumps(payload) if getattr(args, "json", False) else "\n".join(lines))
+    print(json.dumps(payload) if args.json else "\n".join(lines))
     if getattr(args, "assert_violation", False) and not payload["violated"]:
         return EXIT_ASSERTION
     return EXIT_OK
@@ -166,27 +167,19 @@ def cmd_incompat(args) -> int:
         # materialize vectors so the full result (optimizer etc.) is available
         dirs = directions_from_angles(*(parse_angle(t) for t in args.angles))
     res = incompatibility(dirs)
-    payload = {
-        "value": res.value,
-        "lambda_max": res.lambda_max,
-        "optimizer": list(res.optimizer),
-        "alpha": res.coefficients.alpha,
-        "beta": res.coefficients.beta,
-        "traces": list(res.traces),
-    }
     lines = [
         f"incompatibility: {round5(res.value):.5f}",
         f"lambda_max:      {round5(res.lambda_max):.5f}",
-        f"alpha:           {round5(res.coefficients.alpha):.5f}",
-        f"beta:            {round5(res.coefficients.beta):.5f}",
+        f"alpha:           {round5(res.alpha):.5f}",
+        f"beta:            {round5(res.beta):.5f}",
         "optimizer bloch: ({:.6f}, {:.6f}, {:.6f})".format(*res.optimizer),
     ]
-    return _emit(args, payload, lines)
+    return _emit(args, res._asdict(), lines)
 
 
 def cmd_table(args) -> int:
     theta3 = parse_angle(args.theta3)
-    labels = args.grid.split(",") if args.grid else _DEFAULT_GRID
+    labels = args.grid.split(",") if args.grid is not None else _DEFAULT_GRID
     angles = [parse_angle(t) for t in labels]
     labels = [t.strip() for t in labels]
     rows = []
@@ -207,7 +200,7 @@ def cmd_table(args) -> int:
         width = max(9, max(len(t) for t in labels) + 2)
         lines = [" " * 12 + "".join(t.rjust(width) for t in labels)]
         lines += [label.ljust(12) + "".join(c.rjust(width) for c in row) for label, row in zip(labels, rows)]
-    _emit(args, {}, lines)
+    print("\n".join(lines))
     for note in footnotes:
         print(f"n/a {note}", file=sys.stderr)
     return EXIT_OK
@@ -222,9 +215,9 @@ def cmd_verify(args) -> int:
     a, traces = moment_matrix(dirs)
     w, _ = sym3_eigen_jacobi(a)
     jacobi_value = traces[0] - w[0]
-    # fixed effort: sphere_grid_min's default and 1000 mixed states from seed 0
+    # fixed effort: sphere_grid_min's default, and oracle's MIXED_SAMPLES states from MIXED_SEED
     oracle = sphere_grid_min(dirs)
-    floor = mixed_sample_floor(dirs, 1000)
+    floor = mixed_sample_floor(dirs)
 
     d_jacobi = abs(res.value - jacobi_value)
     d_oracle = abs(res.value - oracle.value)

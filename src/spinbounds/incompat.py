@@ -30,11 +30,12 @@ class CubicCoefficients(NamedTuple):
     beta: float
 
 
-class IncompatibilityResult(NamedTuple):
+class IncompatibilityResult(NamedTuple):  # `incompat --json` prints these fields, in this order
     value: float
     lambda_max: float
     optimizer: tuple[float, float, float]  # unit Bloch vector achieving the bound
-    coefficients: CubicCoefficients
+    alpha: float  # (alpha, beta) of the depressed cubic z^3 - 3a^2 z - 2b
+    beta: float
     traces: tuple[float, float, float]
 
 
@@ -181,7 +182,7 @@ def incompatibility(directions) -> IncompatibilityResult:
     x, y, z = vecs[0]
     sign = -1.0 if (x or y or z) < 0.0 else 1.0
     optimizer = (sign * x + 0.0, sign * y + 0.0, sign * z + 0.0)  # + 0.0 turns -0.0 into 0.0
-    return IncompatibilityResult(traces[0] - lam, lam, optimizer, CubicCoefficients(alpha, beta), traces)
+    return IncompatibilityResult(traces[0] - lam, lam, optimizer, alpha, beta, traces)
 
 
 def incompatibility_pair(n1, n2) -> float:

@@ -236,10 +236,10 @@ def sym3_eigen_jacobi(a) -> tuple[tuple, tuple]:
     return pick(w), tuple(map(pick, v))
 
 
-def hermitian_psd_check(m, tol: float = PSD_TOL) -> bool:
+def hermitian_psd_check(m) -> bool:
     """True iff the Hermitian matrix m (rows of numbers, or an ndarray) has
-    all eigenvalues >= -tol, i.e. iff every pivot of the LDL^H elimination
-    (Cholesky without square roots) of m + tol I is > 0. Its backward error
+    all eigenvalues >= -PSD_TOL, i.e. iff every pivot of the LDL^H elimination
+    (Cholesky without square roots) of m + PSD_TOL I is > 0. Its backward error
     is ~n eps ||m|| (Higham, Accuracy and Stability, 2nd ed., 10.1).
 
     Raises ValueError when m is not Hermitian within HERMITIAN_TOL: a
@@ -263,7 +263,7 @@ def hermitian_psd_check(m, tol: float = PSD_TOL) -> bool:
                 x -= scaled[q] * low[k][q].conjugate()
             scaled.append(x)
             row.append(x / pivots[k])
-        pivot = a_row[i].real + tol
+        pivot = a_row[i].real + PSD_TOL
         for q in range(i):
             pivot -= (scaled[q] * row[q].conjugate()).real
         if not pivot > 0.0:

@@ -95,7 +95,7 @@ class TwoQubitState(_Record):
             rho = ()
         if len(rho) != 4 or any(len(row) != 4 for row in rho):
             raise ValueError("two-qubit state must be a 4x4 matrix")
-        psd = hermitian_psd_check(rho, 1e-9)  # tests Hermiticity first, at 1e-12
+        psd = hermitian_psd_check(rho)  # tests Hermiticity first, at 1e-12
         trace = (rho[0][0] + rho[1][1] + rho[2][2] + rho[3][3]).real
         if abs(trace - 1.0) > 1e-10:
             raise ValueError(f"trace is {trace:.12g}, expected 1")

@@ -202,8 +202,11 @@ def test_table_single_cell(capsys):
     assert "2.00000" in capsys.readouterr().out
 
 
-def test_table_bad_angle(capsys):
-    assert main(["table", "--grid", "bogus"]) == EXIT_INPUT
+@pytest.mark.parametrize("grid", ["bogus", pytest.param("", id="empty")])
+def test_table_bad_angle(grid, capsys):
+    # an empty --grid is one empty angle, as `--grid ,` is two; it is not the default grid
+    assert main(["table", "--grid", grid]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: malformed angle {grid!r}")
 
 
 def test_verify_pass(example4_file, capsys):
@@ -497,6 +500,25 @@ def test_witness_and_steer_json_is_the_reports_fields_verdict_last(xyz_file, set
             m.setattr(criteria, test, lambda *a, real=getattr(criteria, test): Extended(*vars(real(*a)).values(), 0.5))
             assert main([*argv, "--json"]) == EXIT_OK
         assert tuple(json.loads(capsys.readouterr().out)) == (*verdict_last[:-1], "budget", "violated")
+
+
+def test_incompat_json_is_the_results_fields(xyz_file, monkeypatch, capsys):
+    from collections import namedtuple
+
+    from spinbounds.incompat import IncompatibilityResult, incompatibility
+
+    assert main(["incompat", "--dirs", xyz_file, "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert tuple(payload) == IncompatibilityResult._fields
+    assert payload == json.loads(json.dumps(incompatibility([(1, 0, 0), (0, 1, 0), (0, 0, 1)])._asdict()))
+
+    # a field added to the result reaches the JSON with no CLI edit
+    Diagnosed = namedtuple("Diagnosed", (*IncompatibilityResult._fields, "diagnostics"))
+    monkeypatch.setattr(cli, "incompatibility", lambda d: Diagnosed(*incompatibility(d), {"branch": "isotropic"}))
+    assert main(["incompat", "--dirs", xyz_file, "--json"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert tuple(out) == (*IncompatibilityResult._fields, "diagnostics")
+    assert out == {**payload, "diagnostics": {"branch": "isotropic"}}
 
 
 def test_subprocess_end_to_end(xyz_file):

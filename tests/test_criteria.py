@@ -332,9 +332,9 @@ def test_steering_statistics_match_dense_reference(kind):
 def test_werner_checks_positivity_once(monkeypatch):
     calls = []
 
-    def counting(m, tol):
-        calls.append(tol)
-        return check(m, tol)
+    def counting(m):
+        calls.append(m)
+        return check(m)
 
     check = states.hermitian_psd_check
     monkeypatch.setattr(states, "hermitian_psd_check", counting)

@@ -71,17 +71,17 @@ def test_moment_matrix_rejects_zero_direction():
 
 
 def test_cubic_coefficients_examples():
-    c = incompatibility(XYZ).coefficients  # traces (3, 3, 3)
+    c = incompatibility(XYZ)  # traces (3, 3, 3)
     assert c.alpha == pytest.approx(0.0, abs=1e-14)
     assert c.beta == pytest.approx(0.0, abs=1e-14)
 
     n = (0.6, 0.8, 0.0)
-    c = incompatibility([n, n]).coefficients  # traces (2, 4, 8)
+    c = incompatibility([n, n])  # traces (2, 4, 8)
     assert c.alpha == pytest.approx(2.0 / 3.0)
     assert c.beta == pytest.approx(8.0 / 27.0)
 
     # spectrum (1,0,0): shifted roots are (2/3, -1/3, -1/3)
-    c = incompatibility([(1.0, 0.0, 0.0)]).coefficients  # traces (1, 1, 1)
+    c = incompatibility([(1.0, 0.0, 0.0)])  # traces (1, 1, 1)
     assert c.alpha == pytest.approx(1.0 / 3.0)
     assert c.beta == pytest.approx(1.0 / 27.0)
     for z in (2.0 / 3.0, -1.0 / 3.0):
@@ -109,7 +109,7 @@ def test_cubic_coefficients_unit_equal_overlaps():
 
 
 def test_cubic_coefficients_unit_matches_kernel():
-    via_kernel = incompatibility(EXAMPLE4).coefficients
+    via_kernel = incompatibility(EXAMPLE4)
     via_dots = cubic_coefficients_unit(EXAMPLE4)
     assert via_dots.alpha == pytest.approx(via_kernel.alpha, abs=1e-10)
     assert via_dots.beta == pytest.approx(via_kernel.beta, abs=1e-10)
@@ -119,7 +119,7 @@ def test_cubic_coefficients_unit_random_agreement():
     rng = np.random.default_rng(23)
     for _ in range(1000):
         dirs = random_set(rng, int(rng.integers(3, 7)), unit=True)
-        a = incompatibility(dirs).coefficients
+        a = incompatibility(dirs)
         b = cubic_coefficients_unit(dirs)
         assert b.alpha == pytest.approx(a.alpha, abs=1e-10)
         assert b.beta == pytest.approx(a.beta, abs=1e-10)

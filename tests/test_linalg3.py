@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinbounds.linalg3 import (
+    PSD_TOL,
     _split,
     hermitian_psd_check,
     cubic_roots,
@@ -84,7 +85,7 @@ def test_jacobi_random_properties():
 
 def test_psd_check():
     assert hermitian_psd_check(np.eye(4) / 4.0)
-    assert not hermitian_psd_check(np.diag([1.1, -0.1, 0.0, 0.0]), tol=1e-9)
+    assert not hermitian_psd_check(np.diag([1.1, -0.1, 0.0, 0.0]))
     psi = np.array([0, 1, -1, 0]) / np.sqrt(2)
     assert hermitian_psd_check(np.outer(psi, psi))
 
@@ -101,9 +102,9 @@ def test_psd_check_tests_hermiticity_at_1e12():
     m = np.eye(4, dtype=complex) / 4.0
     m[0, 1] = 1e-11j
     with pytest.raises(ValueError, match="not Hermitian"):
-        hermitian_psd_check(m, tol=1e-9)
+        hermitian_psd_check(m)
     m[0, 1] = 1e-13j
-    assert hermitian_psd_check(m, tol=1e-9)
+    assert hermitian_psd_check(m)
 
 
 @pytest.mark.parametrize(
@@ -111,9 +112,9 @@ def test_psd_check_tests_hermiticity_at_1e12():
 )
 def test_psd_check_agrees_with_eigvalsh_near_the_tolerance(lam_min):
     # random 4x4 Hermitian matrices of trace 1 with the smallest eigenvalue
-    # placed 1e-13 to either side of -tol, at 0, at +-1e-3, or with rank 1-3
+    # placed 1e-13 to either side of -PSD_TOL = -1e-9, at 0, at +-1e-3, or with rank 1-3
+    assert PSD_TOL == 1e-9
     rng = np.random.default_rng(101)
-    tol = 1e-9
     for _ in range(300):
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         if isinstance(lam_min, str):
@@ -123,9 +124,9 @@ def test_psd_check_agrees_with_eigvalsh_near_the_tolerance(lam_min):
             lams = np.concatenate([[lam_min], rng.dirichlet(np.ones(3)) * (1.0 - lam_min)])
         m = (q * lams) @ q.conj().T
         m = 0.5 * (m + m.conj().T)
-        expected = bool(np.linalg.eigvalsh(m)[0] >= -tol)
-        assert hermitian_psd_check(m, tol) is expected
-        assert hermitian_psd_check(m.tolist(), tol) is expected
+        expected = bool(np.linalg.eigvalsh(m)[0] >= -PSD_TOL)
+        assert hermitian_psd_check(m) is expected
+        assert hermitian_psd_check(m.tolist()) is expected
 
 
 def test_jacobi_is_scale_invariant():

@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 from spinbounds import criteria
 from spinbounds.criteria import entanglement_witness, steering_test
 from spinbounds.incompat import (
-    CubicCoefficients,
     IncompatibilityResult,
     incompatibility,
     incompatibility_pair,
@@ -102,7 +101,8 @@ def reference_incompatibility(directions):
         value=traces[0] - spec.lam_max,
         lambda_max=spec.lam_max,
         optimizer=(sign * x + 0.0, sign * y + 0.0, sign * z + 0.0),
-        coefficients=CubicCoefficients(spec.alpha, spec.beta),
+        alpha=spec.alpha,
+        beta=spec.beta,
         traces=traces,
     )
 

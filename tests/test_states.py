@@ -132,7 +132,7 @@ def test_two_qubit_state_checks_hermiticity_at_1e12_with_one_psd_check(monkeypat
         TwoQubitState(rho)
     calls = []
     check = states.hermitian_psd_check
-    monkeypatch.setattr(states, "hermitian_psd_check", lambda m, tol: calls.append(m) or check(m, tol))
+    monkeypatch.setattr(states, "hermitian_psd_check", lambda m: calls.append(m) or check(m))
     TwoQubitState(np.eye(4) / 4.0)
     assert len(calls) == 1
 

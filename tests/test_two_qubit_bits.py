@@ -10,12 +10,15 @@ Every float they return must keep its bits, signed zeros included.
 
 The references add with `sum311`, an explicit loop from 0, as `sum()`
 added floats before Python 3.12 and as the package does on every version.
+The inputs are drawn from `random.Random`, so the module runs without numpy;
+only the ndarray variants of its inputs need it, and skip without it.
 """
 
 import math
+import random
 from operator import itemgetter
 
-import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -122,55 +125,74 @@ def flip_zeros(dirs):
     return [tuple(-x if x == 0.0 else x for x in d) for d in dirs]
 
 
+def normal3(rng):
+    return [rng.gauss(0.0, 1.0) for _ in range(3)]
+
+
 def directions(rng, n):
     """n unit directions as tuples; each component is zeroed with chance 1/3
     (as 0.0 or -0.0, with the sign of the normal draw it replaces)."""
     out = []
     while len(out) < n:
-        d = rng.normal(size=3) * (rng.uniform(size=3) > 1.0 / 3.0)
-        if d.any():
-            out.append(tuple((d / np.linalg.norm(d)).tolist()))
+        d = [x * (rng.random() > 1.0 / 3.0) for x in normal3(rng)]
+        if any(d):
+            norm = math.hypot(*d)
+            out.append(tuple(x / norm for x in d))
     return out
 
 
 def ball(rng):
-    d = rng.normal(size=3)
-    return d / np.linalg.norm(d) * rng.uniform() ** (1.0 / 3.0)
+    d = normal3(rng)
+    scale = rng.random() ** (1.0 / 3.0) / math.hypot(*d)
+    return tuple(x * scale for x in d)
 
 
 def mixed(rng, rank):
-    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    """g g^dagger / tr, g a 4 x rank matrix of complex normal draws, as rows of complex."""
+    g = [[complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(rank)] for _ in range(4)]
+    rho = [[sum311(x * y.conjugate() for x, y in zip(gi, gj)) for gj in g] for gi in g]
+    trace = sum311(rho[i][i].real for i in range(4))
+    return [[z / trace for z in row] for row in rho]
 
 
-def seeded_states(rng):
-    for p in (0.0, 1.0 / 3.0, 0.5, 1.0 / math.sqrt(3.0), 0.8, 1.0, *rng.uniform(size=8)):
-        yield werner(float(p))
+def seeded_states(rng, arrays):
+    for p in (0.0, 1.0 / 3.0, 0.5, 1.0 / math.sqrt(3.0), 0.8, 1.0, *(rng.random() for _ in range(8))):
+        yield werner(p)
     for _ in range(15):
         yield product_state(ball(rng), ball(rng))
     yield product_state((0, 0, 1), (0, 0, -1))
     for rank in (1, 2, 3, 4, 4, 4):
         rho = mixed(rng, rank)
-        yield TwoQubitState(rho)
-        yield TwoQubitState(rho.tolist())
+        for rows in (rho, *arrays(rho)):
+            yield TwoQubitState(rows)
 
 
-def test_two_qubit_path_is_bit_identical_on_a_seeded_panel():
-    rng = np.random.default_rng(14)
-    for state in seeded_states(rng):
+def check_seeded_panel(arrays):
+    """The seeded panel, with each `arrays(x)` variant of a mixed state's rows and of Alice's directions."""
+    rng = random.Random(14)
+    for state in seeded_states(rng, arrays):
         for n in (1, 2, 3, 4):
             alice = directions(rng, n)
             pairs = list(zip(directions(rng, n), directions(rng, n)))
-            for bob in (alice, flip_zeros(alice), directions(rng, n), np.array(alice)):
+            for bob in (alice, flip_zeros(alice), directions(rng, n), *arrays(alice)):
                 assert_bit_identical(state, alice, bob, pairs)
+
+
+def test_two_qubit_path_is_bit_identical_on_a_seeded_panel():
+    check_seeded_panel(lambda rows: ())
+
+
+def test_two_qubit_path_is_bit_identical_on_ndarray_inputs():
+    np = pytest.importorskip("numpy", exc_type=ImportError)
+    check_seeded_panel(lambda rows: (np.array(rows),))
 
 
 def test_bloch_tensors_of_signed_zero_entries_are_bit_identical():
     # every zero part of rho as 0.0 or -0.0 at random: the sums start from
     # 0.0, as sum() did, so a -0.0 term rounds as it did
-    rng = np.random.default_rng(3)
-    real = [werner(0.5).rho, werner(1.0).rho, product_state((0, 0, 1), (1, 0, 0)).rho, np.diag([0.25] * 4)]
+    rng = random.Random(3)
+    diag = [[0.25 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    real = [werner(0.5).rho, werner(1.0).rho, product_state((0, 0, 1), (1, 0, 0)).rho, diag]
     for rho in real:
         for _ in range(64):
             signed = [
@@ -186,7 +208,7 @@ def test_bloch_tensors_of_signed_zero_entries_are_bit_identical():
 def test_skipped_branch_is_bit_identical():
     # a . n = +-1 on a pure product state: one outcome has probability ~0 and
     # its branch is skipped
-    rng = np.random.default_rng(41)
+    rng = random.Random(41)
     units = [(0, 0, 1), (1, 0, 0), (0, 1, 0), (0.6, 0.8, 0.0), (3 / 13, 4 / 13, 12 / 13), *directions(rng, 6)]
     for r_a in units:
         r_a = vec(r_a)
@@ -205,7 +227,7 @@ def test_bob_equal_to_alice_but_for_signed_zeros_is_bit_identical():
         [(math.cos(t), math.sin(t), 0.0) for t in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)],
         [(0.0, math.sqrt(0.5), -math.sqrt(0.5)), (-0.0, 0.0, 1.0)],
     ]
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for alice in sets:
         bob = flip_zeros(alice)
         assert bob == alice and bits(bob) != bits(alice)
@@ -222,13 +244,13 @@ def test_bob_equal_to_alice_but_for_signed_zeros_is_bit_identical():
     bob_kind=st.sampled_from(("same", "flipped", "other")),
 )
 def test_two_qubit_path_is_bit_identical(kind, p, seed, n, bob_kind):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     if kind == "werner":
         state = werner(p)
     elif kind == "product":
         state = product_state(ball(rng), ball(rng))
     else:
-        state = TwoQubitState(mixed(rng, int(rng.integers(1, 5))))
+        state = TwoQubitState(mixed(rng, rng.randint(1, 4)))
     alice = directions(rng, n)
     bob = {"same": alice, "flipped": flip_zeros(alice), "other": directions(rng, n)}[bob_kind]
     assert_bit_identical(state, alice, bob, list(zip(directions(rng, n), directions(rng, n))))
