@@ -1,26 +1,22 @@
 """State-independent variance bounds for qubit spin observables, with
 entanglement-witness and EPR-steering criteria built on top.
 
+Only `incompat`, the bound and its closed-form kernel, loads with the
+package. `linalg3` (the Jacobi reference and the density-matrix check),
 `states`, `criteria` and `oracle` load on first access (PEP 562): the bound
-needs none of them, and they would add ~9 ms to every import that compiles
-from source. No module imports numpy.
+needs none of them, and compiling them would slow every import that
+compiles from source. No module imports numpy.
 """
 
 from importlib import import_module
 
 from .incompat import (
-    CubicCoefficients,
     IncompatibilityResult,
-    cubic_coefficients_unit,
     directions_from_angles,
     incompatibility,
     incompatibility_from_angles,
     incompatibility_pair,
     moment_matrix,
-)
-from .linalg3 import (
-    hermitian_psd_check,
-    sym3_eigen_jacobi,
     sym3_spectrum,
     sym3_traces,
 )
@@ -28,8 +24,10 @@ from .linalg3 import (
 __version__ = "0.1.0"
 
 # name -> the lazily loaded module that defines it; None marks the modules themselves
-_LAZY = dict.fromkeys(("criteria", "oracle", "states"))
-_LAZY.update(dict.fromkeys(("OracleResult", "mixed_sample_floor", "sphere_grid_min"), "oracle"))
+_LAZY = dict.fromkeys(("criteria", "linalg3", "oracle", "states"))
+_LAZY.update(dict.fromkeys(("hermitian_psd_check", "sym3_eigen_jacobi"), "linalg3"))
+_LAZY.update(dict.fromkeys(
+    ("CubicCoefficients", "OracleResult", "cubic_coefficients_unit", "mixed_sample_floor", "sphere_grid_min"), "oracle"))
 _LAZY.update(dict.fromkeys(
     ("SteeringReport", "WitnessReport", "entanglement_witness", "inference_variance_min", "steering_test"), "criteria"))
 _LAZY.update(dict.fromkeys(

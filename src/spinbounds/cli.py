@@ -25,14 +25,12 @@ import sys
 from typing import TYPE_CHECKING
 
 from .incompat import (
-    _plain,
     directions_from_angles,
     incompatibility,
     incompatibility_from_angles,
     moment_matrix,
     validate_directions,
 )
-from .linalg3 import sym3_eigen_jacobi
 
 if TYPE_CHECKING:
     from .states import TwoQubitState
@@ -45,6 +43,7 @@ EXIT_ASSERTION = 4
 _DEFAULT_GRID = ["pi/9", "2*pi/9", "pi/3", "4*pi/9", "5*pi/9"]
 
 _ANGLE_RE = re.compile(r"^\s*(?:(\d+)\s*\*\s*)?pi\s*(?:/\s*(\d+))?\s*$")
+_JSON_KINDS = {str: "a string", bool: "a boolean", type(None): "null", list: "an array", dict: "an object"}
 
 
 class InputError(Exception):
@@ -87,6 +86,18 @@ def _read_json_object(path: str, what: str) -> dict:
     return data
 
 
+def _json_numbers(vectors) -> None:
+    """Raise TypeError at the first (name, vector) pair whose vector is not a JSON array of JSON
+    numbers: float() would read the text "1" and true as 1.0, a string as its characters and an
+    object as its keys. The array's length is left to the library."""
+    for name, vec in vectors:
+        if type(vec) is not list:
+            raise TypeError(f"{name}: {_JSON_KINDS.get(type(vec), 'a number')} is not a sequence of numbers")
+        for k, x in enumerate(vec):
+            if type(x) is not float and type(x) is not int:
+                raise TypeError(f"{name}[{k}] is {_JSON_KINDS[type(x)]}, not a JSON number")
+
+
 def load_directions(path: str) -> list[tuple[float, float, float]]:
     """Read `{"directions": [[x,y,z], ...]}` from a JSON file as a list of
     finite, nonzero directions."""
@@ -95,6 +106,7 @@ def load_directions(path: str) -> list[tuple[float, float, float]]:
     if not isinstance(dirs, list) or not dirs:
         raise InputError(f"{path}: expected a non-empty 'directions' list")
     try:
+        _json_numbers((f"directions[{i}]", row) for i, row in enumerate(dirs))
         return validate_directions(dirs)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed direction entry: {exc}") from exc
@@ -129,8 +141,9 @@ def load_state(spec: str) -> TwoQubitState:
     if data.get("dim") != 4:
         raise InputError(f"{spec}: only dim=4 states are accepted here")
     try:
+        _json_numbers((f"{part}[{i}]", row) for part in ("re", "im") for i, row in enumerate(data[part]))
         rows = zip(data["re"], data["im"], strict=True)
-        return TwoQubitState([[complex(float(x), float(y)) for x, y in zip(*map(_plain, row), strict=True)] for row in rows])
+        return TwoQubitState([[complex(x, y) for x, y in zip(*row, strict=True)] for row in rows])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{spec}: invalid state: {exc}") from exc
 
@@ -142,7 +155,8 @@ def load_settings(path: str) -> list[tuple[tuple[float, ...], tuple[float, ...]]
     if not isinstance(raw, list) or not raw:
         raise InputError(f"{path}: expected a non-empty 'settings' list")
     try:
-        return [(tuple(map(float, _plain(entry["alice"]))), tuple(map(float, _plain(entry["bob"])))) for entry in raw]
+        _json_numbers((f"settings[{i}].{side}", entry[side]) for i, entry in enumerate(raw) for side in ("alice", "bob"))
+        return [(tuple(map(float, entry["alice"])), tuple(map(float, entry["bob"]))) for entry in raw]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed setting entry: {exc}") from exc
 
@@ -207,6 +221,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .linalg3 import sym3_eigen_jacobi
     from .oracle import mixed_sample_floor, sphere_grid_min
 
     dirs = load_directions(args.dirs)

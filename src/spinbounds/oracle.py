@@ -1,21 +1,31 @@
-"""Brute-force check of the variance bound: direct minimization over pure
-qubit states, on Python floats. Independent of the spectral path, it sums
-Q = sum_i n_i n_i^T itself (not by `moment_matrix`) and minimizes
-tau1 - r^T Q r exactly on each great circle through e_z, and through e_x,
-searching the circles' azimuth in one dimension."""
+"""Independent checks of the variance bound, on Python floats.
+
+Brute force: direct minimization over pure qubit states. Independent of the
+spectral path, it sums Q = sum_i n_i n_i^T itself (not by `moment_matrix`)
+and minimizes tau1 - r^T Q r exactly on each great circle through e_z, and
+through e_x, searching the circles' azimuth in one dimension. The paper's
+overlap formula for (alpha, beta), `cubic_coefficients_unit`, cross-checks
+the kernel's coefficients in the tests."""
 
 from __future__ import annotations
 
 import random
-from itertools import islice
+from itertools import combinations, islice
 from math import atan2, cos, pi, sin, sqrt
 from typing import NamedTuple
 
-from .incompat import validate_directions
+from .incompat import _UNIT_TOL, _dot, validate_directions
 
 _REFINE_MIN_STEP = 1e-7
 _HALF_SQRT2 = sqrt(0.5)
 MIXED_SAMPLES, MIXED_SEED = 1000, 0  # `mixed_sample_floor`'s fixed effort
+
+
+class CubicCoefficients(NamedTuple):
+    """Coefficients (alpha, beta) of the depressed cubic z^3 - 3a^2 z - 2b."""
+
+    alpha: float
+    beta: float
 
 
 class OracleResult(NamedTuple):
@@ -97,3 +107,30 @@ def mixed_sample_floor(directions) -> float:
     cube = iter(lambda: (2.0 * uniform() - 1.0, 2.0 * uniform() - 1.0, 2.0 * uniform() - 1.0), None)
     ball = (r for r in cube if r[0] * r[0] + r[1] * r[1] + r[2] * r[2] <= 1.0)
     return min(map(variance_sum, islice(ball, MIXED_SAMPLES)))
+
+
+def cubic_coefficients_unit(directions) -> CubicCoefficients:
+    """(alpha, beta) from pairwise dot products of unit directions only.
+
+    The paper's formula; the tests check `sym3_spectrum`'s coefficients
+    against it. Requires every direction to be unit length.
+    """
+    vecs = validate_directions(directions)
+    for i, v in enumerate(vecs):
+        if abs(_dot(v, v) - 1.0) > _UNIT_TOL:
+            raise ValueError(f"direction {i} is not unit length")
+    n = len(vecs)
+    pair_sq = 0.0  # both sums add left to right from 0.0, as sum() did before 3.12
+    for j, h in combinations(range(n), 2):
+        pair_sq += _dot(vecs[j], vecs[h]) ** 2
+    radicand = (pair_sq - n * (n - 3) / 6.0) / 3.0
+    if radicand < -1e-9:
+        raise ValueError("inconsistent pair sums for unit directions")
+    alpha = sqrt(max(radicand, 0.0))
+    triple = 0.0
+    for h, j, t in combinations(range(n), 3):
+        triple += _dot(vecs[h], vecs[j]) * _dot(vecs[t], vecs[h]) * _dot(vecs[j], vecs[t])
+    # pair term: for unit directions tau3 = N + 6*pair_sq + 6*triple, which
+    # makes the coefficient of pair_sq in beta -(N-3)/3
+    beta = triple - (n - 3) / 3.0 * pair_sq + n * (2 * n - 3) * (n - 3) / 54.0
+    return CubicCoefficients(alpha, beta)

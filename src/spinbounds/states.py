@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from math import isfinite, sqrt
 
-from .incompat import _plain, validate_directions
-from .linalg3 import _ROWS, _dot, hermitian_psd_check
+from .incompat import _ROWS, _dot, _plain, validate_directions
+from .linalg3 import hermitian_psd_check
 
 
 class _Record:

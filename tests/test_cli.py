@@ -1,11 +1,16 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinbounds import cli
 from spinbounds.cli import (
@@ -479,6 +484,98 @@ def test_text_where_numbers_belong_is_input_error(argv, tmp_path, xyz_file, sett
     err = capsys.readouterr().err
     bad = next(paths[a] for a in argv if a in TEXT_FILES)
     assert err.startswith(f"error: {bad}: ") and "is not a sequence of numbers" in err and "Traceback" not in err
+
+
+NON_NUMBERS = {  # (a unit x, a first row of I/4 as {"re"|"im": row}, the message's end); float() read each one
+    "string": (["1", 0, 0], {"re": ["0.25", 0, 0, 0]}, "is a string, not a JSON number"),
+    "boolean": ([True, 0, 0], {"im": [False, 0, 0, 0]}, "is a boolean, not a JSON number"),
+    "object": ({"1": 0, "0": 0, "-0": 0}, {"re": {"0.25": 0, "0": 0, "-0": 0, "0.0": 0}}, "an object is not a sequence of numbers"),
+}
+
+
+@pytest.mark.parametrize("kind", NON_NUMBERS)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["incompat", "--dirs", "dirs"],
+        ["witness", "--state", "singlet", "--alice", "dirs", "--bob", "XYZ"],
+        ["witness", "--state", "singlet", "--alice", "XYZ", "--bob", "dirs"],
+        ["steer", "--state", "singlet", "--settings", "settings"],
+        ["steer", "--state", "state", "--settings", "SETTINGS"],
+    ],
+    ids=["dirs", "alice", "bob", "settings", "state"],
+)
+def test_a_component_that_is_not_a_json_number_is_input_error(argv, kind, tmp_path, xyz_file, settings_file, capsys):
+    vector, first_row, message = NON_NUMBERS[kind]
+    contents = {  # each file is valid but for one component, and the run exited 0
+        "dirs": {"directions": [vector, [0, 1, 0], [0, 0, 1]]},
+        "settings": {"settings": [{"alice": vector, "bob": [1, 0, 0]}, {"alice": [0, 1, 0], "bob": [0, 1, 0]}]},
+        "state": {"dim": 4, **{part: [first_row.get(part, row[0]), *row[1:]] for part, row in (("re", MIXED), ("im", ZEROS))}},
+    }
+    paths = {"XYZ": xyz_file, "SETTINGS": settings_file}
+    for name, content in contents.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
+    assert main([paths.get(a, a) for a in argv]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    bad = next(paths[a] for a in argv if a in contents)
+    assert err.startswith(f"error: {bad}: ") and err.rstrip().endswith(message)
+
+
+# Arbitrary JSON for one file flag; the other flags get valid files. The shapes that each loader looks
+# for (an object with the right keys, 3-vectors of numbers, I/4 with one entry replaced) come up
+# often enough that some runs reach the library and exit 0.
+NUMBERS = st.integers(-3, 3) | st.floats(-1e200, 1e200) | st.floats(-1e-200, 1e-200)
+SCALARS = (
+    NUMBERS | st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+    | st.sampled_from([10**20, 10**400, -(10**400), 2**1024])
+)
+JSON = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                    max_leaves=12)
+VECTOR = st.sampled_from([[1, 0, 0], [0, 1, 0], [0, 0, -1]]) | st.lists(NUMBERS, min_size=3, max_size=3)
+VECTORS = st.lists(VECTOR, min_size=3, max_size=3) | st.lists(VECTOR | st.lists(SCALARS, max_size=5) | JSON, max_size=5) | JSON
+
+
+def one_entry_replaced(diagonal):
+    """A 4x4 list `diagonal` * I with one entry replaced: by 0, 0.25, any scalar or any JSON."""
+    return st.builds(lambda i, j, x: [[x if (r, c) == (i, j) else diagonal * (r == c) for c in range(4)] for r in range(4)],
+                     st.integers(0, 3), st.integers(0, 3), st.sampled_from([0, 0.25]) | SCALARS | JSON)
+
+
+FUZZED = {
+    "dirs": JSON | st.fixed_dictionaries({"directions": VECTORS}),
+    "settings": JSON | st.fixed_dictionaries(
+        {"settings": st.lists(st.fixed_dictionaries({"alice": VECTOR, "bob": VECTOR}) | JSON, min_size=1, max_size=3) | JSON}),
+    "state": JSON | st.fixed_dictionaries(
+        {"dim": st.just(4) | JSON, "re": one_entry_replaced(0.25) | VECTORS, "im": one_entry_replaced(0.0) | VECTORS}),
+}
+FUZZ_ARGVS = {
+    "incompat-dirs": ["incompat", "--dirs", "dirs", "--json"],
+    "verify-dirs": ["verify", "--dirs", "dirs"],
+    "witness-state": ["witness", "--state", "state", "--alice", "XYZ", "--bob", "XYZ"],
+    "witness-alice": ["witness", "--state", "werner:0.8", "--alice", "dirs", "--bob", "XYZ"],
+    "witness-bob": ["witness", "--state", "werner:0.8", "--alice", "XYZ", "--bob", "dirs", "--assert-violation"],
+    "steer-state": ["steer", "--state", "state", "--settings", "SETTINGS", "--json"],
+    "steer-settings": ["steer", "--state", "werner:0.8", "--settings", "settings", "--assert-violation"],
+}
+
+
+@pytest.mark.parametrize("argv", FUZZ_ARGVS.values(), ids=FUZZ_ARGVS)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_json_file_exits_with_a_contract_code(argv, data):
+    flag = next(a for a in argv if a in FUZZED)
+    content = data.draw(FUZZED[flag], label=flag)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"XYZ": os.path.join(tmp, "xyz.json"), "SETTINGS": os.path.join(tmp, "settings.json"), flag: os.path.join(tmp, "fuzz.json")}
+        for path, value in ((paths["XYZ"], {"directions": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+                            (paths["SETTINGS"], {"settings": [{"alice": [1, 0, 0], "bob": [1, 0, 0]}]}),
+                            (paths[flag], content)):
+            with open(path, "w") as fh:
+                json.dump(value, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([paths.get(a, a) for a in argv])
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_VERIFY_FAIL, EXIT_ASSERTION)
 
 
 def test_witness_and_steer_json_is_the_reports_fields_verdict_last(xyz_file, settings_file, monkeypatch, capsys):

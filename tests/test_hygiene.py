@@ -3,8 +3,9 @@ each name it imports (`__init__.py`, which re-exports, and `from __future__`
 imports are exempt); a private name is imported only from the module that
 defines it; no module imports numpy outside `if TYPE_CHECKING:`;
 every CLI subcommand and public library call runs with numpy blocked;
-importing the CLI leaves the oracle unloaded; and the package serves every
-public name."""
+importing the package loads only `incompat`, and importing the CLI leaves
+the oracle and the checkers unloaded; and the package serves every public
+name."""
 
 import ast
 import importlib
@@ -110,11 +111,11 @@ SRC = PACKAGE.parent
 EXPORTS = {
     "criteria": ("SteeringReport", "WitnessReport", "entanglement_witness", "inference_variance_min", "steering_test"),
     "incompat": (
-        "CubicCoefficients", "IncompatibilityResult", "cubic_coefficients_unit", "directions_from_angles",
-        "incompatibility", "incompatibility_from_angles", "incompatibility_pair", "moment_matrix",
+        "IncompatibilityResult", "directions_from_angles", "incompatibility", "incompatibility_from_angles",
+        "incompatibility_pair", "moment_matrix", "sym3_spectrum", "sym3_traces",
     ),
-    "linalg3": ("hermitian_psd_check", "sym3_eigen_jacobi", "sym3_spectrum", "sym3_traces"),
-    "oracle": ("OracleResult", "mixed_sample_floor", "sphere_grid_min"),
+    "linalg3": ("hermitian_psd_check", "sym3_eigen_jacobi"),
+    "oracle": ("CubicCoefficients", "OracleResult", "cubic_coefficients_unit", "mixed_sample_floor", "sphere_grid_min"),
     "states": ("QubitState", "TwoQubitState", "product_state", "singlet", "uncertainty_sum", "werner"),
 }
 
@@ -211,6 +212,21 @@ def test_witness_and_steer_never_import_numpy(tmp_path):
 def test_cli_import_leaves_the_oracle_unloaded():
     # only verify searches the sphere; the other subcommands need not compile the oracle
     assert run_without_numpy("import spinbounds.cli\nprint('RESULT', 'spinbounds.oracle' in sys.modules)\n") == "RESULT False"
+
+
+def test_import_compiles_only_the_bound_and_the_checkers_load_on_first_use():
+    # a fresh interpreter without bytecode compiles every module it imports; the bound needs only incompat
+    child = (
+        "import spinbounds\n"
+        "loaded = sorted(name for name in sys.modules if name.partition('.')[0] == 'spinbounds')\n"
+        "import spinbounds.cli\n"
+        "checkers = 'spinbounds.linalg3' in sys.modules\n"
+        "names = (spinbounds.sym3_eigen_jacobi, spinbounds.hermitian_psd_check, spinbounds.cubic_coefficients_unit)\n"
+        "print('RESULT', loaded, checkers, [f.__module__ for f in names])\n"
+    )
+    assert run_without_numpy(child) == (
+        "RESULT ['spinbounds', 'spinbounds.incompat'] False ['spinbounds.linalg3', 'spinbounds.linalg3', 'spinbounds.oracle']"
+    )
 
 
 def test_every_exported_name_resolves_to_its_module_object():

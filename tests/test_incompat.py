@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinbounds.incompat import (
-    cubic_coefficients_unit,
     directions_from_angles,
     incompatibility,
     incompatibility_from_angles,
@@ -15,10 +14,13 @@ from spinbounds.incompat import (
     lambda_max_from_traces,
     moment_matrix,
     optimal_bloch,
+    sym3_certificate,
+    sym3_spectrum,
     validate_directions,
 )
 from spinbounds import incompat
-from spinbounds.linalg3 import sym3_certificate, sym3_eigen_jacobi, sym3_spectrum
+from spinbounds.linalg3 import sym3_eigen_jacobi
+from spinbounds.oracle import cubic_coefficients_unit
 from spinbounds.states import QubitState, uncertainty_sum
 
 XYZ = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]

@@ -6,16 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbounds.linalg3 import (
-    PSD_TOL,
-    _split,
-    hermitian_psd_check,
-    cubic_roots,
-    sym3_certificate,
-    sym3_eigen_jacobi,
-    sym3_spectrum,
-    sym3_traces,
-)
+from spinbounds.incompat import _split, cubic_roots, sym3_certificate, sym3_spectrum, sym3_traces
+from spinbounds.linalg3 import PSD_TOL, hermitian_psd_check, sym3_eigen_jacobi
 
 
 def random_sym3(rng):

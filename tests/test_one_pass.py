@@ -29,11 +29,14 @@ from spinbounds import criteria
 from spinbounds.criteria import entanglement_witness, steering_test
 from spinbounds.incompat import (
     IncompatibilityResult,
+    _dot,
     incompatibility,
     incompatibility_pair,
     moment_matrix,
+    sym3_certificate,
+    sym3_spectrum,
+    sym3_traces,
 )
-from spinbounds.linalg3 import _dot, sym3_certificate, sym3_spectrum, sym3_traces
 from spinbounds.states import QubitState, TwoQubitState, as_vec3, product_state, uncertainty_sum, werner
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))

@@ -13,7 +13,7 @@ import math
 import random
 
 from spinbounds import criteria, incompat, states
-from spinbounds.incompat import cubic_coefficients_unit
+from spinbounds.oracle import cubic_coefficients_unit
 from spinbounds.criteria import entanglement_witness, inference_variance_min, steering_test
 from spinbounds.states import QubitState, TwoQubitState, product_state, uncertainty_sum, werner
 

@@ -23,8 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinbounds.criteria import entanglement_witness, inference_variance_min, steering_test
-from spinbounds.incompat import incompatibility
-from spinbounds.linalg3 import _dot
+from spinbounds.incompat import _dot, incompatibility
 from spinbounds.states import TwoQubitState, product_state, werner
 
 # Nonzero entries (row, column, value) of I, sigma_x, sigma_y, sigma_z.
