@@ -85,25 +85,13 @@ def _inference_variance(state: TwoQubitState, n, m) -> float:
     return total
 
 
-def inference_variance_min(state: TwoQubitState, a_dir, b_dir) -> float:
-    """Minimal inference variance of Bob's spin along b_dir given Alice's outcome.
-
-    Uses the conditional mean as estimator: sum_A p(A) (1 - <B>_A^2) with
-    <B>_A = b . r_B|A, where Alice's outcome A = +-1 has probability
-    p(+-) = (1 +- a . n)/2 and leaves Bob's Bloch vector at
-    r_B|+- = (b +- T^T n)/(2 p(+-)) (Cavalcanti et al., PRA 80, 032112,
-    2009); outcomes are +-1 so <B^2> = 1. Result lies in [0, 1].
-    """
-    m = _unit(b_dir, "bob")
-    return _inference_variance(state, _unit(a_dir, "alice"), m)
-
-
 def steering_test(state: TwoQubitState, settings) -> SteeringReport:
     """EPR-steering test: summed inference variances vs the bound for Bob's
     measured directions.
 
-    `settings` is a sequence of (alice_dir, bob_dir) pairs. Violation
-    demonstrates steering (no local-hidden-state model for Bob).
+    `settings` is a sequence of (alice_dir, bob_dir) pairs; `inference_variances[i]`
+    is pair i's minimal inference variance of Bob's spin given Alice's outcome, in
+    [0, 1]. Violation demonstrates steering (no local-hidden-state model for Bob).
     """
     settings = list(_plain(settings))
     if not settings:

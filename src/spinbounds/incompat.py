@@ -50,11 +50,11 @@ class IncompatibilityResult(NamedTuple):  # `incompat --json` prints these field
 
 
 def _plain(x):
-    """An ndarray as nested lists of Python scalars (~20x faster to read than
-    its scalars; complex stays complex); text raises TypeError; else as given."""
+    """An ndarray as nested lists of Python scalars (~20x faster to read than its
+    scalars; complex stays complex); text or a dict raises TypeError; else as given."""
     np = sys.modules.get("numpy")
     x = x.tolist() if np is not None and isinstance(x, np.ndarray) else x
-    if isinstance(x, (str, bytes, bytearray, memoryview)):  # not a sequence of its characters
+    if isinstance(x, (str, bytes, bytearray, memoryview, dict)):  # not a sequence of its characters or keys
         raise TypeError(f"a {type(x).__name__} is not a sequence of numbers")
     return x
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from spinbounds import cli
-from spinbounds.criteria import entanglement_witness, inference_variance_min, steering_test
+from spinbounds.criteria import entanglement_witness, steering_test
 from spinbounds.incompat import (
     directions_from_angles,
     incompatibility,
@@ -29,15 +29,7 @@ from spinbounds.states import (
     uncertainty_sum,
     werner,
 )
-
-XYZ = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
-XYZ_SETTINGS = [(d, d) for d in XYZ]
-EXAMPLE4 = [
-    (1.0, 0.0, 0.0),
-    (0.5, math.sqrt(3) / 2, 0.0),
-    (0.5, 0.5, 1 / math.sqrt(2)),
-    (1 / math.sqrt(3),) * 3,
-]
+from support import EXAMPLE4, XYZ, XYZ_SETTINGS, inference_variance, random_set, random_unit
 
 # Published reference values for the theta3 = pi/3 grid over
 # theta1, theta2 in {pi/9, 2pi/9, pi/3, 4pi/9, 5pi/9} (rows: theta2).
@@ -58,18 +50,6 @@ def report(number, ok, detail=""):
     if detail:
         line += f" - {detail}"
     print(line)
-
-
-def random_unit(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
-
-
-def random_set(rng, n, unit=False):
-    dirs = [random_unit(rng) for _ in range(n)]
-    if not unit:
-        dirs = [d * rng.uniform(0.2, 2.0) for d in dirs]
-    return dirs
 
 
 def test_criterion_01_four_direction_example():
@@ -264,7 +244,7 @@ def test_criterion_08_steering_fixtures():
     worst_axis = 0.0
     z = (0.0, 0.0, 1.0)
     for p in np.linspace(0.0, 1.0, 21):
-        got = inference_variance_min(werner(float(p)), z, z)
+        got = inference_variance(werner(float(p)), z, z)
         worst_axis = max(worst_axis, abs(got - (1.0 - p * p)))
     lo, hi = 0.0, 1.0
     for _ in range(60):

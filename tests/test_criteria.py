@@ -3,22 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from spinbounds.criteria import (
-    entanglement_witness,
-    inference_variance_min,
-    steering_test,
-)
+from spinbounds.criteria import entanglement_witness, steering_test
 from spinbounds import criteria, states
 from spinbounds.incompat import incompatibility
 from spinbounds.states import TwoQubitState, product_state, singlet, werner
-
-XYZ = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
-XYZ_SETTINGS = [(d, d) for d in XYZ]
-
-
-def random_unit(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+from support import XYZ, XYZ_SETTINGS, inference_variance, random_unit
 
 
 def random_ball(rng):
@@ -130,13 +119,13 @@ def test_conditional_stats_singlet():
     # Alice's outcome along z leaves Bob at -outcome z: no spread along +-z
     z = (0.0, 0.0, 1.0)
     for m in (z, (0.0, 0.0, -1.0)):
-        assert inference_variance_min(singlet(), z, m) == pytest.approx(0.0, abs=1e-12)
+        assert inference_variance(singlet(), z, m) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_conditional_stats_maximally_mixed():
     rng = np.random.default_rng(61)
     for n, m in [((1, 0, 0), (1, 0, 0))] + [(random_unit(rng), random_unit(rng)) for _ in range(100)]:
-        assert inference_variance_min(werner(0.0), n, m) == pytest.approx(1.0, abs=1e-12)
+        assert inference_variance(werner(0.0), n, m) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_conditional_stats_product_state_uncorrelated():
@@ -146,7 +135,7 @@ def test_conditional_stats_product_state_uncorrelated():
     state = product_state((0.2, 0.1, -0.3), r_b)
     for n, m in [((0, 1, 0), (0, 0, 1))] + [(random_unit(rng), random_unit(rng)) for _ in range(100)]:
         expected = 1.0 - float(np.dot(m, r_b)) ** 2
-        assert inference_variance_min(state, n, m) == pytest.approx(expected, abs=1e-10)
+        assert inference_variance(state, n, m) == pytest.approx(expected, abs=1e-10)
 
 
 def test_conditional_stats_invariants_random():
@@ -157,16 +146,16 @@ def test_conditional_stats_invariants_random():
             random_ball(rng), random_ball(rng)
         )
         n, m = random_unit(rng), random_unit(rng)
-        value = inference_variance_min(state, n, m)
+        value = inference_variance(state, n, m)
         assert -1e-10 <= value <= 1.0 - float(np.dot(m, state.b)) ** 2 + 1e-10
 
 
 def test_inference_variance_fixtures():
     z = (0.0, 0.0, 1.0)
-    assert inference_variance_min(singlet(), z, z) == pytest.approx(0.0, abs=1e-12)
-    assert inference_variance_min(werner(0.0), z, z) == pytest.approx(1.0, abs=1e-12)
+    assert inference_variance(singlet(), z, z) == pytest.approx(0.0, abs=1e-12)
+    assert inference_variance(werner(0.0), z, z) == pytest.approx(1.0, abs=1e-12)
     for p in (0.2, 0.5, 0.9):
-        got = inference_variance_min(werner(p), z, z)
+        got = inference_variance(werner(p), z, z)
         assert got == pytest.approx(1.0 - p * p, abs=1e-10)
 
 
@@ -234,8 +223,8 @@ BAD_SETTINGS = {  # where (alice, bob) pairs are expected
 PARITY = [(name, case, bad[case], call, as_array) for name, bad, call, as_array in [
     ("QubitState", BAD_VECTORS, lambda x: states.QubitState(x), np.array),
     ("product_state", BAD_VECTORS, lambda x: product_state(Z, x), np.array),
-    ("inference_variance_min-alice", BAD_VECTORS, lambda x: inference_variance_min(singlet(), x, Z), np.array),
-    ("inference_variance_min-bob", BAD_VECTORS, lambda x: inference_variance_min(singlet(), Z, x), np.array),
+    ("inference_variance_min-alice", BAD_VECTORS, lambda x: inference_variance(singlet(), x, Z), np.array),
+    ("inference_variance_min-bob", BAD_VECTORS, lambda x: inference_variance(singlet(), Z, x), np.array),
     ("entanglement_witness-alice", BAD_SETS, lambda x: entanglement_witness(singlet(), x, XYZ[:2]), np.array),
     ("entanglement_witness-bob", BAD_SETS, lambda x: entanglement_witness(singlet(), XYZ[:2], x), np.array),
     ("steering_test", BAD_SETTINGS, lambda x: steering_test(singlet(), x), np.array),
@@ -326,7 +315,7 @@ def test_steering_statistics_match_dense_reference(kind):
             a, b = random_unit(rng), random_unit(rng)
             dense = dense_branches(state.rho, a)
             expected = sum(p * (1.0 - float(b @ r) ** 2) for _, p, r in dense)
-            assert abs(inference_variance_min(state, a, b) - expected) <= 1e-12
+            assert abs(inference_variance(state, a, b) - expected) <= 1e-12
 
 
 def test_werner_checks_positivity_once(monkeypatch):

@@ -4,8 +4,8 @@ imports are exempt); a private name is imported only from the module that
 defines it; no module imports numpy outside `if TYPE_CHECKING:`;
 every CLI subcommand and public library call runs with numpy blocked;
 importing the package loads only `incompat`, and importing the CLI leaves
-the oracle and the checkers unloaded; and the package serves every public
-name."""
+the oracle and the checkers unloaded; the package serves every public
+name; and no two test modules define the same helper or constant."""
 
 import ast
 import importlib
@@ -104,12 +104,53 @@ def test_no_numpy_imports(path):
     assert numpy_imports(path.read_text()) == []
 
 
+# --- the tests keep one copy of each helper and constant they share, in support.py
+
+TESTS = Path(__file__).resolve().parent
+
+
+def definitions(source: str):
+    """(code, name) for each top-level function and UPPER_CASE constant in
+    `source`: a function's code leaves out its name and docstring."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            if ast.get_docstring(node) is not None:
+                node.body = node.body[1:]
+            name, node.name = node.name, ""
+            yield ast.dump(node), name
+        elif isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            if node.targets[0].id.isupper():
+                yield ast.dump(node.value), node.targets[0].id
+
+
+def shared_definitions(sources: dict[str, str]) -> list[str]:
+    """Definitions with the same code in two or more of `sources` (module -> source)."""
+    owners = {}
+    for module, source in sources.items():
+        for code, name in definitions(source):
+            owners.setdefault(code, {}).setdefault(module, name)
+    return sorted(" = ".join(f"{m}.{n}" for m, n in sorted(found.items())) for found in owners.values() if len(found) > 1)
+
+
+def test_shared_definitions_detector():
+    sources = {
+        "a": 'XYZ = [1, 2]\nTOL = 1e-9\ndef dot(p, q):\n    """Docstring."""\n    return p[0] * q[0]\n',
+        "b": "XYZ = [1, 2]\ntol = 1e-9\ndef _dot(p, q):\n    return p[0] * q[0]\ndef f(u, v):\n    return u[0] * v[0]\n",
+        "c": "TOL = 1e-8\nTWICE = [1, 2]\nTWICE = [1, 2]\n",
+    }
+    assert shared_definitions(sources) == ["a.XYZ = b.XYZ = c.TWICE", "a.dot = b._dot"]
+
+
+def test_no_two_test_modules_define_the_same_helper_or_constant():
+    assert shared_definitions({p.stem: p.read_text() for p in sorted(TESTS.glob("*.py"))}) == []
+
+
 # --- the CLI and the library run with numpy blocked; the CLI loads the oracle only for verify;
 # --- the package serves every name
 
 SRC = PACKAGE.parent
 EXPORTS = {
-    "criteria": ("SteeringReport", "WitnessReport", "entanglement_witness", "inference_variance_min", "steering_test"),
+    "criteria": ("SteeringReport", "WitnessReport", "entanglement_witness", "steering_test"),
     "incompat": (
         "IncompatibilityResult", "directions_from_angles", "incompatibility", "incompatibility_from_angles",
         "incompatibility_pair", "moment_matrix", "sym3_spectrum", "sym3_traces",
@@ -193,8 +234,7 @@ def test_witness_and_steer_never_import_numpy(tmp_path):
         argvs.append(["steer", "--state", spec, "--settings", str(settings), "--json"])
     child = (
         "from spinbounds import (\n"
-        "    TwoQubitState, cli, entanglement_witness, inference_variance_min, product_state, singlet,\n"
-        "    steering_test, werner)\n"
+        "    TwoQubitState, cli, entanglement_witness, product_state, singlet, steering_test, werner)\n"
         f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
         "xyz = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]\n"
         "phi_plus = TwoQubitState([[0.5, 0, 0, 0.5], [0, 0, 0, 0], [0, 0, 0, 0], [0.5, 0, 0, 0.5]])\n"
@@ -202,7 +242,7 @@ def test_witness_and_steer_never_import_numpy(tmp_path):
         "    entanglement_witness(singlet(), xyz, xyz).violated,\n"
         "    not entanglement_witness(product_state((0, 0, 1), (0.6, 0, 0.8)), xyz, xyz).violated,\n"
         "    steering_test(werner(0.9), [(d, d) for d in xyz]).violated,\n"
-        "    abs(inference_variance_min(phi_plus, (0, 0, 1), (0, 0, 1))) < 1e-12,\n"
+        "    abs(steering_test(phi_plus, [((0, 0, 1), (0, 0, 1))]).inference_variances[0]) < 1e-12,\n"
         "]\n"
         "print('RESULT', codes, checks, 'numpy' in sys.modules)\n"
     )

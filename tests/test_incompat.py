@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -21,27 +22,8 @@ from spinbounds.incompat import (
 from spinbounds import incompat
 from spinbounds.linalg3 import sym3_eigen_jacobi
 from spinbounds.oracle import cubic_coefficients_unit
-from spinbounds.states import QubitState, uncertainty_sum
-
-XYZ = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
-EXAMPLE4 = [
-    (1.0, 0.0, 0.0),
-    (0.5, math.sqrt(3) / 2, 0.0),
-    (0.5, 0.5, 1 / math.sqrt(2)),
-    (1 / math.sqrt(3),) * 3,
-]
-
-
-def random_unit(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
-
-
-def random_set(rng, n, unit=False):
-    dirs = [random_unit(rng) for _ in range(n)]
-    if not unit:
-        dirs = [d * rng.uniform(0.2, 2.0) for d in dirs]
-    return dirs
+from spinbounds.states import QubitState, TwoQubitState, uncertainty_sum, werner
+from support import EXAMPLE4, XYZ, random_set, random_unit
 
 
 def random_rotation(rng):
@@ -368,6 +350,19 @@ def test_text_is_not_a_direction():
             ValueError, match=r"^expected N x 3 directions: a (str|bytes|bytearray|memoryview) is not a sequence of numbers$"
         ):
             call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: incompatibility([{"1": 0, "0": 0, "2": 0}]), "expected N x 3 directions: a dict is not a sequence of numbers"),
+    (lambda: incompatibility({(1, 0, 0): 1, (0, 1, 0): 1}), "expected N x 3 directions: a dict is not a sequence of numbers"),
+    (lambda: TwoQubitState([{"0.25": 0, "0": 0, "-0": 0, "0.0": 0}, *werner(0.0).rho[1:]]),
+     "two-qubit state must be a 4x4 matrix"),
+], ids=["row", "set", "two-qubit-row"])
+def test_a_dict_is_not_a_vector(call, message):
+    # a dict was read as its keys: the row as the direction (1, 0, 2), the set as x and y (bound 1.0),
+    # and the row of rho as (0.25, 0, -0, 0), which made I/4
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def _bad_direction_sets():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from spinbounds.incompat import _split, cubic_roots, sym3_certificate, sym3_spectrum, sym3_traces
 from spinbounds.linalg3 import PSD_TOL, hermitian_psd_check, sym3_eigen_jacobi
+from support import bits, dot, matvec
 
 
 def random_sym3(rng):
@@ -222,10 +223,6 @@ def test_spectrum_and_traces_of_an_ndarray_are_python_floats():
 # return must keep its bits, signed zeros included
 
 
-def _dot(p, q):
-    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
-
-
 def _cross(p, q):
     return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
 
@@ -234,15 +231,11 @@ def _scale(p, f):
     return (p[0] * f, p[1] * f, p[2] * f)
 
 
-def _matvec(b, x):
-    return (_dot(b[0], x), _dot(b[1], x), _dot(b[2], x))
-
-
 def reference_split(b, z):
     (b00, b01, b02), (_, b11, b12), (_, _, b22) = b
     r0, r1, r2 = (b00 - z, b01, b02), (b01, b11 - z, b12), (b02, b12, b22 - z)
     crosses = (_cross(r0, r1), _cross(r0, r2), _cross(r1, r2))
-    lengths = [_dot(x, x) for x in crosses]
+    lengths = [dot(x, x) for x in crosses]
     length = max(lengths)
     e = 0 if 1e-250 < length < 1e250 else -math.frexp(max(map(abs, r0 + r1 + r2)))[1]
     if e:
@@ -250,10 +243,10 @@ def reference_split(b, z):
         return v, p, q, math.ldexp(hi, -e), math.ldexp(lo, -e)
     v = _scale(crosses[lengths.index(length)], 1.0 / math.sqrt(length)) if length else (0.0, 0.0, 1.0)
     u = (-v[2], 0.0, v[0]) if abs(v[0]) > abs(v[1]) else (0.0, v[2], -v[1])
-    u = _scale(u, 1.0 / math.sqrt(_dot(u, u)))
+    u = _scale(u, 1.0 / math.sqrt(dot(u, u)))
     w = _cross(v, u)
-    bu, bw = _matvec(b, u), _matvec(b, w)
-    m_uu, m_ww, m_uw = _dot(u, bu), _dot(w, bw), _dot(w, bu)
+    bu, bw = matvec(b, u), matvec(b, w)
+    m_uu, m_ww, m_uw = dot(u, bu), dot(w, bw), dot(w, bu)
     mean, half_gap = 0.5 * (m_uu + m_ww), math.hypot(0.5 * (m_uu - m_ww), m_uw)
     t = 0.5 * math.atan2(2.0 * m_uw, m_uu - m_ww)
     cs, sn = math.cos(t), math.sin(t)
@@ -266,19 +259,14 @@ def reference_certificate(a, lams):
     k = 0 if lams[0] - lams[1] >= lams[1] - lams[2] else 2
     v, p, q = reference_split(a, lams[k])[:3]
     v0, v1, v2 = (v, p, q) if k == 0 else (p, q, v)
-    av0, av1, av2 = _matvec(a, v0), _matvec(a, v1), _matvec(a, v2)
-    e_diag = (_dot(v0, av0) - lams[0], _dot(v1, av1) - lams[1], _dot(v2, av2) - lams[2])
-    e_off = (_dot(v0, av1), _dot(v0, av2), _dot(v1, av2))
-    g_diag = (_dot(v0, v0) - 1.0, _dot(v1, v1) - 1.0, _dot(v2, v2) - 1.0)
-    g_off = (_dot(v0, v1), _dot(v0, v2), _dot(v1, v2))
-    e_norm = math.sqrt(_dot(e_diag, e_diag) + 2.0 * _dot(e_off, e_off))
-    g_norm = math.sqrt(_dot(g_diag, g_diag) + 2.0 * _dot(g_off, g_off))
+    av0, av1, av2 = matvec(a, v0), matvec(a, v1), matvec(a, v2)
+    e_diag = (dot(v0, av0) - lams[0], dot(v1, av1) - lams[1], dot(v2, av2) - lams[2])
+    e_off = (dot(v0, av1), dot(v0, av2), dot(v1, av2))
+    g_diag = (dot(v0, v0) - 1.0, dot(v1, v1) - 1.0, dot(v2, v2) - 1.0)
+    g_off = (dot(v0, v1), dot(v0, v2), dot(v1, v2))
+    e_norm = math.sqrt(dot(e_diag, e_diag) + 2.0 * dot(e_off, e_off))
+    g_norm = math.sqrt(dot(g_diag, g_diag) + 2.0 * dot(g_off, g_off))
     return (v0, v1, v2), e_norm + (abs(a[0][0]) + abs(a[1][1]) + abs(a[2][2])) * g_norm
-
-
-def bits(x):
-    """Every float in nested tuples, as hex: -0.0 and 0.0 differ, nan matches."""
-    return [h for y in x for h in bits(y)] if isinstance(x, (tuple, list)) else [float.hex(x)]
 
 
 def assert_bit_identical(a, lams):

@@ -29,7 +29,6 @@ from spinbounds import criteria
 from spinbounds.criteria import entanglement_witness, steering_test
 from spinbounds.incompat import (
     IncompatibilityResult,
-    _dot,
     incompatibility,
     incompatibility_pair,
     moment_matrix,
@@ -38,19 +37,12 @@ from spinbounds.incompat import (
     sym3_traces,
 )
 from spinbounds.states import QubitState, TwoQubitState, as_vec3, product_state, uncertainty_sum, werner
+from support import bits, dot, matvec, sum311
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
 
 POOL_SEEDS = (7919, 41, 42)
-
-
-def sum311(values):
-    """sum() as CPython 3.11 adds floats."""
-    total = 0
-    for v in values:
-        total += v
-    return total
 
 
 def reference_validate(directions):
@@ -124,7 +116,7 @@ def reference_as_vec3(v):
 
 def reference_unit(v, what):
     v = reference_as_vec3(v)
-    if abs(_dot(v, v) - 1.0) > 2e-9:
+    if abs(dot(v, v) - 1.0) > 2e-9:
         raise ValueError(f"{what} direction must be unit length")
     return v
 
@@ -133,15 +125,11 @@ def plain(x):
     return x.tolist() if isinstance(x, np.ndarray) else x
 
 
-def _matvec(b, x):
-    return (_dot(b[0], x), _dot(b[1], x), _dot(b[2], x))
-
-
 def reference_witness(state, alice_dirs, bob_dirs):
     alice = [reference_unit(d, "alice") for d in plain(alice_dirs)]
     bob = [reference_unit(d, "bob") for d in plain(bob_dirs)]
     variance_sum = sum311(
-        _dot(n, n) + _dot(m, m) + 2.0 * _dot(n, _matvec(state.T, m)) - (_dot(n, state.a) + _dot(m, state.b)) ** 2
+        dot(n, n) + dot(m, m) + 2.0 * dot(n, matvec(state.T, m)) - (dot(n, state.a) + dot(m, state.b)) ** 2
         for n, m in zip(alice, bob)
     )
     bound = reference_incompatibility(alice).value + reference_incompatibility(bob).value
@@ -157,15 +145,6 @@ def reference_steering(state, settings):
     total = sum311(variances)
     bound = reference_incompatibility(bob).value
     return tuple(variances), total, bound, total < bound - 1e-10, bound - total
-
-
-def bits(x):
-    """Every float in nested tuples, lists and reports, as hex: -0.0 and 0.0 differ."""
-    if hasattr(x, "_fields") and not isinstance(x, tuple):
-        x = tuple(vars(x).values())
-    if isinstance(x, (tuple, list)):
-        return [h for y in x for h in bits(y)]
-    return [repr(x)] if isinstance(x, bool) else [float.hex(x)]
 
 
 def outcome(fn, *args):
@@ -365,15 +344,16 @@ VECTORS = [
 ]
 
 
-# the reference reads text as a vector of its characters ("123" as (1.0, 2.0, 3.0)); text is rejected
-TEXT_REJECTED = (ValueError, "expected a 3-vector: a str is not a sequence of numbers")
-
-
 @pytest.mark.parametrize("v", VECTORS, ids=range(len(VECTORS)))
 def test_as_vec3_and_unit_keep_their_results_and_rejections(v):
-    text = isinstance(v, str)
-    assert outcome(as_vec3, v) == (TEXT_REJECTED if text else outcome(reference_as_vec3, v))
-    assert outcome(criteria._unit, v, "bob") == (TEXT_REJECTED if text else outcome(reference_unit, v, "bob"))
+    # the reference reads text as a vector of its characters ("123" as (1.0, 2.0, 3.0)) and a dict
+    # as its keys ({0: 1, 2: 3, 1: 5} as (0.0, 2.0, 1.0)); both are rejected
+    if isinstance(v, (str, dict)):
+        rejected = (ValueError, f"expected a 3-vector: a {type(v).__name__} is not a sequence of numbers")
+        assert outcome(as_vec3, v) == outcome(criteria._unit, v, "bob") == rejected
+    else:
+        assert outcome(as_vec3, v) == outcome(reference_as_vec3, v)
+        assert outcome(criteria._unit, v, "bob") == outcome(reference_unit, v, "bob")
 
 
 # --- complex 1-D array rows in a list

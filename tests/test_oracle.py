@@ -9,14 +9,7 @@ import pytest
 from spinbounds.incompat import incompatibility
 from spinbounds.oracle import MIXED_SAMPLES, mixed_sample_floor, sphere_grid_min
 from spinbounds.states import QubitState, uncertainty_sum
-
-XYZ = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
-EXAMPLE4 = [
-    (1.0, 0.0, 0.0),
-    (0.5, math.sqrt(3) / 2, 0.0),
-    (0.5, 0.5, 1 / math.sqrt(2)),
-    (1 / math.sqrt(3),) * 3,
-]
+from support import EXAMPLE4, XYZ
 
 
 def scaled(v, s):

@@ -13,17 +13,12 @@ from spinbounds.states import (
     uncertainty_sum,
     werner,
 )
+from support import XYZ, random_unit
 
 # The Pauli matrices, written out: the reference the two-qubit tests check against.
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-XYZ = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
-
-
-def random_unit(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
 
 
 def random_mixed(rng):

@@ -14,20 +14,9 @@ import random
 
 from spinbounds import criteria, incompat, states
 from spinbounds.oracle import cubic_coefficients_unit
-from spinbounds.criteria import entanglement_witness, inference_variance_min, steering_test
+from spinbounds.criteria import entanglement_witness, steering_test
 from spinbounds.states import QubitState, TwoQubitState, product_state, uncertainty_sum, werner
-
-
-def loop_sum(values):
-    """Floats added from 0, left to right: sum() before Python 3.12."""
-    total = 0
-    for v in values:
-        total += v
-    return total
-
-
-def dot(p, q):
-    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+from support import dot, inference_variance, sum311
 
 
 def unit(rng):
@@ -47,8 +36,8 @@ def ball(rng):
 def mixed(rng, rank):
     """A random 4x4 density matrix of the given rank, G G^H / tr(G G^H)."""
     g = [[complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(rank)] for _ in range(4)]
-    rho = [[loop_sum(g[i][k] * g[j][k].conjugate() for k in range(rank)) for j in range(4)] for i in range(4)]
-    trace = loop_sum(rho[i][i].real for i in range(4))
+    rho = [[sum311(g[i][k] * g[j][k].conjugate() for k in range(rank)) for j in range(4)] for i in range(4)]
+    trace = sum311(rho[i][i].real for i in range(4))
     return [[z / trace for z in row] for row in rho]
 
 
@@ -88,8 +77,8 @@ def hexes(*values):
 def test_steering_total_adds_left_to_right():
     for state, settings in two_qubit_panel():
         report = steering_test(state, settings)
-        variances = [inference_variance_min(state, a, b) for a, b in settings]
-        total = loop_sum(variances)
+        variances = [inference_variance(state, a, b) for a, b in settings]
+        total = sum311(variances)
         assert hexes(*report.inference_variances) == hexes(*variances)
         assert hexes(report.total, report.margin) == hexes(total, report.bound - total)
         assert report.violated == (total < report.bound - 1e-10)
@@ -98,7 +87,7 @@ def test_steering_total_adds_left_to_right():
 def test_uncertainty_sum_adds_left_to_right():
     for dirs, state in qubit_panel():
         r = state.bloch
-        assert hexes(uncertainty_sum(dirs, state)) == hexes(loop_sum(dot(n, n) - dot(n, r) ** 2 for n in dirs))
+        assert hexes(uncertainty_sum(dirs, state)) == hexes(sum311(dot(n, n) - dot(n, r) ** 2 for n in dirs))
 
 
 def panel_bits():

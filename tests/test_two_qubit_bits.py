@@ -22,9 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbounds.criteria import entanglement_witness, inference_variance_min, steering_test
-from spinbounds.incompat import _dot, incompatibility
+from spinbounds.criteria import entanglement_witness, steering_test
+from spinbounds.incompat import incompatibility
 from spinbounds.states import TwoQubitState, product_state, werner
+from support import bits, dot, inference_variance, matvec, sum311
 
 # Nonzero entries (row, column, value) of I, sigma_x, sigma_y, sigma_z.
 _PAULI = (((0, 0, 1), (1, 1, 1)), ((0, 1, 1), (1, 0, 1)), ((0, 1, -1j), (1, 0, 1j)), ((0, 0, 1), (1, 1, -1)))
@@ -38,23 +39,11 @@ _BLOCH = [
 ][1:]
 
 
-def sum311(values):
-    """sum() as CPython 3.11 adds floats: from 0, left to right."""
-    total = 0
-    for v in values:
-        total += v
-    return total
-
-
 def reference_bloch(rho):
     re, im = [z.real for row in rho for z in row], [z.imag for row in rho for z in row]
     parts = re + im + [-x for x in re] + [-x for x in im]
     m = [sum311(g(parts)) for g in _BLOCH]
     return tuple(m[3:12:4]), tuple(m[0:3]), (tuple(m[4:7]), tuple(m[8:11]), tuple(m[12:15]))
-
-
-def _matvec(b, x):
-    return (_dot(b[0], x), _dot(b[1], x), _dot(b[2], x))
 
 
 def vec(d):
@@ -64,7 +53,7 @@ def vec(d):
 def reference_witness(state, alice_dirs, bob_dirs):
     alice, bob = list(map(vec, alice_dirs)), list(map(vec, bob_dirs))
     variance_sum = sum311(
-        _dot(n, n) + _dot(m, m) + 2.0 * _dot(n, _matvec(state.T, m)) - (_dot(n, state.a) + _dot(m, state.b)) ** 2
+        dot(n, n) + dot(m, m) + 2.0 * dot(n, matvec(state.T, m)) - (dot(n, state.a) + dot(m, state.b)) ** 2
         for n, m in zip(alice, bob)
     )
     bound = incompatibility(alice).value + incompatibility(bob).value
@@ -75,8 +64,8 @@ def reference_branches(state, a_dir):
     """(outcome, probability, Bob's conditional Bloch vector), +1 first;
     outcomes below probability 1e-12 are omitted."""
     n = vec(a_dir)
-    mean_a = _dot(n, state.a)
-    steered = _matvec(tuple(zip(*state.T)), n)
+    mean_a = dot(n, state.a)
+    steered = matvec(tuple(zip(*state.T)), n)
     branches = []
     for outcome in (+1, -1):
         p = 0.5 * (1.0 + outcome * mean_a)
@@ -91,7 +80,7 @@ def reference_inference_variance(state, a_dir, b_dir):
     b = vec(b_dir)
     total = 0.0
     for _, probability, bob_bloch in reference_branches(state, a_dir):
-        mean = _dot(b, bob_bloch)
+        mean = dot(b, bob_bloch)
         total += probability * (1.0 - mean * mean)
     return total
 
@@ -103,21 +92,12 @@ def reference_steering(state, settings):
     return variances, total, bound, total < bound - 1e-10, bound - total
 
 
-def bits(x):
-    """Every float in nested tuples and reports, as hex: -0.0 and 0.0 differ."""
-    if hasattr(x, "_fields"):
-        x = tuple(vars(x).values())
-    if isinstance(x, (tuple, list)):
-        return [h for y in x for h in bits(y)]
-    return [repr(x)] if isinstance(x, bool) else [float.hex(x)]
-
-
 def assert_bit_identical(state, alice, bob, pairs):
     assert bits((state.a, state.b, state.T)) == bits(reference_bloch(state.rho))
     assert bits(entanglement_witness(state, alice, bob)) == bits(reference_witness(state, alice, bob))
     assert bits(steering_test(state, pairs)) == bits(reference_steering(state, pairs))
     for a, b in pairs:
-        assert bits(inference_variance_min(state, a, b)) == bits(reference_inference_variance(state, a, b))
+        assert bits(inference_variance(state, a, b)) == bits(reference_inference_variance(state, a, b))
 
 
 def flip_zeros(dirs):
