@@ -26,8 +26,7 @@ __version__ = "0.1.0"
 # name -> the lazily loaded module that defines it; None marks the modules themselves
 _LAZY = dict.fromkeys(("criteria", "linalg3", "oracle", "states"))
 _LAZY.update(dict.fromkeys(("hermitian_psd_check", "sym3_eigen_jacobi"), "linalg3"))
-_LAZY.update(dict.fromkeys(
-    ("CubicCoefficients", "OracleResult", "cubic_coefficients_unit", "mixed_sample_floor", "sphere_grid_min"), "oracle"))
+_LAZY.update(dict.fromkeys(("CubicCoefficients", "OracleResult", "cubic_coefficients_unit", "sphere_grid_min"), "oracle"))
 _LAZY.update(dict.fromkeys(
     ("SteeringReport", "WitnessReport", "entanglement_witness", "steering_test"), "criteria"))
 _LAZY.update(dict.fromkeys(

@@ -222,7 +222,7 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     from .linalg3 import sym3_eigen_jacobi
-    from .oracle import mixed_sample_floor, sphere_grid_min
+    from .oracle import sphere_grid_min
 
     dirs = load_directions(args.dirs)
     res = incompatibility(dirs)
@@ -230,29 +230,25 @@ def cmd_verify(args) -> int:
     a, traces = moment_matrix(dirs)
     w, _ = sym3_eigen_jacobi(a)
     jacobi_value = traces[0] - w[0]
-    # fixed effort: sphere_grid_min's default, and oracle's MIXED_SAMPLES states from MIXED_SEED
     oracle = sphere_grid_min(dirs)
-    floor = mixed_sample_floor(dirs)
 
     d_jacobi = abs(res.value - jacobi_value)
     d_oracle = abs(res.value - oracle.value)
     # absolute tolerances for unit directions, scaled by the mean squared direction length
     scale = max(1.0, traces[0] / len(dirs))
-    ok = d_jacobi <= 1e-9 * scale and d_oracle <= 1e-9 * scale and floor >= res.value - 1e-10 * scale
+    ok = d_jacobi <= 1e-9 * scale and d_oracle <= 1e-9 * scale
     payload = {
         "closed_form": res.value,
         "jacobi": jacobi_value,
         "oracle": oracle.value,
         "delta_jacobi": d_jacobi,
         "delta_oracle": d_oracle,
-        "mixed_floor": floor,
         "pass": ok,
     }
     lines = [
         f"closed form: {res.value:.10f}",
         f"jacobi:      {jacobi_value:.10f}  (delta {d_jacobi:.3e})",
         f"oracle:      {oracle.value:.10f}  (delta {d_oracle:.3e})",
-        f"mixed floor: {floor:.10f}",
         "PASS" if ok else "FAIL",
     ]
     _emit(args, payload, lines)

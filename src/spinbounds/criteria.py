@@ -72,16 +72,12 @@ def _inference_variance(state: TwoQubitState, n, m) -> float:
     mean_a = nx * ax + ny * ay + nz * az
     sx, sy, sz = t00 * nx + t10 * ny + t20 * nz, t01 * nx + t11 * ny + t21 * nz, t02 * nx + t12 * ny + t22 * nz
     total = 0.0
-    p = 0.5 * (1.0 + mean_a)  # outcome +1
-    if p >= _BRANCH_EPS:
-        q = 2.0 * p
-        mean = mx * ((bx + sx) / q) + my * ((by + sy) / q) + mz * ((bz + sz) / q)
-        total += p * (1.0 - mean * mean)
-    p = 0.5 * (1.0 - mean_a)  # outcome -1
-    if p >= _BRANCH_EPS:
-        q = 2.0 * p
-        mean = mx * ((bx - sx) / q) + my * ((by - sy) / q) + mz * ((bz - sz) / q)
-        total += p * (1.0 - mean * mean)
+    for s in (1.0, -1.0):  # Alice's outcome; multiplying by -1.0 negates exactly
+        p = 0.5 * (1.0 + s * mean_a)
+        if p >= _BRANCH_EPS:
+            q = 2.0 * p
+            mean = mx * ((bx + s * sx) / q) + my * ((by + s * sy) / q) + mz * ((bz + s * sz) / q)
+            total += p * (1.0 - mean * mean)
     return total
 
 

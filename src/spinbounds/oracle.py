@@ -9,8 +9,7 @@ the kernel's coefficients in the tests."""
 
 from __future__ import annotations
 
-import random
-from itertools import combinations, islice
+from itertools import combinations
 from math import atan2, cos, pi, sin, sqrt
 from typing import NamedTuple
 
@@ -18,7 +17,6 @@ from .incompat import _UNIT_TOL, _dot, validate_directions
 
 _REFINE_MIN_STEP = 1e-7
 _HALF_SQRT2 = sqrt(0.5)
-MIXED_SAMPLES, MIXED_SEED = 1000, 0  # `mixed_sample_floor`'s fixed effort
 
 
 class CubicCoefficients(NamedTuple):
@@ -97,16 +95,6 @@ def sphere_grid_min(directions, num_points: int = 120) -> OracleResult:
     if x_value < value:
         value, r = x_value, (x, y, z)
     return OracleResult(value, r, count + x_count)
-
-
-def mixed_sample_floor(directions) -> float:
-    """Minimum variance sum over MIXED_SAMPLES mixed states, a check that none
-    beats the bound. Bloch vectors are uniform in the unit ball: rejection from the
-    cube [-1, 1]^3 with `random.Random(MIXED_SEED)`, the same states on every call."""
-    variance_sum, uniform = _variance_form(directions), random.Random(MIXED_SEED).random
-    cube = iter(lambda: (2.0 * uniform() - 1.0, 2.0 * uniform() - 1.0, 2.0 * uniform() - 1.0), None)
-    ball = (r for r in cube if r[0] * r[0] + r[1] * r[1] + r[2] * r[2] <= 1.0)
-    return min(map(variance_sum, islice(ball, MIXED_SAMPLES)))
 
 
 def cubic_coefficients_unit(directions) -> CubicCoefficients:

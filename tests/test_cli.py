@@ -313,6 +313,17 @@ def test_verify_scales_its_tolerances_with_direction_length(tmp_path, capsys, mo
     assert json.loads(capsys.readouterr().out)["pass"] is False
 
 
+@pytest.mark.parametrize("shift", [-1e-8, 1e-8], ids=["down", "up"])
+@pytest.mark.parametrize("dirs_file", ["xyz_file", "example4_file"])
+def test_verify_fails_a_closed_form_moved_either_way_at_unit_scale(dirs_file, shift, request, capsys, monkeypatch):
+    # the Jacobi and oracle checks alone catch a value 1e-8 tr A below the true minimum as well as above it
+    path = request.getfixturevalue(dirs_file)
+    exact = cli.incompatibility
+    monkeypatch.setattr(cli, "incompatibility", lambda d: (r := exact(d))._replace(value=r.value + shift * r.traces[0]))
+    assert main(["verify", "--dirs", path, "--json"]) == EXIT_VERIFY_FAIL
+    assert json.loads(capsys.readouterr().out)["pass"] is False
+
+
 def test_witness_singlet(xyz_file, capsys):
     code = main(
         ["witness", "--state", "singlet", "--alice", xyz_file, "--bob", xyz_file,
@@ -688,7 +699,6 @@ optimizer bloch: (0.816497, 0.471405, 0.333333)
 closed form: 2.0000000000
 jacobi:      2.0000000000  (delta 0.000e+00)
 oracle:      2.0000000000  (delta 2.220e-16)
-mixed floor: 2.0004258550
 PASS
 """,
         "",
@@ -696,7 +706,7 @@ PASS
     "verify --dirs xyz.json --json": (
         0,
         """\
-{"closed_form": 2.0, "jacobi": 2.0, "oracle": 1.9999999999999998, "delta_jacobi": 0.0, "delta_oracle": 2.220446049250313e-16, "mixed_floor": 2.000425854953523, "pass": true}
+{"closed_form": 2.0, "jacobi": 2.0, "oracle": 1.9999999999999998, "delta_jacobi": 0.0, "delta_oracle": 2.220446049250313e-16, "pass": true}
 """,
         "",
     ),

@@ -5,7 +5,6 @@ import pytest
 
 from spinbounds.criteria import entanglement_witness, steering_test
 from spinbounds import criteria, states
-from spinbounds.incompat import incompatibility
 from spinbounds.states import TwoQubitState, product_state, singlet, werner
 from support import XYZ, XYZ_SETTINGS, inference_variance, random_unit
 

@@ -1,7 +1,7 @@
-"""Source hygiene that needs no linter: every module of the package uses
-each name it imports (`__init__.py`, which re-exports, and `from __future__`
-imports are exempt); a private name is imported only from the module that
-defines it; no module imports numpy outside `if TYPE_CHECKING:`;
+"""Source hygiene that needs no linter: every module of the package and of
+the tests uses each name it imports (`__init__.py`, which re-exports, and
+`from __future__` imports are exempt); a private name is imported only from
+the module that defines it; no module imports numpy outside `if TYPE_CHECKING:`;
 every CLI subcommand and public library call runs with numpy blocked;
 importing the package loads only `incompat`, and importing the CLI leaves
 the oracle and the checkers unloaded; the package serves every public
@@ -19,6 +19,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spinbounds"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
 
 
 def imports(tree: ast.AST):
@@ -85,7 +86,7 @@ def test_unused_imports_detector():
     assert unused_imports(source) == ["line 2: os", "line 4: sin"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [*MODULES, *sorted(TESTS.glob("*.py"))], ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -105,8 +106,6 @@ def test_no_numpy_imports(path):
 
 
 # --- the tests keep one copy of each helper and constant they share, in support.py
-
-TESTS = Path(__file__).resolve().parent
 
 
 def definitions(source: str):
@@ -156,7 +155,7 @@ EXPORTS = {
         "incompatibility_pair", "moment_matrix", "sym3_spectrum", "sym3_traces",
     ),
     "linalg3": ("hermitian_psd_check", "sym3_eigen_jacobi"),
-    "oracle": ("CubicCoefficients", "OracleResult", "cubic_coefficients_unit", "mixed_sample_floor", "sphere_grid_min"),
+    "oracle": ("CubicCoefficients", "OracleResult", "cubic_coefficients_unit", "sphere_grid_min"),
     "states": ("QubitState", "TwoQubitState", "product_state", "singlet", "uncertainty_sum", "werner"),
 }
 

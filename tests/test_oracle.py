@@ -7,7 +7,7 @@ import random
 import pytest
 
 from spinbounds.incompat import incompatibility
-from spinbounds.oracle import MIXED_SAMPLES, mixed_sample_floor, sphere_grid_min
+from spinbounds.oracle import sphere_grid_min
 from spinbounds.states import QubitState, uncertainty_sum
 from support import EXAMPLE4, XYZ
 
@@ -179,25 +179,3 @@ def test_grid_min_matches_closed_form_within_resolution():
         assert abs(res.value - closed) <= 1e-9
         assert res.value >= closed - 1e-10
 
-
-def test_mixed_sample_floor_examples():
-    assert MIXED_SAMPLES == 1000
-    assert mixed_sample_floor(XYZ) >= 2.0 - 1e-10
-    assert mixed_sample_floor([(0.0, 0.0, 1.0)]) >= 0.0
-    parallel = [(0.0, 0.0, 1.0), (0.0, 0.0, 1.0)]
-    floor = mixed_sample_floor(parallel)
-    assert 0.0 <= floor < 0.5
-
-
-def test_mixed_sample_floor_reproducible():
-    # every call draws the same states; on XYZ their floor is `verify --dirs xyz.json`'s golden one
-    assert mixed_sample_floor(EXAMPLE4) == mixed_sample_floor(EXAMPLE4)
-    assert mixed_sample_floor(XYZ) == 2.000425854953523
-
-
-def test_mixed_sample_floor_respects_bound():
-    rng = random.Random(31)
-    for _ in range(40):
-        dirs = random_set(rng, rng.randint(1, 5))
-        bound = incompatibility(dirs).value
-        assert mixed_sample_floor(dirs) >= bound - 1e-10
