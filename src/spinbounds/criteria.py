@@ -15,18 +15,22 @@ demonstrates EPR-steering.
 from __future__ import annotations
 
 from .incompat import _UNIT_TOL, _plain, incompatibility
-from .states import TwoQubitState, _Record, as_vec3
+from .states import TwoQubitState, as_vec3
 
 _VIOLATION_SLACK = 1e-10  # exact saturation must not count as a violation
 _BRANCH_EPS = 1e-12  # outcome probabilities below this are treated as absent
 
 
-class WitnessReport(_Record):
-    _fields = ("variance_sum", "bound", "violated", "margin")  # margin = bound - variance_sum
+# `witness --json` and `steer --json` print a report's vars(), so each sets its attributes in parameter order
+class WitnessReport:
+    def __init__(self, variance_sum, bound, violated, margin):  # margin = bound - variance_sum
+        self.variance_sum, self.bound, self.violated, self.margin = variance_sum, bound, violated, margin
 
 
-class SteeringReport(_Record):
-    _fields = ("inference_variances", "total", "bound", "violated", "margin")
+class SteeringReport:
+    def __init__(self, inference_variances, total, bound, violated, margin):
+        self.inference_variances, self.total, self.bound, self.violated, self.margin = (
+            inference_variances, total, bound, violated, margin)
 
 
 def _unit(v, what: str) -> tuple[float, float, float]:

@@ -112,7 +112,9 @@ def cubic_coefficients_unit(directions) -> CubicCoefficients:
     for j, h in combinations(range(n), 2):
         pair_sq += _dot(vecs[j], vecs[h]) ** 2
     radicand = (pair_sq - n * (n - 3) / 6.0) / 3.0
-    if radicand < -1e-9:
+    # with |n_i|^2 = 1 + d_i the radicand is alpha^2 + ((2n - 6) sum d + (sum d)^2 - 3 sum d^2)/18, which the
+    # unit check lets sit n |n - 3| _UNIT_TOL/9 below zero; one more _UNIT_TOL covers rounding and the d^2 terms
+    if radicand < -(n * abs(n - 3) / 9.0 + 1.0) * _UNIT_TOL:
         raise ValueError("inconsistent pair sums for unit directions")
     alpha = sqrt(max(radicand, 0.0))
     triple = 0.0

@@ -16,35 +16,6 @@ from .incompat import _ROWS, _dot, _plain, validate_directions
 from .linalg3 import hermitian_psd_check
 
 
-class _Record:
-    """A frozen record without `dataclasses` (whose import is ~10% of a CLI
-    run): construction by position only, one argument per name in `_fields`,
-    then `__post_init__` if the class has one; `vars()`, equality, hashing
-    and a dataclass repr."""
-
-    _fields: tuple[str, ...] = ()
-
-    def __init__(self, *args):
-        names = self._fields
-        if len(args) != len(names):
-            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
-        vars(self).update(zip(names, args))
-        if hasattr(self, "__post_init__"):
-            self.__post_init__()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
-
-
 def as_vec3(v) -> tuple[float, float, float]:
     """Coerce to a 3-tuple of finite Python floats."""
     try:
@@ -67,17 +38,15 @@ def _bloch_vector(r) -> tuple[float, float, float]:
     return r
 
 
-class QubitState(_Record):
+class QubitState:
     """Qubit density matrix (I + r . sigma)/2, stored as the Bloch vector r
     (a 3-tuple of floats)."""
 
-    _fields = ("bloch",)
-
-    def __post_init__(self):
-        vars(self)["bloch"] = _bloch_vector(self.bloch)
+    def __init__(self, bloch):
+        self.bloch = _bloch_vector(bloch)
 
 
-class TwoQubitState(_Record):
+class TwoQubitState:
     """Two-qubit density matrix: 4x4, Hermitian, unit trace, PSD.
 
     `rho` is kept as rows of complex numbers. Construction also computes
@@ -86,11 +55,9 @@ class TwoQubitState(_Record):
     the correlations T = M[1:, 1:] (rows of floats).
     """
 
-    _fields = ("rho",)
-
-    def __post_init__(self):
+    def __init__(self, rho):
         try:
-            rho = tuple(tuple(map(complex, _plain(row))) for row in _plain(self.rho))
+            rho = tuple(tuple(map(complex, _plain(row))) for row in _plain(rho))
         except TypeError:
             rho = ()
         if len(rho) != 4 or any(len(row) != 4 for row in rho):
@@ -110,7 +77,7 @@ class TwoQubitState(_Record):
         t = ((0.0 + r03 + r12 + r21 + r30, 0.0 - i03 + i12 - i21 + i30, 0.0 + r02 - r13 + r20 - r31),
              (0.0 - i03 - i12 + i21 + i30, 0.0 - r03 + r12 + r21 - r30, 0.0 - i02 + i13 + i20 - i31),
              (0.0 + r01 + r10 - r23 - r32, 0.0 - i01 + i10 + i23 - i32, 0.0 + r00 - r11 - r22 + r33))
-        vars(self).update(rho=rho, a=a, b=b, T=t)
+        self.rho, self.a, self.b, self.T = rho, a, b, t
 
 
 def uncertainty_sum(directions, state: QubitState) -> float:

@@ -57,7 +57,7 @@ def matvec(b, x):
 def bits(x):
     """Every float in nested tuples, lists and reports, as hex: -0.0 and 0.0
     differ, nan matches."""
-    if hasattr(x, "_fields") and not isinstance(x, tuple):
+    if hasattr(x, "__dict__"):
         x = tuple(vars(x).values())
     if isinstance(x, (tuple, list)):
         return [h for y in x for h in bits(y)]

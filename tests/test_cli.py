@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -406,6 +407,22 @@ def test_malformed_state_file_is_input_error(command, state, tmp_path, xyz_file,
     assert err.startswith(f"error: {path}: invalid state:") and "Traceback" not in err
 
 
+BAD_BUILTIN_STATES = {  # spec -> the start of its error message
+    **{f"werner:{p}": "bad werner parameter in" for p in ("abc", "", "1.5", "nan", "1e400")},
+    **{f"product:{s}": "product state spec is product:ax,ay,az:bx,by,bz" for s in ("0,0,1", "0,0,1:0,0,1:")},
+    **{f"product:{s}:0,0,1": "bad product state spec" for s in ("a,0,0", "0,0", "2,0,0", "nan,0,0")},
+}
+
+
+@pytest.mark.parametrize("spec", BAD_BUILTIN_STATES)
+@pytest.mark.parametrize("command", ["witness", "steer"])
+def test_malformed_builtin_state_is_input_error(command, spec, xyz_file, settings_file, capsys):
+    tail = ["--alice", xyz_file, "--bob", xyz_file] if command == "witness" else ["--settings", settings_file]
+    assert main([command, "--state", spec, *tail]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert not out and err.startswith(f"error: {BAD_BUILTIN_STATES[spec]}") and "Traceback" not in err
+
+
 def test_steer_fixtures(settings_file, capsys):
     code = main(["steer", "--state", "singlet", "--settings", settings_file, "--json"])
     assert code == EXIT_OK
@@ -598,14 +615,17 @@ def test_witness_and_steer_json_is_the_reports_fields_verdict_last(xyz_file, set
         (["steer", "--state", "werner:0.8", "--settings", settings_file], "steering_test", criteria.SteeringReport),
     ]:
         assert main([*argv, "--json"]) == EXIT_OK
-        verdict_last = (*(f for f in report._fields if f != "violated"), "violated")
+        fields = list(inspect.signature(report).parameters)
+        verdict_last = (*(f for f in fields if f != "violated"), "violated")
         assert tuple(json.loads(capsys.readouterr().out)) == verdict_last
 
         class Extended(report):  # a field added to the report reaches the JSON with no CLI edit
-            _fields = (*report._fields, "budget")
+            def __init__(self, *fields, budget):
+                super().__init__(*fields)
+                self.budget = budget
 
         with monkeypatch.context() as m:
-            m.setattr(criteria, test, lambda *a, real=getattr(criteria, test): Extended(*vars(real(*a)).values(), 0.5))
+            m.setattr(criteria, test, lambda *a, real=getattr(criteria, test): Extended(*vars(real(*a)).values(), budget=0.5))
             assert main([*argv, "--json"]) == EXIT_OK
         assert tuple(json.loads(capsys.readouterr().out)) == (*verdict_last[:-1], "budget", "violated")
 

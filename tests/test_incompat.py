@@ -109,6 +109,14 @@ def test_cubic_coefficients_unit_random_agreement():
         assert b.beta == pytest.approx(a.beta, abs=1e-10)
 
 
+@pytest.mark.parametrize("copies", range(2, 13))
+def test_cubic_coefficients_unit_accepts_what_its_unit_check_accepts(copies):
+    # |n|^2 = 1 - 2e-9 passes the unit check, and puts the radicand of copies x XYZ (an isotropic set, alpha = 0)
+    # n (n - 3) 2e-9/9 below zero: -4e-9 at two copies, which the fixed -1e-9 threshold rejected
+    s = 1.0 - 1e-9
+    assert cubic_coefficients_unit([(s, 0.0, 0.0), (0.0, s, 0.0), (0.0, 0.0, s)] * copies).alpha == 0.0
+
+
 def test_cubic_coefficients_unit_rejects_non_unit():
     with pytest.raises(ValueError, match="direction 1"):
         cubic_coefficients_unit([(1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 1.0)])

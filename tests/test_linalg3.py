@@ -101,6 +101,29 @@ def test_psd_check_tests_hermiticity_at_1e12():
 
 
 @pytest.mark.parametrize(
+    "a, message",
+    [
+        (5, "expected a 3x3 matrix"),
+        ([[1.0, 0.0]] * 3, "expected a 3x3 matrix, got rows of lengths [2, 2, 2]"),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "expected a 3x3 matrix, got rows of lengths [3, 3]"),
+        ([[1.0, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 1.0]], "matrix has non-finite entries"),
+    ],
+    ids=["scalar", "rows-of-2", "two-rows", "nan"],
+)
+def test_jacobi_rejects_what_is_not_a_finite_3x3(a, message):
+    with pytest.raises(ValueError) as exc:
+        sym3_eigen_jacobi(a)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("m", [[], [[1, 0], [0]], 5], ids=["empty", "ragged", "scalar"])
+def test_psd_check_rejects_what_is_not_square(m):
+    with pytest.raises(ValueError) as exc:
+        hermitian_psd_check(m)
+    assert str(exc.value) == "expected a square matrix"
+
+
+@pytest.mark.parametrize(
     "lam_min", [-1e-9 * (1 + 1e-4), -1e-9 * (1 - 1e-4), 0.0, 1e-3, -1e-3, "rank1", "rank2", "rank3"]
 )
 def test_psd_check_agrees_with_eigvalsh_near_the_tolerance(lam_min):

@@ -32,12 +32,10 @@ def test_qubit_state_validation():
         QubitState((1.0, 1.0, 0.0))
 
 
-def test_qubit_state_equality_hash_and_repr():
-    a, b = QubitState((0, 0, 1)), QubitState(np.array([0.0, 0.0, 1.0]))
-    assert a == b and hash(a) == hash(b)
-    assert a != QubitState((0, 0, 0.5))
-    assert a.bloch == (0.0, 0.0, 1.0) and all(type(x) is float for x in a.bloch)
-    assert repr(a) == "QubitState(bloch=(0.0, 0.0, 1.0))"
+def test_qubit_state_stores_its_bloch_vector_as_floats():
+    for bloch in ((0, 0, 1), np.array([0.0, 0.0, 1.0])):
+        a = QubitState(bloch)
+        assert a.bloch == (0.0, 0.0, 1.0) and all(type(x) is float for x in a.bloch)
 
 
 
