@@ -46,10 +46,11 @@ def entanglement_witness(state: TwoQubitState, alice_dirs, bob_dirs) -> WitnessR
     variance_sum = sum_i Var(S_n_i (x) I + I (x) S_m_i), and each term is
     |n|^2 + |m|^2 + 2 n^T T m - (n . a + m . b)^2; the bound is the sum of
     the two local incompatibilities. Violation certifies entanglement;
-    non-violation certifies nothing.
+    non-violation certifies nothing. Bob's directions are read only when
+    they are not the same object as Alice's.
     """
     alice = [_unit(d, "alice") for d in _plain(alice_dirs)]
-    bob = [_unit(d, "bob") for d in _plain(bob_dirs)]
+    bob = alice if bob_dirs is alice_dirs else [_unit(d, "bob") for d in _plain(bob_dirs)]
     if len(alice) != len(bob):
         raise ValueError("alice and bob need the same number of directions")
     (ax, ay, az), (bx, by, bz) = state.a, state.b
@@ -92,6 +93,7 @@ def steering_test(state: TwoQubitState, settings) -> SteeringReport:
     `settings` is a sequence of (alice_dir, bob_dir) pairs; `inference_variances[i]`
     is pair i's minimal inference variance of Bob's spin given Alice's outcome, in
     [0, 1]. Violation demonstrates steering (no local-hidden-state model for Bob).
+    A pair whose two directions are one object is read once.
     """
     settings = list(_plain(settings))
     if not settings:
@@ -99,7 +101,7 @@ def steering_test(state: TwoQubitState, settings) -> SteeringReport:
     bob, variances, total = [], [], 0.0
     for a, b in settings:
         m = _unit(b, "bob")
-        variance = _inference_variance(state, _unit(a, "alice"), m)
+        variance = _inference_variance(state, m if a is b else _unit(a, "alice"), m)
         total += variance  # left to right from 0.0, as sum() added before 3.12
         variances.append(variance)
         bob.append(m)

@@ -59,15 +59,24 @@ def _plain(x):
     return x
 
 
+def _float(x) -> float:
+    """float(x), but a numpy complex scalar raises float()'s TypeError for a
+    Python complex, where float() would drop its imaginary part with a
+    ComplexWarning."""
+    np = sys.modules.get("numpy")
+    return float(complex(x) if np is not None and isinstance(x, np.complexfloating) else x)
+
+
 def validate_directions(directions) -> list[tuple[float, float, float]]:
     """Validate directions: N >= 1 rows of 3 finite components, no zero row.
 
     Every input, an ndarray too, comes back as a list of 3-tuples of Python
     floats. An ndarray, or an ndarray row, is read through `tolist()`, so a
-    complex one stays complex and is rejected as that list would be.
+    complex one stays complex and is rejected as that list would be, and so
+    is a numpy complex scalar.
     """
     try:
-        d = [tuple(map(float, _plain(row))) for row in _plain(directions)]
+        d = [tuple(map(_float, _plain(row))) for row in _plain(directions)]
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"expected N x 3 directions: {exc}") from None
     shape = (len(d), *sorted({len(row) for row in d}))
@@ -102,7 +111,8 @@ def moment_matrix(directions) -> tuple[tuple, tuple[float, float, float]]:
             xx = xy = xz = yy = yz = zz = 0.0  # each sum adds in row order from 0.0, as sum() did before 3.12
             for row in d:
                 x, y, z = row if isinstance(row, _ROWS) else _plain(row)
-                x, y, z = float(x), float(y), float(z)
+                if not (type(x) is float and type(y) is float and type(z) is float):
+                    x, y, z = _float(x), _float(y), _float(z)
                 if not (x or y or z):
                     break
                 xx, xy, xz = xx + x * x, xy + x * y, xz + x * z

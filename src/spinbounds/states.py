@@ -12,18 +12,22 @@ from __future__ import annotations
 
 from math import isfinite, sqrt
 
-from .incompat import _ROWS, _dot, _plain, validate_directions
+from .incompat import _ROWS, _dot, _float, _plain, validate_directions
 from .linalg3 import hermitian_psd_check
 
 
 def as_vec3(v) -> tuple[float, float, float]:
-    """Coerce to a 3-tuple of finite Python floats."""
+    """Coerce to a 3-tuple of finite Python floats; a complex component, a
+    numpy one too, is rejected."""
     try:
+        if not isinstance(v, _ROWS):
+            v = _plain(v)  # an ndarray as a list, read once
         if isinstance(v, _ROWS) and len(v) == 3:  # the common case, unpacked
             x, y, z = v
-            r = float(x), float(y), float(z)
+            r = (x, y, z) if type(x) is float and type(y) is float and type(z) is float else (
+                _float(x), _float(y), _float(z))
         else:
-            r = tuple(map(float, _plain(v)))
+            r = tuple(map(_float, v))
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"expected a 3-vector: {exc}") from None
     if len(r) != 3 or not (isfinite(r[0]) and isfinite(r[1]) and isfinite(r[2])):
@@ -57,7 +61,7 @@ class TwoQubitState:
 
     def __init__(self, rho):
         try:
-            rho = tuple(tuple(map(complex, _plain(row))) for row in _plain(rho))
+            rho = tuple([tuple(map(complex, row if isinstance(row, _ROWS) else _plain(row))) for row in _plain(rho)])
         except TypeError:
             rho = ()
         if len(rho) != 4 or any(len(row) != 4 for row in rho):
@@ -98,14 +102,24 @@ def werner(p: float) -> TwoQubitState:
     """Werner state p * singlet + (1 - p) * I/4."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"Werner parameter must lie in [0, 1], got {p}")
-    psi = [x / sqrt(2.0) for x in (0.0, 1.0, -1.0, 0.0)]
-    rows = [[p * (u * v) + (1.0 - p) * float(i == j) / 4.0 for j, v in enumerate(psi)] for i, u in enumerate(psi)]
-    return TwoQubitState(rows)
+    # rho_ij = p * psi_i psi_j + (1 - p) * delta_ij / 4, psi = (0, s, -s, 0), rounded as that formula rounds:
+    # each zero entry is +0.0, and x adds 0.0 as well (p = 0 would give -0.0)
+    s = 1.0 / sqrt(2.0)
+    q = (1.0 - p) / 4.0
+    d = p * (s * s) + q
+    x = p * (s * -s) + 0.0
+    return TwoQubitState([[q, 0.0, 0.0, 0.0], [0.0, d, x, 0.0], [0.0, x, d, 0.0], [0.0, 0.0, 0.0, q]])
 
 
 def product_state(r_a, r_b) -> TwoQubitState:
     """Product state rho(r_a) (x) rho(r_b) from two Bloch vectors."""
     (xa, ya, za), (xb, yb, zb) = _bloch_vector(r_a), _bloch_vector(r_b)
-    rho_a = ((0.5 * (1.0 + za), 0.5 * complex(xa, -ya)), (0.5 * complex(xa, ya), 0.5 * (1.0 - za)))
-    rho_b = ((0.5 * (1.0 + zb), 0.5 * complex(xb, -yb)), (0.5 * complex(xb, yb), 0.5 * (1.0 - zb)))
-    return TwoQubitState([[rho_a[i // 2][j // 2] * rho_b[i % 2][j % 2] for j in range(4)] for i in range(4)])
+    a00, a01, a10, a11 = 0.5 * (1.0 + za), 0.5 * complex(xa, -ya), 0.5 * complex(xa, ya), 0.5 * (1.0 - za)
+    b00, b01, b10, b11 = 0.5 * (1.0 + zb), 0.5 * complex(xb, -yb), 0.5 * complex(xb, yb), 0.5 * (1.0 - zb)
+    # row 2 i + k, column 2 j + l holds a_ij b_kl
+    return TwoQubitState([
+        [a00 * b00, a00 * b01, a01 * b00, a01 * b01],
+        [a00 * b10, a00 * b11, a01 * b10, a01 * b11],
+        [a10 * b00, a10 * b01, a11 * b00, a11 * b01],
+        [a10 * b10, a10 * b11, a11 * b10, a11 * b11],
+    ])

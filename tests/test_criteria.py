@@ -6,7 +6,7 @@ import pytest
 from spinbounds.criteria import entanglement_witness, steering_test
 from spinbounds import criteria, states
 from spinbounds.states import TwoQubitState, product_state, singlet, werner
-from support import XYZ, XYZ_SETTINGS, inference_variance, random_unit
+from support import XYZ, XYZ_SETTINGS, bits, inference_variance, random_unit
 
 
 def random_ball(rng):
@@ -254,6 +254,23 @@ def test_ndarray_and_list_inputs_fail_alike(case, bad, call, as_array):
     assert raised(call, as_array(bad)) == from_list
 
 
+def numpy_scalars(x, kind):
+    """x with each complex component as a numpy scalar of type `kind`."""
+    if isinstance(x, complex):
+        return kind(x)
+    return [numpy_scalars(y, kind) for y in x] if isinstance(x, list) else x
+
+
+COMPLEX_PARITY = [p for p in PARITY if p[1] == "complex" and p[0] != "steering_test-pairs"]
+
+
+@pytest.mark.parametrize("kind", [np.complex128, np.complex64])
+@pytest.mark.parametrize("bad, call", [p[2:4] for p in COMPLEX_PARITY], ids=[p[0] for p in COMPLEX_PARITY])
+def test_numpy_complex_scalars_fail_as_python_complex_does(bad, call, kind):
+    # float() cut a numpy complex scalar to its real part with a ComplexWarning
+    assert raised(call, numpy_scalars(bad, kind)) == raised(call, bad)
+
+
 def test_steering_total_monotone_in_werner_parameter():
     totals = [
         steering_test(werner(p), XYZ_SETTINGS).total
@@ -338,3 +355,56 @@ def test_witness_computes_one_bound_when_bob_equals_alice(monkeypatch):
         calls.clear()
         entanglement_witness(werner(0.8), XYZ, bob)
         assert len(calls) == count
+
+
+def counting_unit(monkeypatch):
+    calls = []
+    unit = criteria._unit
+    monkeypatch.setattr(criteria, "_unit", lambda v, what: calls.append(what) or unit(v, what))
+    return calls
+
+
+def same_object_inputs():
+    """(state, directions) with directions as a list, a tuple, an ndarray and a list of ndarray rows."""
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 4):
+        d = [random_unit(rng) for _ in range(n)]
+        for state in (werner(0.8), product_state(random_ball(rng), random_ball(rng)), random_state(rng, "mixed")):
+            for dirs in ([tuple(map(float, v)) for v in d], tuple(tuple(v) for v in d), np.array(d), d):
+                yield state, dirs
+
+
+def copy(dirs):
+    """Equal directions in new objects."""
+    return dirs.copy() if isinstance(dirs, np.ndarray) else [v.copy() if isinstance(v, np.ndarray) else tuple([*v]) for v in dirs]
+
+
+def test_witness_reads_directions_once_when_bob_is_alice(monkeypatch):
+    calls = counting_unit(monkeypatch)
+    for state, dirs in same_object_inputs():
+        calls.clear()
+        report = entanglement_witness(state, dirs, dirs)
+        assert calls == ["alice"] * len(dirs)
+        calls.clear()
+        assert bits(report) == bits(entanglement_witness(state, dirs, copy(dirs)))
+        assert calls == ["alice"] * len(dirs) + ["bob"] * len(dirs)
+
+
+def test_steering_reads_a_pair_once_when_its_directions_are_one_object(monkeypatch):
+    calls = counting_unit(monkeypatch)
+    for state, dirs in same_object_inputs():
+        calls.clear()
+        report = steering_test(state, [(m, m) for m in dirs])
+        assert calls == ["bob"] * len(dirs)
+        calls.clear()
+        assert bits(report) == bits(steering_test(state, [(m, copy([m])[0]) for m in dirs]))
+        assert calls == ["bob", "alice"] * len(dirs)
+
+
+def test_one_shot_iterator_as_both_witness_arguments_reads_as_n_pairs():
+    # it was read to its end as Alice's directions, which left Bob none: "the same number" was refused
+    for state in (werner(0.8), singlet(), product_state((0, 0, 1), (0, 0, 1))):
+        once = iter(XYZ)
+        assert bits(entanglement_witness(state, once, once)) == bits(entanglement_witness(state, XYZ, XYZ))
+    with pytest.raises(ValueError, match="same number of directions"):
+        entanglement_witness(werner(0.8), iter(XYZ), iter(XYZ[:2]))

@@ -1,12 +1,15 @@
 """The straight-line two-qubit path against the code it replaced.
 
-`TwoQubitState` sums its Bloch tensors in straight lines, the steering
+`TwoQubitState` sums its Bloch tensors in straight lines, `werner` and
+`product_state` write their density matrices entry by entry, the steering
 statistics run on unpacked floats without per-branch records, and the
 witness computes one bound when Bob's directions equal Alice's. The code
 they replaced is copied here as the reference: the `_BLOCH` gather table,
-the per-branch conditional statistics that the inference variance was
-summed from (`reference_branches`), and the witness with two bound calls.
-Every float they return must keep its bits, signed zeros included.
+the index comprehensions of `werner` and `product_state`, the Hermiticity
+test as an `all()` over a generator, the per-branch conditional statistics
+that the inference variance was summed from (`reference_branches`), and the
+witness with two bound calls. Every float they return must keep its bits,
+signed zeros included.
 
 The references add with `sum311`, an explicit loop from 0, as `sum()`
 added floats before Python 3.12 and as the package does on every version.
@@ -24,7 +27,8 @@ from hypothesis import strategies as st
 
 from spinbounds.criteria import entanglement_witness, steering_test
 from spinbounds.incompat import incompatibility
-from spinbounds.states import TwoQubitState, product_state, werner
+from spinbounds.linalg3 import hermitian_psd_check
+from spinbounds.states import TwoQubitState, as_vec3, product_state, werner
 from support import bits, dot, inference_variance, matvec, sum311
 
 # Nonzero entries (row, column, value) of I, sigma_x, sigma_y, sigma_z.
@@ -48,6 +52,30 @@ def reference_bloch(rho):
 
 def vec(d):
     return tuple(map(float, d))
+
+
+def reference_werner(p):
+    psi = [x / math.sqrt(2.0) for x in (0.0, 1.0, -1.0, 0.0)]
+    rows = [[p * (u * v) + (1.0 - p) * float(i == j) / 4.0 for j, v in enumerate(psi)] for i, u in enumerate(psi)]
+    return TwoQubitState(rows)
+
+
+def reference_product_state(r_a, r_b):
+    (xa, ya, za), (xb, yb, zb) = as_vec3(r_a), as_vec3(r_b)
+    rho_a = ((0.5 * (1.0 + za), 0.5 * complex(xa, -ya)), (0.5 * complex(xa, ya), 0.5 * (1.0 - za)))
+    rho_b = ((0.5 * (1.0 + zb), 0.5 * complex(xb, -yb)), (0.5 * complex(xb, yb), 0.5 * (1.0 - zb)))
+    return TwoQubitState([[rho_a[i // 2][j // 2] * rho_b[i % 2][j % 2] for j in range(4)] for i in range(4)])
+
+
+def reference_is_hermitian(m):
+    a = [list(map(complex, row)) for row in m]
+    n = len(a)
+    return all(abs(a[i][j] - a[j][i].conjugate()) <= 1e-12 for i in range(n) for j in range(i, n))
+
+
+def state_bits(state):
+    """rho's real and imaginary parts, then a, b and T, as hex."""
+    return bits(([(z.real, z.imag) for row in state.rho for z in row], state.a, state.b, state.T))
 
 
 def reference_witness(state, alice_dirs, bob_dirs):
@@ -233,3 +261,63 @@ def test_two_qubit_path_is_bit_identical(kind, p, seed, n, bob_kind):
     alice = directions(rng, n)
     bob = {"same": alice, "flipped": flip_zeros(alice), "other": directions(rng, n)}[bob_kind]
     assert_bit_identical(state, alice, bob, list(zip(directions(rng, n), directions(rng, n))))
+
+
+WERNER_PS = (0.0, 1.0, 0, 1, 1.0 / 3.0, 0.5, 1.0 / math.sqrt(3.0))
+
+
+def test_werner_rows_are_bit_identical():
+    rng = random.Random(25)
+    tiny = (5e-324, 2.0**-1022, 1e-300, 1.0 - 2.0**-53, 0.5 - 2.0**-54, 0.5 + 2.0**-53, True, False)
+    for p in (*WERNER_PS, *tiny, *(rng.random() for _ in range(2000))):
+        assert state_bits(werner(p)) == state_bits(reference_werner(p)), p
+
+
+def signed_zero_variants(v):
+    """v with each zero component as 0.0 and as -0.0, in every combination."""
+    variants = [()]
+    for x in v:
+        variants = [w + (z,) for w in variants for z in ((0.0, -0.0) if x == 0.0 else (x,))]
+    return variants
+
+
+def bloch_panel(rng):
+    yield from signed_zero_variants((0.0, 0.0, 0.0))
+    for v in ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.6, 0.0, 0.8), (0.0, -0.5, 0.0)):
+        yield from signed_zero_variants(v)
+    units = [(0.6, 0.8, 0.0), (3 / 13, 4 / 13, 12 / 13), (0.0, math.sqrt(0.5), -math.sqrt(0.5)), *directions(rng, 6)]
+    yield from units
+    for u in units:  # |r| just above 1, within the 1e-12 tolerance of the norm check
+        r = tuple(x * (1.0 + 4e-13) for x in u)
+        assert 1.0 < dot(r, r) <= 1.0 + 1e-12
+        yield r
+    yield (0, 0, 1)
+    yield [1, 0, 0]
+    for _ in range(6):
+        yield ball(rng)
+
+
+def test_product_state_rows_are_bit_identical():
+    panel = list(bloch_panel(random.Random(26)))
+    for r_a in panel:
+        for r_b in panel:
+            assert state_bits(product_state(r_a, r_b)) == state_bits(reference_product_state(r_a, r_b)), (r_a, r_b)
+
+
+def test_hermiticity_test_keeps_its_verdict():
+    # one entry moved off Hermitian by about the tolerance, or made NaN
+    rng = random.Random(27)
+    shifts = (0.0, 5e-13, 1e-12, 1.0000001e-12, 2e-12, 1e-11, -1e-12, 1e-12j, -1.01e-12j, math.nan, complex(0.0, math.nan))
+    for _ in range(60):
+        rows = mixed(rng, rng.randint(1, 4))
+        for shift in shifts:
+            i, j = rng.randrange(4), rng.randrange(4)
+            m = [row[:] for row in rows]
+            m[i][j] += shift
+            try:
+                hermitian_psd_check(m)
+                accepted = True
+            except ValueError as exc:
+                assert str(exc) == "density matrix is not Hermitian"
+                accepted = False
+            assert accepted == reference_is_hermitian(m), (shift, i, j)
