@@ -78,10 +78,8 @@ def hermitian_psd_check(m) -> bool:
     n = len(a)
     if not n or any(len(row) != n for row in a):
         raise ValueError("expected a square matrix")
-    for i, a_row in enumerate(a):
-        for j in range(i, n):
-            if not abs(a_row[j] - a[j][i].conjugate()) <= HERMITIAN_TOL:  # a NaN fails too
-                raise ValueError("density matrix is not Hermitian")
+    if not all(abs(a[i][j] - a[j][i].conjugate()) <= HERMITIAN_TOL for i in range(n) for j in range(i, n)):
+        raise ValueError("density matrix is not Hermitian")
     pivots, low = [], []  # low[i][k] = L[i][k] for k < i; L has a unit diagonal
     for i, a_row in enumerate(a):
         row, scaled = [], []  # row[k] = L[i][k] and scaled[k] = L[i][k] * pivots[k]

@@ -22,7 +22,7 @@ from spinbounds.incompat import (
 from spinbounds import incompat
 from spinbounds.linalg3 import sym3_eigen_jacobi
 from spinbounds.oracle import cubic_coefficients_unit
-from spinbounds.states import QubitState, TwoQubitState, as_vec3, uncertainty_sum, werner
+from spinbounds.states import QubitState, TwoQubitState, uncertainty_sum, werner
 from support import EXAMPLE4, XYZ, random_set, random_unit
 
 
@@ -345,30 +345,6 @@ def test_complex_directions_are_rejected_as_an_ndarray_and_as_a_list():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="expected N x 3 directions: .*complex"):
                 incompatibility(directions)
-
-
-@pytest.mark.parametrize("kind", [np.complex128, np.complex64, np.clongdouble])
-def test_numpy_complex_scalars_are_rejected_as_python_complex_is(kind):
-    # float() cut each to its real part with a ComplexWarning: the set gave 1.0; np.complex128
-    # subclasses complex and np.complex64 does not, and a zero imaginary part is rejected too
-    message = "float() argument must be a string or a real number, not 'complex'"
-    for z in (1 + 1j, 1 + 0j):
-        rows = [[kind(z), 0, 0], [0, 1, 0]]
-        calls = (lambda: incompatibility(rows), lambda: incompatibility(iter(rows)), lambda: moment_matrix(rows),
-                 lambda: validate_directions(rows), lambda: incompatibility_pair(*rows),
-                 lambda: uncertainty_sum(rows, QubitState((0.0, 0.0, 1.0))))
-        for call in calls:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValueError) as info:
-                    call()
-            assert str(info.value) == f"expected N x 3 directions: {message}"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for v in ([kind(z), 0, 0], (0.0, 0.0, kind(z)), [0.5, kind(z), np.float64(0.5)]):
-                with pytest.raises(ValueError) as info:
-                    as_vec3(v)
-                assert str(info.value) == f"expected a 3-vector: {message}"
 
 
 def test_text_is_not_a_direction():

@@ -16,6 +16,7 @@ generators in `bench/workloads.py`.
 
 import math
 import sys
+import warnings
 from itertools import chain
 from operator import mul
 from pathlib import Path
@@ -35,6 +36,7 @@ from spinbounds.incompat import (
     sym3_certificate,
     sym3_spectrum,
     sym3_traces,
+    validate_directions,
 )
 from spinbounds.states import QubitState, TwoQubitState, as_vec3, product_state, uncertainty_sum, werner
 from support import bits, dot, matvec, sum311
@@ -361,20 +363,27 @@ def test_as_vec3_and_unit_keep_their_results_and_rejections(v):
 
 def test_complex_array_rows_raise_the_lists_message():
     # each row was cast to float with a ComplexWarning, which dropped the
-    # imaginary part: the bound came out 1.0
+    # imaginary part: the bound came out 1.0; so was a numpy complex scalar
+    # in a plain list, a zero imaginary part included
     rows = [np.array([1 + 1j, 0, 0]), np.array([0.0, 1, 0])]
     expected = "expected N x 3 directions: float() argument must be a string or a real number, not 'complex'"
     with pytest.raises(ValueError) as listed:
         incompatibility([row.tolist() for row in rows])
     assert str(listed.value) == expected
-    for call in (
-        lambda: incompatibility(rows),
-        lambda: incompatibility_pair(*rows),
-        lambda: moment_matrix(rows),
-        lambda: moment_matrix(tuple(rows)),
-        lambda: moment_matrix(iter(rows)),
-        lambda: uncertainty_sum(rows, QubitState((0.0, 0.0, 1.0))),
-    ):
-        with pytest.raises(ValueError) as info:
-            call()
-        assert str(info.value) == expected
+    scalar_rows = [[[kind(z), 0, 0], [0.0, 1, 0]] for kind in (np.complex128, np.complex64, np.clongdouble)
+                   for z in (1 + 1j, 1 + 0j)]
+    for rows in (rows, *scalar_rows):
+        for call in (
+            lambda: incompatibility(rows),
+            lambda: incompatibility_pair(*rows),
+            lambda: moment_matrix(rows),
+            lambda: moment_matrix(tuple(rows)),
+            lambda: moment_matrix(iter(rows)),
+            lambda: uncertainty_sum(rows, QubitState((0.0, 0.0, 1.0))),
+            lambda: validate_directions(rows),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as info:
+                    call()
+            assert str(info.value) == expected
