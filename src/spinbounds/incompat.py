@@ -246,7 +246,7 @@ def sym3_traces(a) -> tuple[float, float, float]:
     ValueError when tr A^3 overflows.
     """
     if not isinstance(a, _ROWS):  # an ndarray: compute on Python floats
-        a = [list(map(float, row)) for row in a]
+        a = [list(map(_float, row)) for row in a]
     (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
     d2 = a01 * a01, a02 * a02, a12 * a12
     t1 = a00 + a11 + a22
@@ -290,7 +290,7 @@ def sym3_spectrum(a) -> Sym3Spectrum:
     orthogonal complement (Kopp, arXiv:physics/0610206).
     """
     if not isinstance(a, _ROWS):  # an ndarray: compute on Python floats
-        a = [list(map(float, row)) for row in a]
+        a = [list(map(_float, row)) for row in a]
     (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
     shift = (a00 + a11 + a22) / 3.0
     b00, b11, b22 = a00 - shift, a11 - shift, a22 - shift
@@ -326,7 +326,7 @@ def sym3_certificate(a, lams) -> tuple[tuple, float]:
     V[0] = e_z.
     """
     if not isinstance(a, _ROWS):  # an ndarray: compute on Python floats
-        a = [list(map(float, row)) for row in a]
+        a = [list(map(_float, row)) for row in a]
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
     l0, l1, l2 = float(lams[0]), float(lams[1]), float(lams[2])
     top = l0 - l1 >= l1 - l2

@@ -1,13 +1,16 @@
 """Reference checkers on rows of Python numbers, without numpy: the cyclic
 Jacobi eigensolver that `verify` and the tests hold the closed form against,
-and the Hermitian/PSD check of a density matrix. The bound never imports it:
-`states` loads it for the PSD check and `verify` for Jacobi.
+and the Hermitian/PSD check of a 4x4 density matrix, a straight-line LDL^H.
+The bound never imports it: `states` loads it for the PSD check and `verify`
+for Jacobi.
 """
 
 from __future__ import annotations
 
 from math import copysign, hypot, isfinite, sqrt
 from operator import itemgetter
+
+from .incompat import _float
 
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-9
@@ -27,7 +30,7 @@ def sym3_eigen_jacobi(a) -> tuple[tuple, tuple]:
     orthonormal columns of rows V: sum_k a[j][k] V[k][i] = w[i] V[j][i].
     """
     try:
-        a = [list(map(float, row)) for row in a]
+        a = [list(map(_float, row)) for row in a]
     except TypeError:
         raise ValueError("expected a 3x3 matrix") from None
     if list(map(len, a)) != [3, 3, 3]:
@@ -63,37 +66,52 @@ def sym3_eigen_jacobi(a) -> tuple[tuple, tuple]:
 
 
 def hermitian_psd_check(m) -> bool:
-    """True iff the Hermitian matrix m (rows of numbers, or an ndarray) has
+    """True iff the Hermitian 4x4 matrix m (rows of numbers, or an ndarray) has
     all eigenvalues >= -PSD_TOL, i.e. iff every pivot of the LDL^H elimination
     (Cholesky without square roots) of m + PSD_TOL I is > 0. Its backward error
-    is ~n eps ||m|| (Higham, Accuracy and Stability, 2nd ed., 10.1).
+    is ~n eps ||m|| (Higham, Accuracy and Stability, 2nd ed., 10.1). The
+    elimination is written out for n = 4, in the order of the n x n loop.
 
-    Raises ValueError when m is not Hermitian within HERMITIAN_TOL: a
-    malformed input is a validation failure, not a "not PSD" verdict.
+    Raises ValueError("expected a 4x4 matrix") for any other shape, and
+    ValueError when m is not Hermitian within HERMITIAN_TOL, a pair whose
+    difference overflows abs() included: a malformed input is a validation
+    failure, not a "not PSD" verdict.
     """
     try:
-        a = [list(map(complex, row)) for row in m]
-    except TypeError:
-        raise ValueError("expected a square matrix") from None
-    n = len(a)
-    if not n or any(len(row) != n for row in a):
-        raise ValueError("expected a square matrix")
-    if not all(abs(a[i][j] - a[j][i].conjugate()) <= HERMITIAN_TOL for i in range(n) for j in range(i, n)):
+        (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = m
+        a00, a01, a02, a03, a10, a11, a12, a13, a20, a21, a22, a23, a30, a31, a32, a33 = map(
+            complex, (a00, a01, a02, a03, a10, a11, a12, a13, a20, a21, a22, a23, a30, a31, a32, a33))
+    except (TypeError, ValueError):
+        raise ValueError("expected a 4x4 matrix") from None
+    try:  # the 10 pairs (i, j >= i), in row order
+        hermitian = (
+            abs(a00 - a00.conjugate()) <= HERMITIAN_TOL and abs(a01 - a10.conjugate()) <= HERMITIAN_TOL
+            and abs(a02 - a20.conjugate()) <= HERMITIAN_TOL and abs(a03 - a30.conjugate()) <= HERMITIAN_TOL
+            and abs(a11 - a11.conjugate()) <= HERMITIAN_TOL and abs(a12 - a21.conjugate()) <= HERMITIAN_TOL
+            and abs(a13 - a31.conjugate()) <= HERMITIAN_TOL and abs(a22 - a22.conjugate()) <= HERMITIAN_TOL
+            and abs(a23 - a32.conjugate()) <= HERMITIAN_TOL and abs(a33 - a33.conjugate()) <= HERMITIAN_TOL
+        )
+    except OverflowError:  # a difference past ~1.8e308 in modulus
+        hermitian = False
+    if not hermitian:
         raise ValueError("density matrix is not Hermitian")
-    pivots, low = [], []  # low[i][k] = L[i][k] for k < i; L has a unit diagonal
-    for i, a_row in enumerate(a):
-        row, scaled = [], []  # row[k] = L[i][k] and scaled[k] = L[i][k] * pivots[k]
-        for k in range(i):
-            x = a_row[k]
-            for q in range(k):
-                x -= scaled[q] * low[k][q].conjugate()
-            scaled.append(x)
-            row.append(x / pivots[k])
-        pivot = a_row[i].real + PSD_TOL
-        for q in range(i):
-            pivot -= (scaled[q] * row[q].conjugate()).real
-        if not pivot > 0.0:
-            return False
-        pivots.append(pivot)
-        low.append(row)
-    return True
+    # row i below the diagonal: s_ik = a_ik - sum_q s_iq conj(l_kq) and l_ik = s_ik / p_k (s_i0 = a_i0),
+    # then the pivot p_i = Re a_ii + PSD_TOL - sum_k Re(s_ik conj(l_ik)), each sum subtracted term by term
+    p0 = a00.real + PSD_TOL
+    if not p0 > 0.0:
+        return False
+    l10 = a10 / p0
+    p1 = a11.real + PSD_TOL - (a10 * l10.conjugate()).real
+    if not p1 > 0.0:
+        return False
+    l20, s21 = a20 / p0, a21 - a20 * l10.conjugate()
+    l21 = s21 / p1
+    p2 = a22.real + PSD_TOL - (a20 * l20.conjugate()).real - (s21 * l21.conjugate()).real
+    if not p2 > 0.0:
+        return False
+    l30, s31 = a30 / p0, a31 - a30 * l10.conjugate()
+    l31 = s31 / p1
+    s32 = a32 - a30 * l20.conjugate() - s31 * l21.conjugate()
+    l32 = s32 / p2
+    p3 = a33.real + PSD_TOL - (a30 * l30.conjugate()).real - (s31 * l31.conjugate()).real - (s32 * l32.conjugate()).real
+    return p3 > 0.0

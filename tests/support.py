@@ -7,6 +7,7 @@ run without numpy can import this one (see README).
 import math
 
 from spinbounds.criteria import steering_test
+from spinbounds.linalg3 import HERMITIAN_TOL, PSD_TOL
 
 XYZ = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
 XYZ_SETTINGS = [(d, d) for d in XYZ]
@@ -62,3 +63,47 @@ def bits(x):
     if isinstance(x, (tuple, list)):
         return [h for y in x for h in bits(y)]
     return [repr(x)] if isinstance(x, bool) else [float.hex(x)]
+
+
+def outcome(fn, *args):
+    """The bits of fn(*args), or the type and message of what it raised."""
+    try:
+        return bits(fn(*args))
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def shift(m, delta):
+    """Square rows m + delta I."""
+    return [[z + delta if i == j else z for j, z in enumerate(row)] for i, row in enumerate(m)]
+
+
+def reference_psd_check(m):
+    """`hermitian_psd_check` as the n x n loop it was before it was written
+    out for 4x4: the same tolerances and the same operations in the same order."""
+    try:
+        a = [list(map(complex, row)) for row in m]
+    except TypeError:
+        raise ValueError("expected a square matrix") from None
+    n = len(a)
+    if not n or any(len(row) != n for row in a):
+        raise ValueError("expected a square matrix")
+    if not all(abs(a[i][j] - a[j][i].conjugate()) <= HERMITIAN_TOL for i in range(n) for j in range(i, n)):
+        raise ValueError("density matrix is not Hermitian")
+    pivots, low = [], []  # low[i][k] = L[i][k] for k < i; L has a unit diagonal
+    for i, a_row in enumerate(a):
+        row, scaled = [], []  # row[k] = L[i][k] and scaled[k] = L[i][k] * pivots[k]
+        for k in range(i):
+            x = a_row[k]
+            for q in range(k):
+                x -= scaled[q] * low[k][q].conjugate()
+            scaled.append(x)
+            row.append(x / pivots[k])
+        pivot = a_row[i].real + PSD_TOL
+        for q in range(i):
+            pivot -= (scaled[q] * row[q].conjugate()).real
+        if not pivot > 0.0:
+            return False
+        pivots.append(pivot)
+        low.append(row)
+    return True

@@ -380,6 +380,17 @@ MIXED = [[0.25 * (i == j) for j in range(4)] for i in range(4)]
 ZEROS = [[0.0] * 4 for _ in range(4)]
 
 
+def test_a_pair_whose_difference_overflows_is_not_hermitian(tmp_path, xyz_file, capsys):
+    # abs() of the pair's difference overflowed: the error read "invalid state: absolute value too large"
+    re, im = [row[:] for row in MIXED], [row[:] for row in ZEROS]
+    re[0][1] = im[0][1] = 1.5e308
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"dim": 4, "re": re, "im": im}))
+    assert main(["witness", "--state", str(path), "--alice", xyz_file, "--bob", xyz_file]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert not out and err == f"error: {path}: invalid state: density matrix is not Hermitian\n"
+
+
 @pytest.mark.parametrize(
     "state",
     [

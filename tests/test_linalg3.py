@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from spinbounds.incompat import _split, cubic_roots, sym3_certificate, sym3_spectrum, sym3_traces
 from spinbounds.linalg3 import PSD_TOL, hermitian_psd_check, sym3_eigen_jacobi
+from spinbounds.states import TwoQubitState
 from support import bits, dot, matvec
 
 
@@ -116,11 +117,39 @@ def test_jacobi_rejects_what_is_not_a_finite_3x3(a, message):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("m", [[], [[1, 0], [0]], 5], ids=["empty", "ragged", "scalar"])
+@pytest.mark.parametrize(
+    "m", [[], [[1, 0], [0]], 5, [[1, 0], [0, 1]], np.eye(3)], ids=["empty", "ragged", "scalar", "2x2", "3x3"]
+)
 def test_psd_check_rejects_what_is_not_square(m):
     with pytest.raises(ValueError) as exc:
         hermitian_psd_check(m)
-    assert str(exc.value) == "expected a square matrix"
+    assert str(exc.value) == "expected a 4x4 matrix"
+
+
+def test_psd_check_rejects_a_pair_whose_difference_overflows_as_not_hermitian():
+    # abs() of the difference raised OverflowError("absolute value too large")
+    m = np.eye(4, dtype=complex) / 4.0
+    m[0, 1] = 1.5e308 + 1.5e308j
+    for rows in (m, m.tolist(), m.T.tolist()):
+        with pytest.raises(ValueError) as exc:
+            hermitian_psd_check(rows)
+        assert str(exc.value) == "density matrix is not Hermitian"
+        with pytest.raises(ValueError) as exc:
+            TwoQubitState(rows)
+        assert str(exc.value) == "density matrix is not Hermitian"
+
+
+def test_kernels_reject_a_complex_ndarray():
+    # each ndarray row was read through float(), which kept the real part with a ComplexWarning
+    for a in (np.array([[1 + 1j, 0, 0], [0, 1, 0], [0, 0, 1]]), np.eye(3, dtype=complex)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: sym3_traces(a), lambda: sym3_spectrum(a), lambda: sym3_certificate(a, (1.0, 1.0, 1.0))):
+                with pytest.raises(TypeError, match="not 'complex'"):
+                    call()
+            with pytest.raises(ValueError) as exc:
+                sym3_eigen_jacobi(a)
+            assert str(exc.value) == "expected a 3x3 matrix"
 
 
 @pytest.mark.parametrize(

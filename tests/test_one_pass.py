@@ -11,7 +11,8 @@ exception type and message.
 The reference sums with `sum311`, which adds as `sum()` does on CPython
 3.11 (from 0, left to right); `sum()` compensates from 3.12 on. The
 `direction_sets` and `two_qubit` pools come from the benchmark's own
-generators in `bench/workloads.py`.
+generators in `bench/workloads.py`; on the `two_qubit` pools the PSD check
+also keeps the verdict of the n x n loop it replaced (`reference_psd_check`).
 """
 
 import math
@@ -38,8 +39,9 @@ from spinbounds.incompat import (
     sym3_traces,
     validate_directions,
 )
+from spinbounds.linalg3 import PSD_TOL, hermitian_psd_check
 from spinbounds.states import QubitState, TwoQubitState, as_vec3, product_state, uncertainty_sum, werner
-from support import bits, dot, matvec, sum311
+from support import bits, dot, matvec, outcome, reference_psd_check, shift, sum311
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
@@ -149,14 +151,6 @@ def reference_steering(state, settings):
     return tuple(variances), total, bound, total < bound - 1e-10, bound - total
 
 
-def outcome(fn, *args):
-    """The bits of fn(*args), or the type and message of what it raised."""
-    try:
-        return bits(fn(*args))
-    except (ValueError, ArithmeticError) as exc:
-        return type(exc), str(exc)
-
-
 def assert_same_bound(directions):
     assert outcome(moment_matrix, directions) == outcome(reference_moment_matrix, directions)
     assert outcome(incompatibility, directions) == outcome(reference_incompatibility, directions)
@@ -218,6 +212,9 @@ def test_every_two_qubit_input_is_bit_identical(seed):
     for item in workloads.two_qubit(seed).passes[0]:
         kind, params, alice, settings = item.args
         state = two_qubit_state(kind, params)
+        arrays = (params, params.tolist()) if kind == "mixed" else ()
+        for rows in (state.rho, shift(state.rho, -1e-3), shift(state.rho, -PSD_TOL), *arrays):
+            assert outcome(hermitian_psd_check, rows) == outcome(reference_psd_check, rows)
         assert bits(entanglement_witness(state, alice, alice)) == bits(reference_witness(state, alice, alice))
         assert bits(steering_test(state, settings)) == bits(reference_steering(state, settings))
         for directions in forms(alice):

@@ -8,7 +8,9 @@ they replaced is copied here as the reference: the `_BLOCH` gather table,
 the index comprehensions of `werner` and `product_state`, the per-branch
 conditional statistics that the inference variance was summed from
 (`reference_branches`), and the witness with two bound calls. Every float
-they return must keep its bits, signed zeros included.
+they return must keep its bits, signed zeros included. The PSD check, an
+LDL^H written out for 4x4, must keep every verdict of the n x n loop it
+replaced (`reference_psd_check`), its exceptions too.
 
 The references add with `sum311`, an explicit loop from 0, as `sum()`
 added floats before Python 3.12 and as the package does on every version.
@@ -26,8 +28,9 @@ from hypothesis import strategies as st
 
 from spinbounds.criteria import entanglement_witness, steering_test
 from spinbounds.incompat import incompatibility
+from spinbounds.linalg3 import PSD_TOL, hermitian_psd_check
 from spinbounds.states import TwoQubitState, as_vec3, product_state, werner
-from support import bits, dot, inference_variance, matvec, sum311
+from support import bits, dot, inference_variance, matvec, outcome, reference_psd_check, shift, sum311
 
 # Nonzero entries (row, column, value) of I, sigma_x, sigma_y, sigma_z.
 _PAULI = (((0, 0, 1), (1, 1, 1)), ((0, 1, 1), (1, 0, 1)), ((0, 1, -1j), (1, 0, 1j)), ((0, 0, 1), (1, 1, -1)))
@@ -295,3 +298,92 @@ def test_product_state_rows_are_bit_identical():
         for r_b in panel:
             assert state_bits(product_state(r_a, r_b)) == state_bits(reference_product_state(r_a, r_b)), (r_a, r_b)
 
+
+def wild_hermitian(rng):
+    """Hermitian 4x4 rows whose every real and imaginary part is 0, -PSD_TOL,
+    1 or a normal draw times 10^k, k in [-300, 300]: the elimination
+    overflows on some."""
+
+    def part():
+        return rng.choice((0.0, -PSD_TOL, 1.0, rng.gauss(0.0, 1.0) * 10.0 ** rng.randint(-300, 300)))
+
+    m = [[complex(part(), 0.0) if i == j else 0j for j in range(4)] for i in range(4)]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            m[i][j] = complex(part(), part())
+            m[j][i] = m[i][j].conjugate()
+    return m
+
+
+# the third pivot is nan from finite entries: a20 / p0 overflows, and inf - inf follows
+NAN_PIVOT = [[0, 1e100, 1e300j, 0], [1e100, 1e300, 0, 0], [-1e300j, 0, 0, 0], [0, 0, 0, 0]]
+
+
+def pivot_edge(rng, i):
+    """Two matrices whose pivot i is the last to be > 0 and the first not to be:
+    the leading (i + 1) x (i + 1) block g g^dagger has rank i, the rest is
+    0.25 I, and entry (i, i) takes the two adjacent shifts between which the
+    verdict turns."""
+    g = [[complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(i)] for _ in range(i + 1)]
+    m = [[0.25 * (r == c) + 0j for c in range(4)] for r in range(4)]
+    for r, gr in enumerate(g):
+        for c, gc in enumerate(g):
+            m[r][c] = sum311(x * y.conjugate() for x, y in zip(gr, gc))
+
+    def at(delta):
+        return [[z + delta if r == c == i else z for c, z in enumerate(row)] for r, row in enumerate(m)]
+
+    lo, hi = -PSD_TOL, 0.0
+    assert reference_psd_check(at(hi))
+    while reference_psd_check(at(lo)):
+        lo *= 2.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if reference_psd_check(at(mid)) else (mid, hi)
+    return at(lo), at(hi)
+
+
+def psd_panel(rng):
+    """4x4 rows on both sides of each verdict. None has a pair whose difference
+    overflows abs(): the loop raised OverflowError there, where the check
+    now says "not Hermitian" (see test_linalg3.py)."""
+    for rank in (1, 2, 3, 4):  # the smallest eigenvalue 1e-13 to either side of -PSD_TOL, at 0 and at +-1e-3
+        for delta in (-PSD_TOL * (1.0 + 1e-4), -PSD_TOL * (1.0 - 1e-4), 0.0, 1e-3, -1e-3):
+            for _ in range(40):
+                yield shift(mixed(rng, rank), delta)
+    for p in (*WERNER_PS, *(rng.random() for _ in range(20))):
+        yield werner(p).rho
+    for _ in range(40):
+        yield product_state(ball(rng), ball(rng)).rho
+    yield product_state((0, 0, 1), (0, 0, -1)).rho
+    diag = [[0.25 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    for rho in (werner(0.5).rho, werner(1.0).rho, product_state((0, 0, 1), (1, 0, 0)).rho, diag):
+        for _ in range(20):  # each zero part as 0.0 or -0.0
+            yield [[complex(*(rng.choice((0.0, -0.0)) if x == 0.0 else x for x in (z.real, z.imag))) for z in row]
+                   for row in rho]
+    for i in range(4):  # pivot i lands on exactly 0.0: -PSD_TOL on the diagonal, the rest of its row and column zero
+        yield [[-PSD_TOL if r == c == i else 0.25 * (r == c) for c in range(4)] for r in range(4)]
+        yield [[-PSD_TOL if r == c == i else -0.0 if r != c else 0.25 for c in range(4)] for r in range(4)]
+    for i in (1, 2, 3):  # pivot i within rounding of 0.0, on either side
+        for _ in range(150):
+            yield from pivot_edge(rng, i)
+    yield NAN_PIVOT
+    for _ in range(3000):
+        yield wild_hermitian(rng)
+    for bad in (math.nan, math.inf, -math.inf, complex(math.nan, 0.0), complex(0.0, math.inf)):
+        for i, j in ((0, 0), (2, 2), (1, 2), (3, 0)):
+            m = mixed(rng, 4)
+            m[i][j] = bad
+            yield [row[:] for row in m]
+            m[j][i] = complex(bad).conjugate()  # a Hermitian pair of non-finite entries
+            yield m
+
+
+def test_psd_check_keeps_every_verdict_of_the_loop():
+    seen = set()
+    for m in psd_panel(random.Random(27)):
+        for rows in (m, tuple(map(tuple, m))):
+            verdict = outcome(hermitian_psd_check, rows)
+            assert verdict == outcome(reference_psd_check, rows), m
+            seen.add(str(verdict))
+    assert outcome(reference_psd_check, NAN_PIVOT) == bits(False)
+    assert seen == {str(bits(True)), str(bits(False)), str((ValueError, "density matrix is not Hermitian"))}
