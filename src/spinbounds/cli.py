@@ -46,26 +46,22 @@ _ANGLE_RE = re.compile(r"^\s*(?:(\d+)\s*\*\s*)?pi\s*(?:/\s*(\d+))?\s*$")
 _JSON_KINDS = {str: "a string", bool: "a boolean", type(None): "null", list: "an array", dict: "an object"}
 
 
-class InputError(Exception):
-    pass
-
-
 def parse_angle(text: str) -> float:
     """Parse a finite angle: `k*pi/m`, `pi/m`, `k*pi`, `pi`, or a decimal literal."""
     m = _ANGLE_RE.match(text)
     try:
         value = int(m.group(1) or 1) * math.pi / int(m.group(2) or 1) if m else float(text)
     except ZeroDivisionError:
-        raise InputError(f"zero denominator in angle {text!r}") from None
+        raise ValueError(f"zero denominator in angle {text!r}") from None
     except ValueError:
-        raise InputError(
+        raise ValueError(
             f"malformed angle {text!r}: expected k*pi/m, pi/m, k*pi, pi, "
             f"or a decimal literal"
         ) from None
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise InputError(f"angle {text!r} is not finite")
+        raise ValueError(f"angle {text!r} is not finite")
     return value
 
 
@@ -80,16 +76,15 @@ def _read_json_object(path: str, what: str) -> dict:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError covers bad JSON and bad UTF-8
-        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+        raise ValueError(f"cannot read {what} file {path}: {exc}") from exc
     if not isinstance(data, dict):
-        raise InputError(f"{path}: expected a JSON object, got {type(data).__name__}")
+        raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
     return data
 
 
 def _json_numbers(vectors) -> None:
-    """Raise TypeError at the first (name, vector) pair whose vector is not a JSON array of JSON
-    numbers: float() would read the text "1" and true as 1.0, a string as its characters and an
-    object as its keys. The array's length is left to the library."""
+    """Raise TypeError, naming the JSON kind found, at the first (name, vector) pair whose vector is not
+    a JSON array of JSON numbers (the library reads true as 1.0); the array's length is left to it."""
     for name, vec in vectors:
         if type(vec) is not list:
             raise TypeError(f"{name}: {_JSON_KINDS.get(type(vec), 'a number')} is not a sequence of numbers")
@@ -104,12 +99,12 @@ def load_directions(path: str) -> list[tuple[float, float, float]]:
     data = _read_json_object(path, "direction")
     dirs = data.get("directions")
     if not isinstance(dirs, list) or not dirs:
-        raise InputError(f"{path}: expected a non-empty 'directions' list")
+        raise ValueError(f"{path}: expected a non-empty 'directions' list")
     try:
         _json_numbers((f"directions[{i}]", row) for i, row in enumerate(dirs))
         return validate_directions(dirs)
     except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: malformed direction entry: {exc}") from exc
+        raise ValueError(f"{path}: malformed direction entry: {exc}") from exc
 
 
 def load_state(spec: str) -> TwoQubitState:
@@ -126,26 +121,26 @@ def load_state(spec: str) -> TwoQubitState:
         try:
             return werner(float(spec.split(":", 1)[1]))
         except ValueError as exc:
-            raise InputError(f"bad werner parameter in {spec!r}: {exc}") from exc
+            raise ValueError(f"bad werner parameter in {spec!r}: {exc}") from exc
     if spec.startswith("product:"):
         parts = spec.split(":")
         if len(parts) != 3:
-            raise InputError("product state spec is product:ax,ay,az:bx,by,bz")
+            raise ValueError("product state spec is product:ax,ay,az:bx,by,bz")
         try:
             r_a = [float(t) for t in parts[1].split(",")]
             r_b = [float(t) for t in parts[2].split(",")]
             return product_state(r_a, r_b)
         except ValueError as exc:
-            raise InputError(f"bad product state spec {spec!r}: {exc}") from exc
+            raise ValueError(f"bad product state spec {spec!r}: {exc}") from exc
     data = _read_json_object(spec, "state")
     if data.get("dim") != 4:
-        raise InputError(f"{spec}: only dim=4 states are accepted here")
+        raise ValueError(f"{spec}: only dim=4 states are accepted here")
     try:
         _json_numbers((f"{part}[{i}]", row) for part in ("re", "im") for i, row in enumerate(data[part]))
         rows = zip(data["re"], data["im"], strict=True)
         return TwoQubitState([[complex(x, y) for x, y in zip(*row, strict=True)] for row in rows])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{spec}: invalid state: {exc}") from exc
+        raise ValueError(f"{spec}: invalid state: {exc}") from exc
 
 
 def load_settings(path: str) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
@@ -153,12 +148,12 @@ def load_settings(path: str) -> list[tuple[tuple[float, ...], tuple[float, ...]]
     data = _read_json_object(path, "settings")
     raw = data.get("settings")
     if not isinstance(raw, list) or not raw:
-        raise InputError(f"{path}: expected a non-empty 'settings' list")
+        raise ValueError(f"{path}: expected a non-empty 'settings' list")
     try:
         _json_numbers((f"settings[{i}].{side}", entry[side]) for i, entry in enumerate(raw) for side in ("alice", "bob"))
         return [(tuple(map(float, entry["alice"])), tuple(map(float, entry["bob"]))) for entry in raw]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{path}: malformed setting entry: {exc}") from exc
+        raise ValueError(f"{path}: malformed setting entry: {exc}") from exc
 
 
 def _emit(args, payload: dict, lines: list[str]) -> int:
@@ -174,7 +169,7 @@ def _emit(args, payload: dict, lines: list[str]) -> int:
 
 def cmd_incompat(args) -> int:
     if (args.dirs is None) == (args.angles is None):
-        raise InputError("provide exactly one of --dirs or --angles")
+        raise ValueError("provide exactly one of --dirs or --angles")
     if args.dirs is not None:
         dirs = load_directions(args.dirs)
     else:
@@ -329,7 +324,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL if isinstance(exc, ArithmeticError) else EXIT_INPUT
 

@@ -60,9 +60,12 @@ def _plain(x):
 
 
 def _float(x) -> float:
-    """float(x), but a numpy complex scalar raises float()'s TypeError for a
-    Python complex, where float() would drop its imaginary part with a
-    ComplexWarning."""
+    """float(x) of a number, a bool included: text raises float()'s ValueError, "1"
+    too, an int past a float's range its OverflowError, and a numpy complex scalar
+    its TypeError for a Python complex, where float() would drop the imaginary
+    part with a ComplexWarning."""
+    if type(x) is not float and isinstance(x, (str, bytes, bytearray)):  # the type test spares floats the tuple
+        raise ValueError(f"could not convert string to float: {x!r}")
     np = sys.modules.get("numpy")
     return float(complex(x) if np is not None and isinstance(x, np.complexfloating) else x)
 

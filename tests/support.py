@@ -9,6 +9,7 @@ import math
 from spinbounds.criteria import steering_test
 from spinbounds.linalg3 import HERMITIAN_TOL, PSD_TOL
 
+HUGE = 10**400  # an int too large for a float
 XYZ = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
 XYZ_SETTINGS = [(d, d) for d in XYZ]
 EXAMPLE4 = [  # the paper's four-direction example

@@ -19,7 +19,6 @@ from spinbounds.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VERIFY_FAIL,
-    InputError,
     main,
     parse_angle,
     round5,
@@ -75,7 +74,7 @@ def test_parse_angle(text, expected):
 
 @pytest.mark.parametrize("text", ["two*pi", "pi/", "pi/0", "1/2*pi", "", "nan", "inf", "-inf", "1e400"])
 def test_parse_angle_rejects_malformed(text):
-    with pytest.raises(InputError):
+    with pytest.raises(ValueError):
         parse_angle(text)
 
 

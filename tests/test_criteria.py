@@ -6,7 +6,7 @@ import pytest
 from spinbounds.criteria import entanglement_witness, steering_test
 from spinbounds import criteria, states
 from spinbounds.states import TwoQubitState, product_state, singlet, werner
-from support import XYZ, XYZ_SETTINGS, bits, inference_variance, random_unit
+from support import HUGE, XYZ, XYZ_SETTINGS, bits, inference_variance, random_unit
 
 
 def random_ball(rng):
@@ -178,9 +178,6 @@ def test_steering_werner_fixtures():
 def test_steering_rejects_empty_settings():
     with pytest.raises(ValueError):
         steering_test(singlet(), [])
-
-
-HUGE = 10**400  # an int too large for a float
 
 
 @pytest.mark.parametrize("call", [

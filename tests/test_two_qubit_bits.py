@@ -387,3 +387,15 @@ def test_psd_check_keeps_every_verdict_of_the_loop():
             seen.add(str(verdict))
     assert outcome(reference_psd_check, NAN_PIVOT) == bits(False)
     assert seen == {str(bits(True)), str(bits(False)), str((ValueError, "density matrix is not Hermitian"))}
+
+
+def test_psd_check_keeps_every_verdict_of_the_loop_on_real_rows():
+    # the check computes on the entries as given, so real symmetric rows (the panel's upper triangles'
+    # real parts) run in float arithmetic, where the loop converted them to complex first
+    seen = set()
+    for m in psd_panel(random.Random(27)):
+        rows = [[complex(m[min(r, c)][max(r, c)]).real for c in range(4)] for r in range(4)]
+        verdict = outcome(hermitian_psd_check, rows)
+        assert verdict == outcome(reference_psd_check, rows), rows
+        seen.add(str(verdict))
+    assert seen == {str(bits(True)), str(bits(False)), str((ValueError, "density matrix is not Hermitian"))}
