@@ -60,10 +60,9 @@ def _plain(x):
 
 
 def _float(x) -> float:
-    """float(x) of a number, a bool included: text raises float()'s ValueError, "1"
-    too, an int past a float's range its OverflowError, and a numpy complex scalar
-    its TypeError for a Python complex, where float() would drop the imaginary
-    part with a ComplexWarning."""
+    """float(x) of a number, a bool too: text ("1" too) raises float()'s ValueError, an
+    int past a float's range its OverflowError, and a numpy complex scalar its TypeError
+    for a Python complex, where float() would drop the imaginary part with a warning."""
     if type(x) is not float and isinstance(x, (str, bytes, bytearray)):  # the type test spares floats the tuple
         raise ValueError(f"could not convert string to float: {x!r}")
     np = sys.modules.get("numpy")

@@ -14,6 +14,7 @@ from .incompat import _ROWS, _float, _plain
 
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-9
+_AS_GIVEN = frozenset((float, complex))  # the PSD check computes on rows of these as they are
 
 # Jacobi sweep termination: off-diagonal Frobenius norm relative to the
 # matrix scale, with a hard sweep cap (a 3x3 converges in a handful).
@@ -70,48 +71,49 @@ def hermitian_psd_check(m) -> bool:
     eigenvalues >= -PSD_TOL, i.e. iff every pivot of the LDL^H elimination (Cholesky
     without square roots) of m + PSD_TOL I is > 0. Its backward error is ~n eps ||m||
     (Higham, Accuracy and Stability, 2nd ed., 10.1). The elimination is written out for
-    n = 4, in the order of the n x n loop, on the entries as given: numpy scalars in a
-    list compute in numpy's arithmetic, which may warn on overflow near 1e308.
+    n = 4, in the order of the n x n loop, on a row of Python floats and complex numbers
+    as given; a row with any other number (a numpy scalar, an int) is read as complex.
 
     Raises ValueError("expected a 4x4 matrix") for any other shape, an entry that is no
-    number (text too) or an int past a float's range, and ValueError when m is not
+    number (text too) or a number past a float's range, and ValueError when m is not
     Hermitian within HERMITIAN_TOL, a pair whose difference overflows abs() included:
     a malformed input is a validation failure, not a "not PSD" verdict.
     """
-    hermitian = False  # an OverflowError in the pairs is a difference past ~1.8e308 in modulus: not Hermitian
-    try:  # one read; an entry that is no number (text, None, a list) has no .conjugate()
+    try:  # one read of all 16 entries; text, None or a list has no .real
         (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = [
-            row if isinstance(row, _ROWS) else _plain(row) for row in _plain(m)]
-        hermitian = (  # the 10 pairs (i, j >= i), in row order
+            row if isinstance(row, _ROWS) and _AS_GIVEN.issuperset(map(type, row))
+            else [complex(x.real, x.imag) for x in _plain(row)] for row in _plain(m)]
+    except (AttributeError, TypeError, ValueError, OverflowError):
+        raise ValueError("expected a 4x4 matrix") from None
+    try:  # the 10 pairs (i, j >= i), in row order
+        hermitian = (
             abs(a00 - a00.conjugate()) <= HERMITIAN_TOL and abs(a01 - a10.conjugate()) <= HERMITIAN_TOL
             and abs(a02 - a20.conjugate()) <= HERMITIAN_TOL and abs(a03 - a30.conjugate()) <= HERMITIAN_TOL
             and abs(a11 - a11.conjugate()) <= HERMITIAN_TOL and abs(a12 - a21.conjugate()) <= HERMITIAN_TOL
             and abs(a13 - a31.conjugate()) <= HERMITIAN_TOL and abs(a22 - a22.conjugate()) <= HERMITIAN_TOL
             and abs(a23 - a32.conjugate()) <= HERMITIAN_TOL and abs(a33 - a33.conjugate()) <= HERMITIAN_TOL
         )
-        if hermitian:
-            # row i below the diagonal: s_ik = a_ik - sum_q s_iq conj(l_kq) and l_ik = s_ik / p_k (s_i0 = a_i0),
-            # then the pivot p_i = Re a_ii + PSD_TOL - sum_k Re(s_ik conj(l_ik)), each sum subtracted term by term
-            p0 = a00.real + PSD_TOL
-            if not p0 > 0.0:
-                return False
-            l10 = a10 / p0
-            p1 = a11.real + PSD_TOL - (a10 * l10.conjugate()).real
-            if not p1 > 0.0:
-                return False
-            l20, s21 = a20 / p0, a21 - a20 * l10.conjugate()
-            l21 = s21 / p1
-            p2 = a22.real + PSD_TOL - (a20 * l20.conjugate()).real - (s21 * l21.conjugate()).real
-            if not p2 > 0.0:
-                return False
-            l30, s31 = a30 / p0, a31 - a30 * l10.conjugate()
-            l31 = s31 / p1
-            s32 = a32 - a30 * l20.conjugate() - s31 * l21.conjugate()
-            l32 = s32 / p2
-            p3 = (a33.real + PSD_TOL - (a30 * l30.conjugate()).real - (s31 * l31.conjugate()).real
-                  - (s32 * l32.conjugate()).real)
-            return p3 > 0.0
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        if hermitian or not isinstance(exc, OverflowError):  # in the pivots, an int past a float's range
-            raise ValueError("expected a 4x4 matrix") from None
-    raise ValueError("density matrix is not Hermitian")
+    except OverflowError:  # a difference past ~1.8e308 in modulus
+        hermitian = False
+    if not hermitian:
+        raise ValueError("density matrix is not Hermitian")
+    # row i below the diagonal: s_ik = a_ik - sum_q s_iq conj(l_kq) and l_ik = s_ik / p_k (s_i0 = a_i0),
+    # then the pivot p_i = Re a_ii + PSD_TOL - sum_k Re(s_ik conj(l_ik)), each sum subtracted term by term
+    p0 = a00.real + PSD_TOL
+    if not p0 > 0.0:
+        return False
+    l10 = a10 / p0
+    p1 = a11.real + PSD_TOL - (a10 * l10.conjugate()).real
+    if not p1 > 0.0:
+        return False
+    l20, s21 = a20 / p0, a21 - a20 * l10.conjugate()
+    l21 = s21 / p1
+    p2 = a22.real + PSD_TOL - (a20 * l20.conjugate()).real - (s21 * l21.conjugate()).real
+    if not p2 > 0.0:
+        return False
+    l30, s31 = a30 / p0, a31 - a30 * l10.conjugate()
+    l31 = s31 / p1
+    s32 = a32 - a30 * l20.conjugate() - s31 * l21.conjugate()
+    l32 = s32 / p2
+    p3 = a33.real + PSD_TOL - (a30 * l30.conjugate()).real - (s31 * l31.conjugate()).real - (s32 * l32.conjugate()).real
+    return p3 > 0.0

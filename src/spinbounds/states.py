@@ -53,22 +53,21 @@ class QubitState:
 class TwoQubitState:
     """Two-qubit density matrix: 4x4, Hermitian, unit trace, PSD.
 
-    `hermitian_psd_check` reads the entries as given, refusing text and ints past a
-    float's range (see its numpy-scalar caveat); each is then converted once, and `rho`
-    kept as rows of complex numbers. Construction also computes the Bloch tensors from
-    M[mu, nu] = tr(rho sigma_mu (x) sigma_nu): Alice's Bloch vector a = M[1:, 0], Bob's
-    b = M[0, 1:] (3-tuples) and the correlations T = M[1:, 1:] (rows of floats).
+    `rho` is kept as rows of complex numbers, each converted once after
+    `hermitian_psd_check` accepted it. Construction also computes the Bloch tensors
+    from M[mu, nu] = tr(rho sigma_mu (x) sigma_nu): Alice's Bloch vector a = M[1:, 0],
+    Bob's b = M[0, 1:] (3-tuples) and the correlations T = M[1:, 1:] (rows of floats).
     """
 
     def __init__(self, rho):
         try:
             rows = [row if isinstance(row, _ROWS) else tuple(_plain(row)) for row in _plain(rho)]
-            if len(rows) != 4 or any(len(row) != 4 for row in rows):
-                raise TypeError  # the shape message below, as for a row that cannot be read
-            psd = hermitian_psd_check(rows)  # tests Hermiticity first, at 1e-12; raises only ValueError
-            rho = tuple([tuple(map(complex, row)) for row in rows])
-        except (TypeError, OverflowError):  # or an int past a float's range, behind a pivot the check found <= 0
-            raise ValueError("two-qubit state must be a 4x4 matrix") from None
+        except TypeError:
+            rows = ()
+        if len(rows) != 4 or any(len(row) != 4 for row in rows):
+            raise ValueError("two-qubit state must be a 4x4 matrix")
+        psd = hermitian_psd_check(rows)  # reads every entry, then tests Hermiticity first, at 1e-12
+        rho = tuple([tuple(map(complex, row)) for row in rows])
         trace = (rho[0][0] + rho[1][1] + rho[2][2] + rho[3][3]).real
         if abs(trace - 1.0) > 1e-10:
             raise ValueError(f"trace is {trace:.12g}, expected 1")

@@ -3,7 +3,8 @@
 A number is an int, a float or a complex (a bool counts as an int); text is
 refused, "1" included, and so is an int past a float's range. The fuzz feeds
 nested JSON values, bounded in size, and where numpy is present ndarrays and
-numpy scalars on the real paths, to every public function that reads
+numpy scalars on the real paths and numpy scalars, complex ones too, in a plain
+4x4 list, to every public function that reads
 directions, a vector or a matrix. Each call must return, or raise ValueError
 or TypeError: never OverflowError, ZeroDivisionError or IndexError, and never
 a warning. It is derandomized, as the CLI's fuzz is.
@@ -12,9 +13,7 @@ Left out: the scalar parameters (the angles, `werner`'s p and
 `sphere_grid_min`'s num_points), which `float()` and plain comparisons still
 read as given; and the list path of the `sym3_*` kernels, which takes rows of
 Python floats unchecked, as the bound's inner loop hands them over. Both stay
-open under ROADMAP item 13. numpy scalars in a plain 4x4 list are left out too:
-`hermitian_psd_check` computes on them in numpy's arithmetic, which may warn
-on overflow (its docstring says so).
+open under ROADMAP item 13.
 
 The module imports no numpy at module level, so it runs in the numpy-free CI
 job as well; without numpy its fuzz feeds only the JSON values.
@@ -82,6 +81,7 @@ if np is not None:  # numpy scalars and ndarrays on the real paths
                            st.integers(-3, 3)) | st.sampled_from(
         [np.float64(1e300), np.float32(3e38), np.bool_(True), np.str_("1"), np.complex128(1 + 1j), np.float64("nan")])
     REAL_ENTRIES = READER_SCALARS | NP_SCALARS
+    NP_COMPLEX = st.sampled_from([np.complex64(0.25 + 1j), np.complex128(-1j), np.int8(-128), np.float32(0.5)])
 
     def as_array(x):
         """x as an ndarray where numpy makes one of it without a warning, else x."""
@@ -94,7 +94,7 @@ if np is not None:  # numpy scalars and ndarrays on the real paths
 
     VECTOR |= st.lists(REAL_ENTRIES, min_size=3, max_size=3) | st.lists(REAL_ENTRIES, min_size=3, max_size=3).map(as_array)
     DIRECTIONS |= st.lists(VECTOR, min_size=1, max_size=5).map(as_array) | st.lists(VECTOR.map(as_array), max_size=4)
-    MATRIX4 |= rows_of(4, READER_SCALARS).map(as_array)
+    MATRIX4 |= rows_of(4, READER_SCALARS).map(as_array) | rows_of(4, REAL_ENTRIES | NP_COMPLEX)
     MATRIX3 |= rows_of(3, REAL_ENTRIES) | rows_of(3, REAL_ENTRIES).map(as_array)
 
 STATE = werner(0.8)
@@ -171,17 +171,50 @@ def test_an_int_past_a_floats_range_is_a_value_error_in_the_4x4(at):
     i, j = at
     one = [[HUGE if (r, c) == at else 0.25 * (r == c) for c in range(4)] for r in range(4)]
     pair = [[HUGE if {r, c} == {i, j} else x for c, x in enumerate(row)] for r, row in enumerate(one)]
-    # alone off the diagonal it cannot be within 1e-12 of its partner; in a Hermitian place the pivots overflow
-    for m, message in ((one, "expected a 4x4 matrix" if i == j else "density matrix is not Hermitian"),
-                       (pair, "expected a 4x4 matrix")):
-        for call in (TwoQubitState, hermitian_psd_check):
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                call(m)
-    # behind a first pivot <= 0 the check gives its verdict without reaching the int; the state refuses it
+    # the read refuses it before any verdict: alone, in a Hermitian pair, and behind a first pivot <= 0
     behind = [[-1.0 if r == c == 0 else x for c, x in enumerate(row)] for r, row in enumerate(pair)]
-    assert hermitian_psd_check(behind) is False
-    with pytest.raises(ValueError, match="^trace is" if at == (0, 0) else "^two-qubit state must be a 4x4 matrix$"):
-        TwoQubitState(behind)
+    for m in (one, pair, behind) if at != (0, 0) else (one, pair):
+        for call in (TwoQubitState, hermitian_psd_check):
+            with pytest.raises(ValueError, match="^expected a 4x4 matrix$"):
+                call(m)
+
+
+def test_every_entry_is_read_before_the_hermiticity_test():
+    # a non-Hermitian pair ahead of an entry that is no number: the entry is named, not the pair
+    for bad in (None, "0.25", [0.25], HUGE):
+        m = [[0.25 * (r == c) for c in range(4)] for r in range(4)]
+        m[0][1], m[3][3] = 1.0, bad
+        for call in (TwoQubitState, hermitian_psd_check):
+            with pytest.raises(ValueError, match="^expected a 4x4 matrix$"):
+                call(m)
+
+
+def test_other_numbers_are_read_as_python_complex_numbers():
+    # Decimal and Fraction entries compute in double arithmetic, as complex() read them before
+    from decimal import Decimal
+    from fractions import Fraction
+
+    for kind in (Decimal, Fraction):
+        rows = [[kind(1) / kind(4) if r == c else kind(0) for c in range(4)] for r in range(4)]
+        assert hermitian_psd_check(rows) is True
+        assert TwoQubitState(rows).rho == TwoQubitState([[0.25 * (r == c) for c in range(4)] for r in range(4)]).rho
+
+
+def test_numpy_scalars_in_a_list_compute_in_double_arithmetic():
+    np = pytest.importorskip("numpy", exc_type=ImportError)
+    # in float32 arithmetic PSD_TOL vanishes beside 0.5, so this Bell state's last pivot came out 0.0: not PSD
+    f = np.float32
+    bell = [[f(0.5), f(0), f(0), f(0.5)], [f(0)] * 4, [f(0)] * 4, [f(0.5), f(0), f(0), f(0.5)]]
+    assert hermitian_psd_check(bell) is True
+    assert TwoQubitState(bell).rho == TwoQubitState([[float(x) for x in row] for row in bell]).rho
+    # in int8 arithmetic abs(-128 - 0) wraps to -128 <= 1e-12, so this pair passed as Hermitian
+    m = [[0.25 * (r == c) for c in range(4)] for r in range(4)]
+    m[0][1], m[1][0] = np.int8(-128), np.int8(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (TwoQubitState, hermitian_psd_check):
+            with pytest.raises(ValueError, match="^density matrix is not Hermitian$"):
+                call(m)
 
 
 @pytest.mark.parametrize("at", [(0, 0), (1, 2), (2, 1)])
@@ -202,9 +235,13 @@ def test_the_state_converts_each_entry_once_and_the_check_none(monkeypatch):
 
     for module in counts:
         monkeypatch.setattr(module, "complex", counting(module), raising=False)
-    rows = [[0.25, 0.0, 0.0, 0.1j], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [-0.1j, 0, 0, 0.25]]
+    rows = [[0.25, 0.0, 0.0, 0.1j], [0.0, 0.25, 0.0, 0.0], [0.0, 0.0, 0.25, 0.0], [-0.1j, 0.0, 0.0, 0.25]]
     for make, built in ((lambda: TwoQubitState(rows), 1), (lambda: werner(0.3), 1),
                         (lambda: TwoQubitState(werner(0.6).rho), 2)):
         counts.update(dict.fromkeys(counts, 0))
         make()
         assert counts == {states: 16 * built, linalg3: 0}
+    # a row with a number that is no Python float or complex (here an int) is read once more, by the check
+    counts.update(dict.fromkeys(counts, 0))
+    TwoQubitState([[0.25, 0.0, 0.0, 0.1j], [0.0, 0.25, 0, 0.0], [0.0, 0.0, 0.25, 0.0], [-0.1j, 0.0, 0.0, 0.25]])
+    assert counts == {states: 16, linalg3: 4}
