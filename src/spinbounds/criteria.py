@@ -14,7 +14,7 @@ demonstrates EPR-steering.
 
 from __future__ import annotations
 
-from .incompat import _UNIT_TOL, _plain, incompatibility
+from .incompat import _UNIT_TOL, _certified_spectrum, _plain
 from .states import TwoQubitState, as_vec3
 
 _VIOLATION_SLACK = 1e-10  # exact saturation must not count as a violation
@@ -40,6 +40,12 @@ def _unit(v, what: str) -> tuple[float, float, float]:
     return v
 
 
+def _bound(xx, xy, xz, yy, yz, zz) -> float:
+    """incompatibility(d).value, to the bit, from the sums of d's moment matrix added in row order from 0.0."""
+    trace = xx + yy + zz
+    return trace - _certified_spectrum(((xx, xy, xz), (xy, yy, yz), (xz, yz, zz)), trace)[0].lam_max
+
+
 def entanglement_witness(state: TwoQubitState, alice_dirs, bob_dirs) -> WitnessReport:
     """Test the separability bound on paired joint observables.
 
@@ -47,23 +53,31 @@ def entanglement_witness(state: TwoQubitState, alice_dirs, bob_dirs) -> WitnessR
     |n|^2 + |m|^2 + 2 n^T T m - (n . a + m . b)^2; the bound is the sum of
     the two local incompatibilities. Violation certifies entanglement;
     non-violation certifies nothing. Bob's directions are read only when
-    they are not the same object as Alice's.
+    they are not the same object as Alice's, and summed only when they differ.
     """
     alice = [_unit(d, "alice") for d in _plain(alice_dirs)]
     bob = alice if bob_dirs is alice_dirs else [_unit(d, "bob") for d in _plain(bob_dirs)]
     if len(alice) != len(bob):
         raise ValueError("alice and bob need the same number of directions")
+    if not alice:
+        raise ValueError("need at least one direction")
     (ax, ay, az), (bx, by, bz) = state.a, state.b
     (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = state.T
+    same = bob == alice  # equal lists (0.0 == -0.0) sum to one moment matrix from 0.0: one bound, to the bit
     variance_sum = 0.0  # sum()'s order before Python 3.12; each dot product adds x, y, z in turn
+    xx = xy = xz = yy = yz = zz = bxx = bxy = bxz = byy = byz = bzz = 0.0  # Alice's moment matrix, then Bob's
     for (nx, ny, nz), (mx, my, mz) in zip(alice, bob):
         tx, ty, tz = t00 * mx + t01 * my + t02 * mz, t10 * mx + t11 * my + t12 * mz, t20 * mx + t21 * my + t22 * mz
         norms = nx * nx + ny * ny + nz * nz + (mx * mx + my * my + mz * mz)
         mean = nx * ax + ny * ay + nz * az + (mx * bx + my * by + mz * bz)
         variance_sum += norms + 2.0 * (nx * tx + ny * ty + nz * tz) - mean**2
-    alice_bound = incompatibility(alice).value
-    # lists that compare equal (0.0 == -0.0) give one moment matrix, whose sums start from 0: one bound, to the bit
-    bound = alice_bound + (alice_bound if bob == alice else incompatibility(bob).value)
+        xx, xy, xz = xx + nx * nx, xy + nx * ny, xz + nx * nz
+        yy, yz, zz = yy + ny * ny, yz + ny * nz, zz + nz * nz
+        if not same:
+            bxx, bxy, bxz = bxx + mx * mx, bxy + mx * my, bxz + mx * mz
+            byy, byz, bzz = byy + my * my, byz + my * mz, bzz + mz * mz
+    alice_bound = _bound(xx, xy, xz, yy, yz, zz)
+    bound = alice_bound + (alice_bound if same else _bound(bxx, bxy, bxz, byy, byz, bzz))
     return WitnessReport(variance_sum, bound, variance_sum < bound - _VIOLATION_SLACK, bound - variance_sum)
 
 
@@ -98,12 +112,14 @@ def steering_test(state: TwoQubitState, settings) -> SteeringReport:
     settings = list(_plain(settings))
     if not settings:
         raise ValueError("need at least one measurement setting")
-    bob, variances, total = [], [], 0.0
+    variances, total = [], 0.0
+    xx = xy = xz = yy = yz = zz = 0.0  # the moment matrix of Bob's directions
     for a, b in settings:
-        m = _unit(b, "bob")
+        x, y, z = m = _unit(b, "bob")
         variance = _inference_variance(state, m if a is b else _unit(a, "alice"), m)
         total += variance  # left to right from 0.0, as sum() added before 3.12
         variances.append(variance)
-        bob.append(m)
-    bound = incompatibility(bob).value
+        xx, xy, xz = xx + x * x, xy + x * y, xz + x * z
+        yy, yz, zz = yy + y * y, yz + y * z, zz + z * z
+    bound = _bound(xx, xy, xz, yy, yz, zz)
     return SteeringReport(tuple(variances), total, bound, total < bound - _VIOLATION_SLACK, bound - total)

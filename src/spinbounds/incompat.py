@@ -52,10 +52,11 @@ class IncompatibilityResult(NamedTuple):  # `incompat --json` prints these field
 def _plain(x):
     """An ndarray as nested lists of Python scalars (~20x faster to read than its
     scalars; complex stays complex); text or a dict raises TypeError; else as given."""
-    np = sys.modules.get("numpy")
-    x = x.tolist() if np is not None and isinstance(x, np.ndarray) else x
-    if isinstance(x, (str, bytes, bytearray, memoryview, dict)):  # not a sequence of its characters or keys
-        raise TypeError(f"a {type(x).__name__} is not a sequence of numbers")
+    if type(x) not in _ROWS:  # most calls pass a list or a tuple: they skip the numpy lookup
+        np = sys.modules.get("numpy")
+        x = x.tolist() if np is not None and isinstance(x, np.ndarray) else x
+        if isinstance(x, (str, bytes, bytearray, memoryview, dict)):  # not a sequence of its characters or keys
+            raise TypeError(f"a {type(x).__name__} is not a sequence of numbers")
     return x
 
 
@@ -156,6 +157,16 @@ def optimal_bloch(directions) -> tuple[float, float, float]:
     return incompatibility(directions).optimizer
 
 
+def _certified_spectrum(a, trace: float) -> tuple[Sym3Spectrum, tuple]:
+    """`sym3_spectrum(a)` and its certified eigenvector rows, or ArithmeticError (see `incompatibility`)."""
+    spec = sym3_spectrum(a)
+    vecs, bound = sym3_certificate(a, spec)
+    if not bound <= _CERTIFICATE_RTOL * trace:
+        raise ArithmeticError(f"closed-form eigenvalue {spec[0]!r} fails its residual certificate: "
+                              f"the spectrum may be off by {bound:.3e} > {_CERTIFICATE_RTOL} * tr A")
+    return spec, vecs
+
+
 def incompatibility(directions) -> IncompatibilityResult:
     """Minimum over all qubit states of the summed variances of n_i . sigma.
 
@@ -166,14 +177,7 @@ def incompatibility(directions) -> IncompatibilityResult:
     first nonzero component is positive (both signs are equivalent).
     """
     a, traces = moment_matrix(directions)
-    spec = sym3_spectrum(a)
-    vecs, bound = sym3_certificate(a, spec)
-    lam, _, _, alpha, beta = spec
-    if not bound <= _CERTIFICATE_RTOL * traces[0]:
-        raise ArithmeticError(
-            f"closed-form eigenvalue {lam!r} fails its residual certificate: "
-            f"the spectrum may be off by {bound:.3e} > {_CERTIFICATE_RTOL} * tr A"
-        )
+    (lam, _, _, alpha, beta), vecs = _certified_spectrum(a, traces[0])
     x, y, z = vecs[0]
     sign = -1.0 if (x or y or z) < 0.0 else 1.0
     optimizer = (sign * x + 0.0, sign * y + 0.0, sign * z + 0.0)  # + 0.0 turns -0.0 into 0.0
@@ -245,19 +249,19 @@ def sym3_traces(a) -> tuple[float, float, float]:
     """Trace powers (tr A, tr A^2, tr A^3) of a symmetric 3x3 matrix (rows).
 
     Computed directly from the entries, not via eigenvalues. Raises
-    ValueError when tr A^3 overflows.
+    ValueError when tr A^3 overflows, or an entry (an int) lies past a float's range.
     """
-    if not isinstance(a, _ROWS):  # an ndarray: compute on Python floats
-        a = [list(map(_float, row)) for row in a]
-    (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
-    d2 = a01 * a01, a02 * a02, a12 * a12
-    t1 = a00 + a11 + a22
-    t2 = a00 * a00 + a11 * a11 + a22 * a22 + 2.0 * (d2[0] + d2[1] + d2[2])
-    t3 = (
-        a00 * a00 * a00 + a11 * a11 * a11 + a22 * a22 * a22
-        + 3.0 * (d2[0] * (a00 + a11) + d2[1] * (a00 + a22) + d2[2] * (a11 + a22))
-        + 6.0 * a01 * a02 * a12
-    )
+    try:
+        if not isinstance(a, _ROWS):  # an ndarray: compute on Python floats
+            a = [list(map(_float, row)) for row in a]
+        (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
+        d2 = a01 * a01, a02 * a02, a12 * a12
+        t1 = a00 + a11 + a22
+        t2 = a00 * a00 + a11 * a11 + a22 * a22 + 2.0 * (d2[0] + d2[1] + d2[2])
+        t3 = (a00 * a00 * a00 + a11 * a11 * a11 + a22 * a22 * a22
+              + 3.0 * (d2[0] * (a00 + a11) + d2[1] * (a00 + a22) + d2[2] * (a11 + a22)) + 6.0 * a01 * a02 * a12)
+    except OverflowError as exc:  # an int past a float's range in a list
+        raise ValueError(f"expected a 3x3 matrix in a float's range: {exc}") from None
     if not isfinite(t3):
         raise ValueError("tr A^3 overflows: entries of A above ~5.6e102 (directions longer than ~2.4e51)")
     return t1, t2, t3
@@ -291,28 +295,28 @@ def sym3_spectrum(a) -> Sym3Spectrum:
     the other two come exactly from the 2x2 block of B on its eigenvector's
     orthogonal complement (Kopp, arXiv:physics/0610206).
     """
-    if not isinstance(a, _ROWS):  # an ndarray: compute on Python floats
-        a = [list(map(_float, row)) for row in a]
-    (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
-    shift = (a00 + a11 + a22) / 3.0
-    b00, b11, b22 = a00 - shift, a11 - shift, a22 - shift
-    s = max(abs(b00), abs(b11), abs(b22), abs(a01), abs(a02), abs(a12))
-    if s == 0.0:
-        return Sym3Spectrum(shift, shift, shift, 0.0, 0.0)
-    b00, b11, b22, b01, b02, b12 = b00 / s, b11 / s, b22 / s, a01 / s, a02 / s, a12 / s
-    alpha = sqrt((b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * (b01 * b01 + b02 * b02 + b12 * b12)) / 6.0)
-    beta = 0.5 * (
-        b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02) + b02 * (b01 * b12 - b11 * b02)
-    )
-    ratio = beta / alpha**3
-    roots = cubic_roots(alpha, ratio)
-    if abs(ratio) > 1.0 - _DEFLATE_BAND:
-        z = roots[0] if ratio > 0.0 else roots[2]
-        hi, lo = _split(((b00, b01, b02), (b01, b11, b12), (b02, b12, b22)), z)[3:]
-        roots = (z, hi, lo) if ratio > 0.0 else (hi, lo, z)
-    return Sym3Spectrum(
-        shift + s * roots[0], shift + s * roots[1], shift + s * roots[2], s * alpha, s * s * s * beta
-    )
+    try:
+        if not isinstance(a, _ROWS):  # an ndarray: compute on Python floats
+            a = [list(map(_float, row)) for row in a]
+        (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
+        shift = (a00 + a11 + a22) / 3.0
+        b00, b11, b22 = a00 - shift, a11 - shift, a22 - shift
+        s = max(abs(b00), abs(b11), abs(b22), abs(a01), abs(a02), abs(a12))
+        if s == 0.0:
+            return Sym3Spectrum(shift, shift, shift, 0.0, 0.0)
+        b00, b11, b22, b01, b02, b12 = b00 / s, b11 / s, b22 / s, a01 / s, a02 / s, a12 / s
+        alpha = sqrt((b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * (b01 * b01 + b02 * b02 + b12 * b12)) / 6.0)
+        beta = 0.5 * (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02) + b02 * (b01 * b12 - b11 * b02))
+        ratio = beta / alpha**3
+        roots = cubic_roots(alpha, ratio)
+        if abs(ratio) > 1.0 - _DEFLATE_BAND:
+            z = roots[0] if ratio > 0.0 else roots[2]
+            hi, lo = _split(((b00, b01, b02), (b01, b11, b12), (b02, b12, b22)), z)[3:]
+            roots = (z, hi, lo) if ratio > 0.0 else (hi, lo, z)
+        return Sym3Spectrum(shift + s * roots[0], shift + s * roots[1], shift + s * roots[2],
+                            s * alpha, s * s * s * beta)
+    except OverflowError as exc:  # an int past a float's range in a list
+        raise ValueError(f"expected a 3x3 matrix in a float's range: {exc}") from None
 
 
 def sym3_certificate(a, lams) -> tuple[tuple, float]:
@@ -327,24 +331,27 @@ def sym3_certificate(a, lams) -> tuple[tuple, float]:
     which fixes the choice in a degenerate eigenspace: A = lambda I gives
     V[0] = e_z.
     """
-    if not isinstance(a, _ROWS):  # an ndarray: compute on Python floats
-        a = [list(map(_float, row)) for row in a]
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
-    l0, l1, l2 = float(lams[0]), float(lams[1]), float(lams[2])
-    top = l0 - l1 >= l1 - l2
-    v, p, q = _split(a, l0 if top else l2)[:3]
-    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = vecs = (v, p, q) if top else (p, q, v)
-    # the columns (r_k, s_k, t_k) of A V^T, then the diagonal and upper triangle of E and G
-    r0, s0, t0 = a00 * x0 + a01 * y0 + a02 * z0, a10 * x0 + a11 * y0 + a12 * z0, a20 * x0 + a21 * y0 + a22 * z0
-    r1, s1, t1 = a00 * x1 + a01 * y1 + a02 * z1, a10 * x1 + a11 * y1 + a12 * z1, a20 * x1 + a21 * y1 + a22 * z1
-    r2, s2, t2 = a00 * x2 + a01 * y2 + a02 * z2, a10 * x2 + a11 * y2 + a12 * z2, a20 * x2 + a21 * y2 + a22 * z2
-    e0, e1, e2 = x0 * r0 + y0 * s0 + z0 * t0 - l0, x1 * r1 + y1 * s1 + z1 * t1 - l1, x2 * r2 + y2 * s2 + z2 * t2 - l2
-    e01, e02, e12 = x0 * r1 + y0 * s1 + z0 * t1, x0 * r2 + y0 * s2 + z0 * t2, x1 * r2 + y1 * s2 + z1 * t2
-    g0, g1, g2 = x0 * x0 + y0 * y0 + z0 * z0 - 1.0, x1 * x1 + y1 * y1 + z1 * z1 - 1.0, x2 * x2 + y2 * y2 + z2 * z2 - 1.0
-    g01, g02, g12 = x0 * x1 + y0 * y1 + z0 * z1, x0 * x2 + y0 * y2 + z0 * z2, x1 * x2 + y1 * y2 + z1 * z2
-    e_norm = sqrt(e0 * e0 + e1 * e1 + e2 * e2 + 2.0 * (e01 * e01 + e02 * e02 + e12 * e12))
-    g_norm = sqrt(g0 * g0 + g1 * g1 + g2 * g2 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12))
-    return vecs, e_norm + (abs(a00) + abs(a11) + abs(a22)) * g_norm
+    try:
+        if not isinstance(a, _ROWS):  # an ndarray: compute on Python floats
+            a = [list(map(_float, row)) for row in a]
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+        l0, l1, l2 = float(lams[0]), float(lams[1]), float(lams[2])
+        top = l0 - l1 >= l1 - l2
+        v, p, q = _split(a, l0 if top else l2)[:3]
+        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = vecs = (v, p, q) if top else (p, q, v)
+        # the columns (r_k, s_k, t_k) of A V^T, then the diagonal and upper triangle of E and G
+        r0, s0, t0 = a00 * x0 + a01 * y0 + a02 * z0, a10 * x0 + a11 * y0 + a12 * z0, a20 * x0 + a21 * y0 + a22 * z0
+        r1, s1, t1 = a00 * x1 + a01 * y1 + a02 * z1, a10 * x1 + a11 * y1 + a12 * z1, a20 * x1 + a21 * y1 + a22 * z1
+        r2, s2, t2 = a00 * x2 + a01 * y2 + a02 * z2, a10 * x2 + a11 * y2 + a12 * z2, a20 * x2 + a21 * y2 + a22 * z2
+        e0, e1, e2 = x0 * r0 + y0 * s0 + z0 * t0 - l0, x1 * r1 + y1 * s1 + z1 * t1 - l1, x2 * r2 + y2 * s2 + z2 * t2 - l2
+        e01, e02, e12 = x0 * r1 + y0 * s1 + z0 * t1, x0 * r2 + y0 * s2 + z0 * t2, x1 * r2 + y1 * s2 + z1 * t2
+        g0, g1, g2 = x0 * x0 + y0 * y0 + z0 * z0 - 1.0, x1 * x1 + y1 * y1 + z1 * z1 - 1.0, x2 * x2 + y2 * y2 + z2 * z2 - 1.0
+        g01, g02, g12 = x0 * x1 + y0 * y1 + z0 * z1, x0 * x2 + y0 * y2 + z0 * z2, x1 * x2 + y1 * y2 + z1 * z2
+        e_norm = sqrt(e0 * e0 + e1 * e1 + e2 * e2 + 2.0 * (e01 * e01 + e02 * e02 + e12 * e12))
+        g_norm = sqrt(g0 * g0 + g1 * g1 + g2 * g2 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12))
+        return vecs, e_norm + (abs(a00) + abs(a11) + abs(a22)) * g_norm
+    except OverflowError as exc:  # an int past a float's range in a list, or an eigenvalue past it
+        raise ValueError(f"expected a 3x3 matrix in a float's range: {exc}") from None
 
 
 def _split(b, z):

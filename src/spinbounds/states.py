@@ -64,17 +64,20 @@ class TwoQubitState:
             rows = [row if isinstance(row, _ROWS) else tuple(_plain(row)) for row in _plain(rho)]
         except TypeError:
             rows = ()
-        if len(rows) != 4 or any(len(row) != 4 for row in rows):
+        if len(rows) != 4 or not len(rows[0]) == len(rows[1]) == len(rows[2]) == len(rows[3]) == 4:
             raise ValueError("two-qubit state must be a 4x4 matrix")
         psd = hermitian_psd_check(rows)  # reads every entry, then tests Hermiticity first, at 1e-12
         rho = tuple([tuple(map(complex, row)) for row in rows])
-        trace = (rho[0][0] + rho[1][1] + rho[2][2] + rho[3][3]).real
+        (z00, z01, z02, z03), (z10, z11, z12, z13), (z20, z21, z22, z23), (z30, z31, z32, z33) = rho
+        trace = (z00 + z11 + z22 + z33).real
         if abs(trace - 1.0) > 1e-10:
             raise ValueError(f"trace is {trace:.12g}, expected 1")
         if not psd:
             raise ValueError("density matrix is not positive semidefinite")
-        r00, r01, r02, r03, r10, r11, r12, r13, r20, r21, r22, r23, r30, r31, r32, r33 = [z.real for row in rho for z in row]
-        _, i01, i02, i03, i10, _, i12, i13, i20, i21, _, i23, i30, i31, i32, _ = [z.imag for row in rho for z in row]
+        r00, r01, r02, r03, i01, i02, i03 = z00.real, z01.real, z02.real, z03.real, z01.imag, z02.imag, z03.imag
+        r10, r11, r12, r13, i10, i12, i13 = z10.real, z11.real, z12.real, z13.real, z10.imag, z12.imag, z13.imag
+        r20, r21, r22, r23, i20, i21, i23 = z20.real, z21.real, z22.real, z23.real, z20.imag, z21.imag, z23.imag
+        r30, r31, r32, r33, i30, i31, i32 = z30.real, z31.real, z32.real, z33.real, z30.imag, z31.imag, z32.imag
         # each M[mu, nu] sums its four terms +-Re/Im rho[i][j] from 0.0 in rho's row-major order
         # (so a -0.0 term rounds as in a sum()); the golden Werner outputs pin these bits
         a = (0.0 + r02 + r13 + r20 + r31, 0.0 - i02 - i13 + i20 + i31, 0.0 + r00 + r11 - r22 - r33)

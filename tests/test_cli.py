@@ -142,6 +142,18 @@ def test_incompat_cross_check_failure_exits_3_without_traceback(xyz_file, capsys
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["witness", "steer"])
+def test_criteria_certificate_failure_exits_3_without_traceback(command, xyz_file, settings_file, capsys, monkeypatch):
+    from spinbounds import incompat
+
+    certificate = incompat.sym3_certificate
+    monkeypatch.setattr(incompat, "sym3_certificate", lambda a, lams: (certificate(a, lams)[0], 1e300))
+    tail = ["--alice", xyz_file, "--bob", xyz_file] if command == "witness" else ["--settings", settings_file]
+    assert main([command, "--state", "werner:0.8", *tail]) == EXIT_VERIFY_FAIL
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("error: closed-form eigenvalue") and "Traceback" not in err
+
+
 def test_incompat_missing_file(capsys):
     assert main(["incompat", "--dirs", "/nonexistent.json"]) == EXIT_INPUT
     assert "error" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinbounds.criteria import entanglement_witness, steering_test
-from spinbounds import criteria, states
+from spinbounds import criteria, incompat, states
 from spinbounds.states import TwoQubitState, product_state, singlet, werner
 from support import HUGE, XYZ, XYZ_SETTINGS, bits, inference_variance, random_unit
 
@@ -346,8 +346,8 @@ def test_werner_checks_positivity_once(monkeypatch):
 
 def test_witness_computes_one_bound_when_bob_equals_alice(monkeypatch):
     calls = []
-    bound = criteria.incompatibility
-    monkeypatch.setattr(criteria, "incompatibility", lambda d: calls.append(d) or bound(d))
+    bound = criteria._bound
+    monkeypatch.setattr(criteria, "_bound", lambda *sums: calls.append(sums) or bound(*sums))
     for bob, count in [(XYZ, 1), (np.array(XYZ), 1), ([(1.0, -0.0, -0.0)] + XYZ[1:], 1), (XYZ[::-1], 2)]:
         calls.clear()
         entanglement_witness(werner(0.8), XYZ, bob)
@@ -405,3 +405,29 @@ def test_one_shot_iterator_as_both_witness_arguments_reads_as_n_pairs():
         assert bits(entanglement_witness(state, once, once)) == bits(entanglement_witness(state, XYZ, XYZ))
     with pytest.raises(ValueError, match="same number of directions"):
         entanglement_witness(werner(0.8), iter(XYZ), iter(XYZ[:2]))
+
+
+def test_the_folded_bounds_keep_every_failure_mode():
+    # the witness and the steering test sum their own moment matrices, so no longer reach validate_directions
+    state = werner(0.8)
+    empty = []
+    for alice, bob in (([], []), (empty, empty), (np.empty((0, 3)), np.empty((0, 3))), (iter([]), iter([]))):
+        with pytest.raises(ValueError, match="^need at least one direction$"):
+            entanglement_witness(state, alice, bob)
+    for alice, bob in (([], XYZ), (XYZ, []), (XYZ, XYZ[:2]), (XYZ[:1], np.array(XYZ))):
+        with pytest.raises(ValueError, match="^alice and bob need the same number of directions$"):
+            entanglement_witness(state, alice, bob)
+    for settings in ([], (), np.empty((0, 2, 3)), iter([])):
+        with pytest.raises(ValueError, match="^need at least one measurement setting$"):
+            steering_test(state, settings)
+
+
+def test_a_failed_certificate_raises_arithmetic_error_from_both_tests(monkeypatch):
+    certificate = incompat.sym3_certificate
+    monkeypatch.setattr(incompat, "sym3_certificate", lambda a, lams: (certificate(a, lams)[0], 1e300))
+    state = werner(0.8)
+    calls = (lambda: entanglement_witness(state, XYZ, XYZ), lambda: entanglement_witness(state, XYZ, XYZ[::-1]),
+             lambda: steering_test(state, XYZ_SETTINGS), lambda: steering_test(state, list(zip(XYZ, XYZ[::-1]))))
+    for call in calls:
+        with pytest.raises(ArithmeticError, match="^closed-form eigenvalue .* fails its residual certificate: "):
+            call()

@@ -9,11 +9,13 @@ directions, a vector or a matrix. Each call must return, or raise ValueError
 or TypeError: never OverflowError, ZeroDivisionError or IndexError, and never
 a warning. It is derandomized, as the CLI's fuzz is.
 
-Left out: the scalar parameters (the angles, `werner`'s p and
-`sphere_grid_min`'s num_points), which `float()` and plain comparisons still
-read as given; and the list path of the `sym3_*` kernels, which takes rows of
-Python floats unchecked, as the bound's inner loop hands them over. Both stay
-open under ROADMAP item 13.
+The `sym3_*` kernels take rows of Python numbers as given, as the bound hands
+them over: they are fuzzed with JSON rows and, where numpy is present,
+ndarrays. Left out: numpy scalars in their plain lists, which compute in
+numpy's arithmetic and warn where it overflows; and the scalar parameters
+(the angles, `werner`'s p and `sphere_grid_min`'s num_points), which
+`float()` and plain comparisons still read as given. Both stay open under
+ROADMAP item 13.
 
 The module imports no numpy at module level, so it runs in the numpy-free CI
 job as well; without numpy its fuzz feeds only the JSON values.
@@ -27,7 +29,9 @@ from hypothesis import strategies as st
 
 from spinbounds import linalg3, states
 from spinbounds.criteria import entanglement_witness, steering_test
-from spinbounds.incompat import incompatibility, incompatibility_pair, moment_matrix, validate_directions
+from spinbounds.incompat import (
+    incompatibility, incompatibility_pair, moment_matrix, sym3_certificate, sym3_spectrum, sym3_traces, validate_directions,
+)
 from spinbounds.linalg3 import hermitian_psd_check, sym3_eigen_jacobi
 from spinbounds.oracle import cubic_coefficients_unit, sphere_grid_min
 from spinbounds.states import QubitState, TwoQubitState, as_vec3, product_state, uncertainty_sum, werner
@@ -75,6 +79,7 @@ VECTOR = UNIT | st.lists(READER_SCALARS, min_size=3, max_size=3) | READER_JSON
 DIRECTIONS = st.lists(VECTOR, min_size=1, max_size=5) | READER_JSON
 MATRIX4 = rows_of(4, READER_SCALARS) | READER_JSON
 MATRIX3 = rows_of(3, READER_SCALARS) | READER_JSON
+KERNEL3 = MATRIX3  # the sym3_* kernels: JSON rows on their list path, and ndarrays where numpy is present
 
 if np is not None:  # numpy scalars and ndarrays on the real paths
     NP_SCALARS = st.builds(lambda kind, x: kind(x), st.sampled_from([np.float64, np.float32, np.int64]),
@@ -96,8 +101,10 @@ if np is not None:  # numpy scalars and ndarrays on the real paths
     DIRECTIONS |= st.lists(VECTOR, min_size=1, max_size=5).map(as_array) | st.lists(VECTOR.map(as_array), max_size=4)
     MATRIX4 |= rows_of(4, READER_SCALARS).map(as_array) | rows_of(4, REAL_ENTRIES | NP_COMPLEX)
     MATRIX3 |= rows_of(3, REAL_ENTRIES) | rows_of(3, REAL_ENTRIES).map(as_array)
+    KERNEL3 |= rows_of(3, REAL_ENTRIES).map(as_array)
 
 STATE = werner(0.8)
+IDENTITY3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 CALLS = {
     "incompatibility": (incompatibility, DIRECTIONS),
     "moment_matrix": (moment_matrix, DIRECTIONS),
@@ -111,6 +118,9 @@ CALLS = {
     "entanglement_witness": (lambda a, b: entanglement_witness(STATE, a, b), DIRECTIONS, DIRECTIONS),
     "steering_test": (lambda s: steering_test(STATE, s), st.lists(st.tuples(VECTOR, VECTOR), max_size=3) | READER_JSON),
     "sym3_eigen_jacobi": (sym3_eigen_jacobi, MATRIX3),
+    "sym3_traces": (sym3_traces, KERNEL3),
+    "sym3_spectrum": (sym3_spectrum, KERNEL3),
+    "sym3_certificate": (lambda a: sym3_certificate(a, (1.0, 1.0, 1.0)), KERNEL3),
     "sphere_grid_min": (sphere_grid_min, DIRECTIONS),
     "cubic_coefficients_unit": (cubic_coefficients_unit, st.lists(UNIT | VECTOR, min_size=1, max_size=8) | READER_JSON),
 }
@@ -215,6 +225,18 @@ def test_numpy_scalars_in_a_list_compute_in_double_arithmetic():
         for call in (TwoQubitState, hermitian_psd_check):
             with pytest.raises(ValueError, match="^density matrix is not Hermitian$"):
                 call(m)
+
+
+@pytest.mark.parametrize("at", [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
+def test_an_int_past_a_floats_range_is_a_value_error_in_the_kernels(at):
+    # the list path's float arithmetic raised OverflowError("int too large to convert to float")
+    upper = [[HUGE if (r, c) == at else int(r == c) for c in range(3)] for r in range(3)]
+    lower = [list(column) for column in zip(*upper)]  # only the certificate reads the lower triangle
+    calls = [lambda: sym3_traces(upper), lambda: sym3_spectrum(upper), lambda: sym3_certificate(upper, (1.0, 1.0, 1.0)),
+             lambda: sym3_certificate(lower, (1.0, 1.0, 1.0)), lambda: sym3_certificate(IDENTITY3, (HUGE, 1.0, 1.0))]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^expected a 3x3 matrix in a float's range: int too large to convert to float$"):
+            call()
 
 
 @pytest.mark.parametrize("at", [(0, 0), (1, 2), (2, 1)])

@@ -7,7 +7,9 @@ witness computes one bound when Bob's directions equal Alice's. The code
 they replaced is copied here as the reference: the `_BLOCH` gather table,
 the index comprehensions of `werner` and `product_state`, the per-branch
 conditional statistics that the inference variance was summed from
-(`reference_branches`), and the witness with two bound calls. Every float
+(`reference_branches`), and the witness with two bound calls. The witness and
+the steering test sum their moment matrices in the loops that check their
+directions, so their bounds are held against `incompatibility()` as well. Every float
 they return must keep its bits, signed zeros included. The PSD check, an
 LDL^H written out for 4x4, must keep every verdict of the n x n loop it
 replaced (`reference_psd_check`), its exceptions too.
@@ -256,6 +258,42 @@ def test_two_qubit_path_is_bit_identical(kind, p, seed, n, bob_kind):
     alice = directions(rng, n)
     bob = {"same": alice, "flipped": flip_zeros(alice), "other": directions(rng, n)}[bob_kind]
     assert_bit_identical(state, alice, bob, list(zip(directions(rng, n), directions(rng, n))))
+
+
+def folded_bound_cases(arrays):
+    """(alice, bob) for N = 1-6, as lists and as tuples of directions with signed zeros: Bob as Alice's own
+    object, as an equal but distinct list (zeros flipped) and as another set; then each `arrays(x)` form."""
+    rng = random.Random(28)
+    for n in range(1, 7):
+        for _ in range(6):
+            alice, other = directions(rng, n), directions(rng, n)
+            for a in (alice, tuple(alice)):
+                for b in (a, flip_zeros(alice), other, tuple(other)):
+                    yield a, b
+            for a in arrays(alice):
+                for b in (a, *arrays(flip_zeros(alice)), *arrays(other)):
+                    yield a, b
+
+
+def check_folded_bounds(arrays):
+    rng = random.Random(29)
+    for alice, bob in folded_bound_cases(arrays):
+        # an ndarray's own incompatibility() takes D^T D, so its rows are read as the tests read them
+        a, b = list(map(vec, alice)), list(map(vec, bob))
+        for state in (werner(rng.random()), product_state(ball(rng), ball(rng))):
+            witness = entanglement_witness(state, alice, bob).bound
+            assert witness.hex() == (incompatibility(a).value + incompatibility(b).value).hex()
+            steering = steering_test(state, list(zip(alice, bob))).bound
+            assert steering.hex() == incompatibility(b).value.hex()
+
+
+def test_folded_bounds_are_bit_identical_to_incompatibility():
+    check_folded_bounds(lambda dirs: ())
+
+
+def test_folded_bounds_are_bit_identical_to_incompatibility_on_ndarrays():
+    np = pytest.importorskip("numpy", exc_type=ImportError)
+    check_folded_bounds(lambda dirs: (np.array(dirs),))
 
 
 WERNER_PS = (0.0, 1.0, 0, 1, 1.0 / 3.0, 0.5, 1.0 / math.sqrt(3.0))
