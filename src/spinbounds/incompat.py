@@ -293,7 +293,9 @@ def sym3_spectrum(a) -> Sym3Spectrum:
     nearly coincide and acos turns roundoff into an error of ~1e-8 alpha;
     there only the well-separated root is taken from the trig formula, and
     the other two come exactly from the 2x2 block of B on its eigenvector's
-    orthogonal complement (Kopp, arXiv:physics/0610206).
+    orthogonal complement (Kopp, arXiv:physics/0610206). A non-finite eigenvalue
+    raises ValueError; beta = s^3 det(B / s) / 2, returned as it is, overflows
+    past s ~ 5.6e102 (inf, or NaN where det B = 0) with finite eigenvalues.
     """
     try:
         if not isinstance(a, _ROWS):  # an ndarray: compute on Python floats
@@ -313,8 +315,10 @@ def sym3_spectrum(a) -> Sym3Spectrum:
             z = roots[0] if ratio > 0.0 else roots[2]
             hi, lo = _split(((b00, b01, b02), (b01, b11, b12), (b02, b12, b22)), z)[3:]
             roots = (z, hi, lo) if ratio > 0.0 else (hi, lo, z)
-        return Sym3Spectrum(shift + s * roots[0], shift + s * roots[1], shift + s * roots[2],
-                            s * alpha, s * s * s * beta)
+        l0, l1, l2 = shift + s * roots[0], shift + s * roots[1], shift + s * roots[2]
+        if 0.0 * l0 * l1 * l2 != 0.0:  # +-0.0 times x stays +-0.0 only while x is finite
+            raise ValueError("expected a 3x3 matrix in a float's range: an eigenvalue is not finite")
+        return Sym3Spectrum(l0, l1, l2, s * alpha, s * s * s * beta)
     except OverflowError as exc:  # an int past a float's range in a list
         raise ValueError(f"expected a 3x3 matrix in a float's range: {exc}") from None
 

@@ -5,12 +5,15 @@ the module that defines it; no module imports numpy outside `if TYPE_CHECKING:`;
 every CLI subcommand and public library call runs with numpy blocked;
 importing the package loads only `incompat`, and importing the CLI leaves
 the oracle and the checkers unloaded; the package serves every public
-name; and no two test modules define the same helper or constant."""
+name; no two test modules define the same helper or constant; and the
+numpy-free CI job and README's numpy-free command list exactly the test
+modules that import no numpy at module level."""
 
 import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +106,41 @@ def test_numpy_imports_detector():
 def test_no_numpy_imports(path):
     # catches imports on code paths that the numpy-blocked runs below never reach
     assert numpy_imports(path.read_text()) == []
+
+
+# --- the numpy-free lists name every test module that collects without numpy, and no other
+
+REPO = TESTS.parent
+
+
+def imports_numpy_at_module_level(source: str) -> bool:
+    """True when an import statement at the top level of `source` imports numpy; an
+    import inside a function, a `try:` or an `if TYPE_CHECKING:` block leaves collection without it."""
+    top = ast.parse(source).body
+    return any(numpy_imports(ast.unparse(stmt)) for stmt in top if isinstance(stmt, (ast.Import, ast.ImportFrom)))
+
+
+def test_module_level_numpy_imports_detector():
+    imports_numpy = ["import numpy as np\n", "import os, numpy.linalg\n", "from numpy import eye\n"]
+    numpy_free = [
+        "import numpyro\nfrom numpy_financial import npv\n",
+        "try:\n    import numpy as np\nexcept ImportError:\n    np = None\n",
+        "def f():\n    import numpy\n",
+        "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    import numpy\n",
+    ]
+    assert [imports_numpy_at_module_level(s) for s in imports_numpy + numpy_free] == [True] * 3 + [False] * 4
+
+
+def test_numpy_free_lists_name_every_module_that_collects_without_numpy():
+    modules = sorted(TESTS.glob("test_*.py"))
+    free = [f"tests/{p.name}" for p in modules if not imports_numpy_at_module_level(p.read_text())]
+    workflow = (REPO / ".github" / "workflows" / "tests.yml").read_text()
+    job = re.search(r"^  numpy-free:\n(.*?)(?=^  \S|\Z)", workflow, re.M | re.S).group(1)
+    readme = (REPO / "README.md").read_text()
+    command = re.search(r"collect without numpy.*?```sh\n(.*?)```", readme, re.S).group(1)
+    for listed in (job, command):
+        names = re.findall(r"tests/test_\w+\.py", listed)
+        assert sorted(names) == free and len(set(names)) == len(names)
 
 
 # --- the tests keep one copy of each helper and constant they share, in support.py

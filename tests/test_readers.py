@@ -11,7 +11,8 @@ a warning. It is derandomized, as the CLI's fuzz is.
 
 The `sym3_*` kernels take rows of Python numbers as given, as the bound hands
 them over: they are fuzzed with JSON rows and, where numpy is present,
-ndarrays. Left out: numpy scalars in their plain lists, which compute in
+ndarrays; a finite matrix whose closed-form eigenvalues leave a float's range
+is a ValueError there too. Left out: numpy scalars in their plain lists, which compute in
 numpy's arithmetic and warn where it overflows; and the scalar parameters
 (the angles, `werner`'s p and `sphere_grid_min`'s num_points), which
 `float()` and plain comparisons still read as given. Both stay open under
@@ -21,6 +22,7 @@ The module imports no numpy at module level, so it runs in the numpy-free CI
 job as well; without numpy its fuzz feeds only the JSON values.
 """
 
+import math
 import warnings
 
 import pytest
@@ -237,6 +239,29 @@ def test_an_int_past_a_floats_range_is_a_value_error_in_the_kernels(at):
     for call in calls:
         with pytest.raises(ValueError, match=r"^expected a 3x3 matrix in a float's range: int too large to convert to float$"):
             call()
+
+
+# finite symmetric matrices whose closed form overflows: an eigenvalue past a float's range, or B = A - (tr A / 3) I
+OVERFLOWING_SPECTRA = {
+    "eigenvalue_3.4e308": [[1.7e308, 1.7e308, 0.0], [1.7e308, 1.7e308, 0.0], [0.0, 0.0, 1.0]],
+    "shifted_matrix": [[1.7e308, 0.0, 0.0], [0.0, -1.7e308, 0.0], [0.0, 0.0, -1.7e308]],
+    "eigenvalue_2e308": [[0.0, 1e308, 1e308], [1e308, 0.0, 1e308], [1e308, 1e308, 0.0]],
+}
+
+
+@pytest.mark.parametrize("a", OVERFLOWING_SPECTRA.values(), ids=OVERFLOWING_SPECTRA)
+def test_a_spectrum_past_a_floats_range_is_a_value_error(a):
+    # the kernel returned NaN eigenvalues for the first two and lam_max = inf for the third
+    with pytest.raises(ValueError, match=r"^expected a 3x3 matrix in a float's range: an eigenvalue is not finite$"):
+        sym3_spectrum(a)
+
+
+def test_beta_past_a_floats_range_leaves_the_eigenvalues_finite():
+    # beta = s^3 det(B / s) / 2 overflows past s ~ 5.6e102: inf here, and NaN where det B = 0
+    lam_max, lam_mid, lam_min, _, beta = sym3_spectrum([[1e104, 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert beta == math.inf and lam_max == pytest.approx(1e104, rel=1e-15) and abs(lam_mid) + abs(lam_min) < 1e89
+    lam_max, lam_mid, lam_min, _, beta = sym3_spectrum([[1e103, 0, 0], [0, 0, 0], [0, 0, -1e103]])
+    assert math.isnan(beta) and (lam_max, lam_min) == pytest.approx((1e103, -1e103), rel=1e-15) and abs(lam_mid) < 1e88
 
 
 @pytest.mark.parametrize("at", [(0, 0), (1, 2), (2, 1)])

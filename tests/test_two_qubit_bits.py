@@ -245,7 +245,7 @@ def test_bob_equal_to_alice_but_for_signed_zeros_is_bit_identical():
     p=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 4),
-    bob_kind=st.sampled_from(("same", "flipped", "other")),
+    bob_kind=st.sampled_from(("same", "flipped", "other", "negated", "permuted")),
 )
 def test_two_qubit_path_is_bit_identical(kind, p, seed, n, bob_kind):
     rng = random.Random(seed)
@@ -256,7 +256,10 @@ def test_two_qubit_path_is_bit_identical(kind, p, seed, n, bob_kind):
     else:
         state = TwoQubitState(mixed(rng, rng.randint(1, 4)))
     alice = directions(rng, n)
-    bob = {"same": alice, "flipped": flip_zeros(alice), "other": directions(rng, n)}[bob_kind]
+    # negated (m = -n, the singlet's setting) and permuted (xyz against zxy) differ from Alice's list (permuted
+    # for N > 1) but have her moment matrix in exact arithmetic, so the witness bounds each side
+    bob = {"same": alice, "flipped": flip_zeros(alice), "other": directions(rng, n),
+           "negated": [tuple(-x for x in d) for d in alice], "permuted": alice[-1:] + alice[:-1]}[bob_kind]
     assert_bit_identical(state, alice, bob, list(zip(directions(rng, n), directions(rng, n))))
 
 
