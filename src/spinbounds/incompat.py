@@ -5,9 +5,11 @@ For directions n_1..n_N the minimum over all qubit states of
 sum_i Var(n_i . sigma) equals tau1 - lambda_max(A), where
 A = sum_i n_i n_i^T and tau1 = tr A. lambda_max has a closed form via the
 trigonometric solution of the depressed characteristic cubic: the kernel
-`sym3_spectrum` and its residual certificate `sym3_certificate`, at the end
-of this module, on rows of Python numbers. `import spinbounds` compiles
-this module alone; the reference checkers in `linalg3` load on first use.
+`sym3_spectrum`, at the end of this module, on rows of Python numbers.
+`_certified_spectrum` certifies lambda_max alone, not the whole spectrum:
+an LDL^T upper bound and the optimizer's Rayleigh quotient bracket it
+within 1e-9 tr A. `import spinbounds` compiles this module alone; the
+reference checkers in `linalg3` load on first use.
 """
 
 from __future__ import annotations
@@ -157,28 +159,49 @@ def optimal_bloch(directions) -> tuple[float, float, float]:
     return incompatibility(directions).optimizer
 
 
-def _certified_spectrum(a, trace: float) -> tuple[Sym3Spectrum, tuple]:
-    """`sym3_spectrum(a)` and its certified eigenvector rows, or ArithmeticError (see `incompatibility`)."""
+def _certified_spectrum(a, trace: float) -> tuple[Sym3Spectrum, tuple[float, float, float]]:
+    """`sym3_spectrum(a)` and its top unit eigenvector v, or ArithmeticError.
+
+    With tol = 1e-9 tr A: the LDL^T pivots of (l0 + tol) I - A are all
+    positive, so no eigenvalue exceeds l0 + tol (Sylvester's law of
+    inertia); v's Rayleigh quotient, at most lambda_max, is at least
+    l0 - tol; l0 + l1 + l2 is tr A within tol; and alpha and beta are
+    finite. No spectral gap enters.
+    v is `_eigvec`'s for l0 when l0 - l1 >= l1 - l2, else `_split`'s p for l2.
+    """
     spec = sym3_spectrum(a)
-    vecs, bound = sym3_certificate(a, spec)
-    if not bound <= _CERTIFICATE_RTOL * trace:
-        raise ArithmeticError(f"closed-form eigenvalue {spec[0]!r} fails its residual certificate: "
-                              f"the spectrum may be off by {bound:.3e} > {_CERTIFICATE_RTOL} * tr A")
-    return spec, vecs
+    l0, l1, l2, alpha, beta = spec
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
+    tol = _CERTIFICATE_RTOL * trace
+    d0 = l0 + tol - a00  # the pivots in ratio form: a01 * a01 underflows where A is ~1e-160
+    if d0 > 0.0 and abs(l0 + l1 + l2 - trace) <= tol and 0.0 * alpha * beta == 0.0:  # a NaN fails each test
+        x, y, z = v = _eigvec(a, l0)[0] if l0 - l1 >= l1 - l2 else _split(a, l2)[1]
+        r1, r2 = a01 / d0, a02 / d0
+        d1, c = l0 + tol - a11 - r1 * a01, a12 + r2 * a01
+        if (d1 > 0.0 and l0 + tol - a22 - r2 * a02 - c / d1 * c > 0.0
+                and x * (a00 * x + a01 * y + a02 * z) + y * (a01 * x + a11 * y + a12 * z)
+                + z * (a02 * x + a12 * y + a22 * z) >= (l0 - tol) * (x * x + y * y + z * z)):
+            return spec, v
+    raise ArithmeticError(f"closed-form eigenvalue {l0!r} fails its residual certificate: lambda_max is not bracketed, "
+                          f"or the spectrum does not sum to tr A, within {_CERTIFICATE_RTOL} * tr A, or alpha or beta "
+                          f"is not finite")
 
 
 def incompatibility(directions) -> IncompatibilityResult:
     """Minimum over all qubit states of the summed variances of n_i . sigma.
 
-    Closed-form spectral value; `sym3_certificate` must place the
-    whole closed-form spectrum within 1e-9 of tr A, else ArithmeticError.
-    The optimizer is the certificate's top eigenvector (its rule picks one
-    in a double or triple top eigenspace, e_z for A = I), sign-fixed so its
-    first nonzero component is positive (both signs are equivalent).
+    Closed-form spectral value, certified by `_certified_spectrum` to
+    tol = 1e-9 tr A, else ArithmeticError: lambda_max lies within tol, up to
+    the LDL^T test's own backward error of ~1e-15 tr A (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 10); the optimizer attains the
+    bound within 2 tol; and the spectrum sums to tr A within tol. The other
+    two eigenvalues are not certified one by one. The optimizer is that
+    function's top eigenvector (its rule picks one in a double or triple top
+    eigenspace, e_z for A = I), sign-fixed so its first nonzero component is
+    positive (both signs are equivalent).
     """
     a, traces = moment_matrix(directions)
-    (lam, _, _, alpha, beta), vecs = _certified_spectrum(a, traces[0])
-    x, y, z = vecs[0]
+    (lam, _, _, alpha, beta), (x, y, z) = _certified_spectrum(a, traces[0])
     sign = -1.0 if (x or y or z) < 0.0 else 1.0
     optimizer = (sign * x + 0.0, sign * y + 0.0, sign * z + 0.0)  # + 0.0 turns -0.0 into 0.0
     return IncompatibilityResult(traces[0] - lam, lam, optimizer, alpha, beta, traces)
@@ -323,54 +346,14 @@ def sym3_spectrum(a) -> Sym3Spectrum:
         raise ValueError(f"expected a 3x3 matrix in a float's range: {exc}") from None
 
 
-def sym3_certificate(a, lams) -> tuple[tuple, float]:
-    """Orthonormal eigenvector rows V of symmetric `a` for its claimed
-    eigenvalues `lams` (descending), and a bound on every |lambda_k(A) -
-    lams[k]|: ||E||_F + tr|A| ||G||_F with E = V A V^T - diag(lams) and
-    G = V V^T - I (Weyl's inequality and Ostrowski's theorem; Parlett, The
-    Symmetric Eigenvalue Problem, sections 4 and 11).
-
-    Any V makes the bound valid; a good one makes it small. V is built from
-    the better separated outer eigenvalue (the top one on a tie) by `_split`,
-    which fixes the choice in a degenerate eigenspace: A = lambda I gives
-    V[0] = e_z.
+def _eigvec(b, z):
+    """(v, b, e): v is the unit eigenvector of symmetric B (rows `b`) for its
+    simple eigenvalue z: the longest cross product of two rows of B - zI
+    (Kopp), the first on a tie, or e_z where all three vanish. Where their
+    squares would overflow or underflow, v is computed on 2^e B, a rescale
+    that changes no bit of v, and that B's rows come back as `b`; else e = 0.
     """
-    try:
-        if not isinstance(a, _ROWS):  # an ndarray: compute on Python floats
-            a = [list(map(_float, row)) for row in a]
-        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
-        l0, l1, l2 = float(lams[0]), float(lams[1]), float(lams[2])
-        top = l0 - l1 >= l1 - l2
-        v, p, q = _split(a, l0 if top else l2)[:3]
-        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = vecs = (v, p, q) if top else (p, q, v)
-        # the columns (r_k, s_k, t_k) of A V^T, then the diagonal and upper triangle of E and G
-        r0, s0, t0 = a00 * x0 + a01 * y0 + a02 * z0, a10 * x0 + a11 * y0 + a12 * z0, a20 * x0 + a21 * y0 + a22 * z0
-        r1, s1, t1 = a00 * x1 + a01 * y1 + a02 * z1, a10 * x1 + a11 * y1 + a12 * z1, a20 * x1 + a21 * y1 + a22 * z1
-        r2, s2, t2 = a00 * x2 + a01 * y2 + a02 * z2, a10 * x2 + a11 * y2 + a12 * z2, a20 * x2 + a21 * y2 + a22 * z2
-        e0, e1, e2 = x0 * r0 + y0 * s0 + z0 * t0 - l0, x1 * r1 + y1 * s1 + z1 * t1 - l1, x2 * r2 + y2 * s2 + z2 * t2 - l2
-        e01, e02, e12 = x0 * r1 + y0 * s1 + z0 * t1, x0 * r2 + y0 * s2 + z0 * t2, x1 * r2 + y1 * s2 + z1 * t2
-        g0, g1, g2 = x0 * x0 + y0 * y0 + z0 * z0 - 1.0, x1 * x1 + y1 * y1 + z1 * z1 - 1.0, x2 * x2 + y2 * y2 + z2 * z2 - 1.0
-        g01, g02, g12 = x0 * x1 + y0 * y1 + z0 * z1, x0 * x2 + y0 * y2 + z0 * z2, x1 * x2 + y1 * y2 + z1 * z2
-        e_norm = sqrt(e0 * e0 + e1 * e1 + e2 * e2 + 2.0 * (e01 * e01 + e02 * e02 + e12 * e12))
-        g_norm = sqrt(g0 * g0 + g1 * g1 + g2 * g2 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12))
-        return vecs, e_norm + (abs(a00) + abs(a11) + abs(a22)) * g_norm
-    except OverflowError as exc:  # an int past a float's range in a list, or an eigenvalue past it
-        raise ValueError(f"expected a 3x3 matrix in a float's range: {exc}") from None
-
-
-def _split(b, z):
-    """(v, p, q, hi, lo): v is the unit eigenvector of symmetric B (rows
-    `b`) for its simple eigenvalue z, and (hi, p), (lo, q) are the
-    eigenpairs of B on v's orthogonal complement.
-
-    v is the longest cross product of two rows of B - zI (Kopp), the first
-    on a tie, or e_z where all three vanish; a power-of-two rescale of B,
-    which changes no bit of v, keeps their squares from overflowing or
-    underflowing. The 2x2 block on the complement (u, w) is solved with
-    hypot, so a near-double pair keeps its tiny gap; a scalar block keeps
-    p = u.
-    """
-    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    (b00, b01, b02), (_, b11, b12), (_, _, b22) = b
     d0, d1, d2 = b00 - z, b11 - z, b22 - z  # B - zI has rows (d0, b01, b02), (b01, d1, b12), (b02, b12, d2)
     vx, vy, vz = b01 * b12 - b02 * d1, b02 * b01 - d0 * b12, d0 * d1 - b01 * b01  # row 0 x row 1
     length = vx * vx + vy * vy + vz * vz
@@ -383,10 +366,23 @@ def _split(b, z):
     if not 1e-250 < length < 1e250:
         e = -frexp(max(abs(d0), abs(b01), abs(b02), abs(d1), abs(b12), abs(d2)))[1]
         if e:  # rows of B - zI near unit size are never rescaled, so this recurses once
-            v, p, q, hi, lo = _split([[ldexp(x, e) for x in row] for row in b], ldexp(z, e))
-            return v, p, q, ldexp(hi, -e), ldexp(lo, -e)
+            v, b, inner = _eigvec([[ldexp(x, e) for x in row] for row in b], ldexp(z, e))
+            return v, b, e + inner
     f = 1.0 / sqrt(length) if length else 0.0
-    vx, vy, vz = (vx * f, vy * f, vz * f) if length else (0.0, 0.0, 1.0)
+    return ((vx * f, vy * f, vz * f) if length else (0.0, 0.0, 1.0)), b, 0
+
+
+def _split(b, z):
+    """(v, p, q, hi, lo): v is `_eigvec`'s eigenvector of symmetric B (rows
+    `b`) for its simple eigenvalue z, and (hi, p), (lo, q) are the
+    eigenpairs of B on v's orthogonal complement.
+
+    The 2x2 block on the complement (u, w), of the B that v was computed on,
+    is solved with hypot, so a near-double pair keeps its tiny gap; a scalar
+    block keeps p = u.
+    """
+    (vx, vy, vz), b, e = _eigvec(b, z)
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
     ux, uy, uz = (-vz, 0.0, vx) if abs(vx) > abs(vy) else (0.0, vz, -vy)
     f = 1.0 / sqrt(ux * ux + uy * uy + uz * uz)
     ux, uy, uz = ux * f, uy * f, uz * f
@@ -399,7 +395,7 @@ def _split(b, z):
     cs, sn = cos(t), sin(t)
     p = (cs * ux + sn * wx, cs * uy + sn * wy, cs * uz + sn * wz)
     q = (cs * wx - sn * ux, cs * wy - sn * uy, cs * wz - sn * uz)
-    return (vx, vy, vz), p, q, mean + half_gap, mean - half_gap
+    return (vx, vy, vz), p, q, ldexp(mean + half_gap, -e), ldexp(mean - half_gap, -e)
 
 
 def _dot(p, q) -> float:

@@ -7,6 +7,7 @@ run without numpy can import this one (see README).
 import math
 
 from spinbounds.criteria import steering_test
+from spinbounds.incompat import _ROWS, _float, _split
 from spinbounds.linalg3 import HERMITIAN_TOL, PSD_TOL
 
 HUGE = 10**400  # an int too large for a float
@@ -108,3 +109,41 @@ def reference_psd_check(m):
         pivots.append(pivot)
         low.append(row)
     return True
+
+
+def sym3_certificate(a, lams) -> tuple[tuple, float]:
+    """Orthonormal eigenvector rows V of symmetric `a` for its claimed
+    eigenvalues `lams` (descending), and a bound on every |lambda_k(A) -
+    lams[k]|: ||E||_F + tr|A| ||G||_F with E = V A V^T - diag(lams) and
+    G = V V^T - I (Weyl's inequality and Ostrowski's theorem; Parlett, The
+    Symmetric Eigenvalue Problem, sections 4 and 11).
+
+    Any V makes the bound valid; a good one makes it small. V is built from
+    the better separated outer eigenvalue (the top one on a tie) by `_split`,
+    which fixes the choice in a degenerate eigenspace: A = lambda I gives
+    V[0] = e_z. V[0] is the optimizer that `incompatibility` returns.
+
+    The package certified the whole spectrum this way before it certified
+    lambda_max alone; the tests keep it as the full-spectrum reference.
+    """
+    try:
+        if not isinstance(a, _ROWS):  # an ndarray: compute on Python floats
+            a = [list(map(_float, row)) for row in a]
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+        l0, l1, l2 = float(lams[0]), float(lams[1]), float(lams[2])
+        top = l0 - l1 >= l1 - l2
+        v, p, q = _split(a, l0 if top else l2)[:3]
+        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = vecs = (v, p, q) if top else (p, q, v)
+        # the columns (r_k, s_k, t_k) of A V^T, then the diagonal and upper triangle of E and G
+        r0, s0, t0 = a00 * x0 + a01 * y0 + a02 * z0, a10 * x0 + a11 * y0 + a12 * z0, a20 * x0 + a21 * y0 + a22 * z0
+        r1, s1, t1 = a00 * x1 + a01 * y1 + a02 * z1, a10 * x1 + a11 * y1 + a12 * z1, a20 * x1 + a21 * y1 + a22 * z1
+        r2, s2, t2 = a00 * x2 + a01 * y2 + a02 * z2, a10 * x2 + a11 * y2 + a12 * z2, a20 * x2 + a21 * y2 + a22 * z2
+        e0, e1, e2 = x0 * r0 + y0 * s0 + z0 * t0 - l0, x1 * r1 + y1 * s1 + z1 * t1 - l1, x2 * r2 + y2 * s2 + z2 * t2 - l2
+        e01, e02, e12 = x0 * r1 + y0 * s1 + z0 * t1, x0 * r2 + y0 * s2 + z0 * t2, x1 * r2 + y1 * s2 + z1 * t2
+        g0, g1, g2 = x0 * x0 + y0 * y0 + z0 * z0 - 1.0, x1 * x1 + y1 * y1 + z1 * z1 - 1.0, x2 * x2 + y2 * y2 + z2 * z2 - 1.0
+        g01, g02, g12 = x0 * x1 + y0 * y1 + z0 * z1, x0 * x2 + y0 * y2 + z0 * z2, x1 * x2 + y1 * y2 + z1 * z2
+        e_norm = math.sqrt(e0 * e0 + e1 * e1 + e2 * e2 + 2.0 * (e01 * e01 + e02 * e02 + e12 * e12))
+        g_norm = math.sqrt(g0 * g0 + g1 * g1 + g2 * g2 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12))
+        return vecs, e_norm + (abs(a00) + abs(a11) + abs(a22)) * g_norm
+    except OverflowError as exc:  # an int past a float's range in a list, or an eigenvalue past it
+        raise ValueError(f"expected a 3x3 matrix in a float's range: {exc}") from None

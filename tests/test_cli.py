@@ -146,8 +146,9 @@ def test_incompat_cross_check_failure_exits_3_without_traceback(xyz_file, capsys
 def test_criteria_certificate_failure_exits_3_without_traceback(command, xyz_file, settings_file, capsys, monkeypatch):
     from spinbounds import incompat
 
-    certificate = incompat.sym3_certificate
-    monkeypatch.setattr(incompat, "sym3_certificate", lambda a, lams: (certificate(a, lams)[0], 1e300))
+    kernel = incompat.sym3_spectrum  # lambda_max off by 1e-8 tr A, as in test_incompat.py
+    monkeypatch.setattr(incompat, "sym3_spectrum",
+                        lambda a: kernel(a)._replace(lam_max=kernel(a).lam_max + 1e-8 * (a[0][0] + a[1][1] + a[2][2])))
     tail = ["--alice", xyz_file, "--bob", xyz_file] if command == "witness" else ["--settings", settings_file]
     assert main([command, "--state", "werner:0.8", *tail]) == EXIT_VERIFY_FAIL
     out, err = capsys.readouterr()

@@ -423,8 +423,9 @@ def test_the_folded_bounds_keep_every_failure_mode():
 
 
 def test_a_failed_certificate_raises_arithmetic_error_from_both_tests(monkeypatch):
-    certificate = incompat.sym3_certificate
-    monkeypatch.setattr(incompat, "sym3_certificate", lambda a, lams: (certificate(a, lams)[0], 1e300))
+    kernel = incompat.sym3_spectrum  # lambda_max off by 1e-8 tr A, as in test_incompat.py
+    monkeypatch.setattr(incompat, "sym3_spectrum",
+                        lambda a: kernel(a)._replace(lam_max=kernel(a).lam_max + 1e-8 * (a[0][0] + a[1][1] + a[2][2])))
     state = werner(0.8)
     calls = (lambda: entanglement_witness(state, XYZ, XYZ), lambda: entanglement_witness(state, XYZ, XYZ[::-1]),
              lambda: steering_test(state, XYZ_SETTINGS), lambda: steering_test(state, list(zip(XYZ, XYZ[::-1]))))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinbounds.incompat import (
+    Sym3Spectrum,
     directions_from_angles,
     incompatibility,
     incompatibility_from_angles,
@@ -15,15 +16,15 @@ from spinbounds.incompat import (
     lambda_max_from_traces,
     moment_matrix,
     optimal_bloch,
-    sym3_certificate,
     sym3_spectrum,
     validate_directions,
 )
 from spinbounds import incompat
+from spinbounds.criteria import entanglement_witness, steering_test
 from spinbounds.linalg3 import sym3_eigen_jacobi
 from spinbounds.oracle import cubic_coefficients_unit
 from spinbounds.states import QubitState, TwoQubitState, uncertainty_sum, werner
-from support import EXAMPLE4, XYZ, random_set, random_unit
+from support import EXAMPLE4, XYZ, random_set, random_unit, sym3_certificate
 
 
 def random_rotation(rng):
@@ -541,6 +542,27 @@ def test_certificate_rejects_a_kernel_off_by_1e8_of_tr_a(name, field, sign, monk
         incompatibility(d)
 
 
+# A = diag(3, 1, 2) in some order: LDL^T's first, second or third pivot is the one that goes negative
+TOP_AXIS_SETS = {f"top_{axis}": np.diag(np.sqrt(np.roll([3.0, 1.0, 2.0], k))) for k, axis in enumerate("xyz")}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("name", list(CERTIFICATE_SETS) + list(TOP_AXIS_SETS))
+def test_certificate_rejects_a_lambda_max_off_by_1e8_of_tr_a_whose_spectrum_keeps_its_sum(name, sign, monkeypatch):
+    # lam_min moves the other way, so only the Rayleigh quotient (sign +1) or a pivot (sign -1) can reject it
+    d = {**CERTIFICATE_SETS, **TOP_AXIS_SETS}[name]
+    incompatibility(d)
+
+    def wrong_kernel(a):
+        spec = sym3_spectrum(a)
+        delta = sign * 1e-8 * (a[0][0] + a[1][1] + a[2][2])
+        return spec._replace(lam_max=spec.lam_max + delta, lam_min=spec.lam_min - delta)
+
+    monkeypatch.setattr(incompat, "sym3_spectrum", wrong_kernel)
+    with pytest.raises(ArithmeticError, match="closed-form eigenvalue .* fails its residual certificate"):
+        incompatibility(d)
+
+
 @PROPERTY_SETTINGS
 @given(d=direction_sets(), k=st.floats(-9.0, 9.0))
 def test_certificate_holds_on_every_family_at_every_scale(d, k):
@@ -552,6 +574,34 @@ def test_certificate_holds_on_every_family_at_every_scale(d, k):
     exact = np.linalg.eigvalsh(np.array(a))[::-1]
     assert np.abs(exact - spec[:3]).max() <= bound + 1e-14 * traces[0]
     assert np.abs(np.array(vecs) @ np.array(vecs).T - np.eye(3)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("fixed_k", [None, -150, -80, 50])
+@PROPERTY_SETTINGS
+@given(d=direction_sets(), k=st.floats(-9.0, 9.0))
+def test_lambda_max_is_certified_and_the_optimizer_attains_the_bound(fixed_k, d, k):
+    # scales 10^k, k in [-9, 9], and A near 1e-300, 1e-160 and 1e100
+    d = d * 10.0 ** (k if fixed_k is None else fixed_k)
+    res = incompatibility(d)
+    a, tol = np.array(moment_matrix(d)[0]), 1e-9 * res.traces[0]
+    assert abs(res.lambda_max - np.linalg.eigvalsh(a)[-1]) <= tol
+    r = np.array(res.optimizer)
+    assert abs(res.traces[0] - r @ a @ r - res.value) <= 2.0 * tol
+
+
+@pytest.mark.parametrize("field", Sym3Spectrum._fields)
+@pytest.mark.parametrize("name", list(CERTIFICATE_SETS))
+def test_a_kernel_returning_nan_in_any_field_raises_arithmetic_error(name, field, monkeypatch):
+    d = CERTIFICATE_SETS[name]
+    units = (d / np.linalg.norm(d, axis=1)[:, None]).tolist()
+    kernel = incompat.sym3_spectrum
+    monkeypatch.setattr(incompat, "sym3_spectrum", lambda a: kernel(a)._replace(**{field: math.nan}))
+    state = werner(0.8)
+    calls = (lambda: incompatibility(d), lambda: entanglement_witness(state, units, units),
+             lambda: steering_test(state, list(zip(units, units))))
+    for call in calls:
+        with pytest.raises(ArithmeticError, match="^closed-form eigenvalue .* fails its residual certificate: "):
+            call()
 
 
 def test_optimizer_has_no_negative_zero_and_a_positive_lead():

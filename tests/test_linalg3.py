@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbounds.incompat import _split, cubic_roots, sym3_certificate, sym3_spectrum, sym3_traces
+from spinbounds.incompat import _split, cubic_roots, sym3_spectrum, sym3_traces
 from spinbounds.linalg3 import PSD_TOL, hermitian_psd_check, sym3_eigen_jacobi
 from spinbounds.states import TwoQubitState
-from support import bits, dot, matvec
+from support import bits, dot, matvec, sym3_certificate
 
 
 def random_sym3(rng):

@@ -34,14 +34,13 @@ from spinbounds.incompat import (
     incompatibility,
     incompatibility_pair,
     moment_matrix,
-    sym3_certificate,
     sym3_spectrum,
     sym3_traces,
     validate_directions,
 )
 from spinbounds.linalg3 import PSD_TOL, hermitian_psd_check
 from spinbounds.states import QubitState, TwoQubitState, as_vec3, product_state, uncertainty_sum, werner
-from support import bits, dot, matvec, outcome, reference_psd_check, shift, sum311
+from support import bits, dot, matvec, outcome, reference_psd_check, shift, sum311, sym3_certificate
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402

@@ -32,12 +32,12 @@ from hypothesis import strategies as st
 from spinbounds import linalg3, states
 from spinbounds.criteria import entanglement_witness, steering_test
 from spinbounds.incompat import (
-    incompatibility, incompatibility_pair, moment_matrix, sym3_certificate, sym3_spectrum, sym3_traces, validate_directions,
+    incompatibility, incompatibility_pair, moment_matrix, sym3_spectrum, sym3_traces, validate_directions,
 )
 from spinbounds.linalg3 import hermitian_psd_check, sym3_eigen_jacobi
 from spinbounds.oracle import cubic_coefficients_unit, sphere_grid_min
 from spinbounds.states import QubitState, TwoQubitState, as_vec3, product_state, uncertainty_sum, werner
-from support import HUGE
+from support import HUGE, sym3_certificate
 
 try:
     import numpy as np
