@@ -29,8 +29,7 @@ _LAZY.update(dict.fromkeys(("hermitian_psd_check", "sym3_eigen_jacobi"), "linalg
 _LAZY.update(dict.fromkeys(("CubicCoefficients", "OracleResult", "cubic_coefficients_unit", "sphere_grid_min"), "oracle"))
 _LAZY.update(dict.fromkeys(
     ("SteeringReport", "WitnessReport", "entanglement_witness", "steering_test"), "criteria"))
-_LAZY.update(dict.fromkeys(
-    ("QubitState", "TwoQubitState", "product_state", "singlet", "uncertainty_sum", "werner"), "states"))
+_LAZY.update(dict.fromkeys(("TwoQubitState", "product_state", "singlet", "werner"), "states"))
 
 
 def __getattr__(name):

@@ -27,7 +27,7 @@ _TWO_PI_3 = 2.0 * pi / 3.0
 # Deflate when 1 - |beta/alpha^3| falls below this: outside the band the
 # trig roots of the closest pair lose at most ~1e-16/sqrt(band) of alpha.
 _DEFLATE_BAND = 1e-4
-_ROWS = (list, tuple)  # the kernels read these as is and any other matrix (an ndarray) as rows of floats
+_ROWS = (list, tuple)  # the readers take these as they are and any other sequence (an ndarray) through `_plain`
 
 
 class Sym3Spectrum(NamedTuple):
@@ -222,11 +222,17 @@ def incompatibility_pair(n1, n2) -> float:
 
 def _gram_spectrum(theta1: float, theta2: float, theta3: float) -> Sym3Spectrum:
     """Spectrum of the Gram matrix of three unit vectors with the given
-    pairwise angles; raises unless every angle is finite and the Gram matrix
-    is PSD (the triple is realizable)."""
-    for i, theta in enumerate((theta1, theta2, theta3), 1):
-        if not isfinite(theta):
-            raise ValueError(f"angle theta{i} = {theta} is not finite")
+    pairwise angles; raises unless every angle is a finite real number and
+    the Gram matrix is PSD (the triple is realizable)."""
+    if not (type(theta1) is type(theta2) is type(theta3) is float
+            and isfinite(theta1) and isfinite(theta2) and isfinite(theta3)):  # else read each, up to the first bad one
+        for i, theta in enumerate((theta1, theta2, theta3), 1):
+            try:  # text raises _float's ValueError, and a complex, a numpy one too, its TypeError
+                theta = _float(theta)
+            except OverflowError as exc:  # an int past a float's range
+                raise ValueError(f"angle theta{i} is not in a float's range: {exc}") from None
+            if not isfinite(theta):
+                raise ValueError(f"angle theta{i} = {theta} is not finite")
     c1, c2, c3 = cos(theta1), cos(theta2), cos(theta3)
     spec = sym3_spectrum(((1.0, c3, c2), (c3, 1.0, c1), (c2, c1, 1.0)))
     if spec.lam_min < -_GRAM_PSD_TOL:
@@ -269,15 +275,17 @@ def directions_from_angles(theta1: float, theta2: float, theta3: float) -> list[
 
 
 def sym3_traces(a) -> tuple[float, float, float]:
-    """Trace powers (tr A, tr A^2, tr A^3) of a symmetric 3x3 matrix (rows).
-
-    Computed directly from the entries, not via eigenvalues. Raises
-    ValueError when tr A^3 overflows, or an entry (an int) lies past a float's range.
+    """Trace powers (tr A, tr A^2, tr A^3) of a symmetric 3x3 matrix (rows,
+    upper triangle read): unless its six entries are all Python floats, each
+    is read through `_float`, so an ndarray, an int or a numpy scalar computes
+    in float arithmetic. Computed directly from the entries, not via
+    eigenvalues. Raises ValueError when tr A^3 overflows, or an entry (an int)
+    lies past a float's range.
     """
     try:
-        if not isinstance(a, _ROWS):  # an ndarray: compute on Python floats
-            a = [list(map(_float, row)) for row in a]
         (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
+        if not (type(a00) is type(a01) is type(a02) is type(a11) is type(a12) is type(a22) is float):
+            a00, a01, a02, a11, a12, a22 = map(_float, (a00, a01, a02, a11, a12, a22))
         d2 = a01 * a01, a02 * a02, a12 * a12
         t1 = a00 + a11 + a22
         t2 = a00 * a00 + a11 * a11 + a22 * a22 + 2.0 * (d2[0] + d2[1] + d2[2])
@@ -307,7 +315,7 @@ def cubic_roots(alpha: float, ratio: float) -> tuple[float, float, float]:
 
 
 def sym3_spectrum(a) -> Sym3Spectrum:
-    """Closed-form eigenvalues of a symmetric 3x3 matrix (rows, upper triangle read).
+    """Closed-form eigenvalues of a symmetric 3x3 matrix, read as `sym3_traces` reads it.
 
     Works on the shifted matrix B = A - (tr A / 3) I scaled by its largest
     absolute entry s, so alpha^2 = tr B^2 / 6 and beta = det B / 2 carry no
@@ -321,9 +329,9 @@ def sym3_spectrum(a) -> Sym3Spectrum:
     past s ~ 5.6e102 (inf, or NaN where det B = 0) with finite eigenvalues.
     """
     try:
-        if not isinstance(a, _ROWS):  # an ndarray: compute on Python floats
-            a = [list(map(_float, row)) for row in a]
         (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
+        if not (type(a00) is type(a01) is type(a02) is type(a11) is type(a12) is type(a22) is float):
+            a00, a01, a02, a11, a12, a22 = map(_float, (a00, a01, a02, a11, a12, a22))
         shift = (a00 + a11 + a22) / 3.0
         b00, b11, b22 = a00 - shift, a11 - shift, a22 - shift
         s = max(abs(b00), abs(b11), abs(b22), abs(a01), abs(a02), abs(a12))

@@ -1,8 +1,8 @@
 """Qubit and two-qubit states.
 
-Single-qubit states are Bloch vectors (all qubit variances are then exact
-closed forms). A two-qubit state is given as a 4x4 density matrix (index
-convention 2*i_A + i_B) and is read through its Bloch tensors (a, b, T),
+Single-qubit states are Bloch vectors, plain 3-tuples of floats. A two-qubit
+state is given as a 4x4 density matrix (index convention 2*i_A + i_B) and is
+read through its Bloch tensors (a, b, T),
 rho = (I + a . sigma (x) I + I (x) b . sigma + sum_ij T_ij sigma_i (x) sigma_j)/4
 (Horodecki & Horodecki, PRA 54, 1838, 1996). Both run on Python floats
 and complex numbers, without numpy.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from math import isfinite, sqrt
 
-from .incompat import _ROWS, _dot, _float, _plain, validate_directions
+from .incompat import _ROWS, _dot, _float, _plain
 from .linalg3 import hermitian_psd_check
 
 
@@ -40,14 +40,6 @@ def _bloch_vector(r) -> tuple[float, float, float]:
     if _dot(r, r) > 1.0 + 1e-12:
         raise ValueError(f"Bloch vector norm {sqrt(_dot(r, r)):.12g} exceeds 1")
     return r
-
-
-class QubitState:
-    """Qubit density matrix (I + r . sigma)/2, stored as the Bloch vector r
-    (a 3-tuple of floats)."""
-
-    def __init__(self, bloch):
-        self.bloch = _bloch_vector(bloch)
 
 
 class TwoQubitState:
@@ -88,22 +80,14 @@ class TwoQubitState:
         self.rho, self.a, self.b, self.T = rho, a, b, t
 
 
-def uncertainty_sum(directions, state: QubitState) -> float:
-    """Sum of variances of the spin observables n_i . sigma on the state,
-    sum_i |n_i|^2 - (n_i . r)^2."""
-    r, total = state.bloch, 0.0
-    for n in validate_directions(directions):  # left to right from 0.0, as sum() added before 3.12
-        total += _dot(n, n) - _dot(n, r) ** 2
-    return total
-
-
 def singlet() -> TwoQubitState:
     """The two-qubit singlet |01> - |10> (normalized), as a density matrix."""
     return werner(1.0)
 
 
 def werner(p: float) -> TwoQubitState:
-    """Werner state p * singlet + (1 - p) * I/4."""
+    """Werner state p * singlet + (1 - p) * I/4, computed with p read as a Python float."""
+    p = p if type(p) is float or type(p) is int else _float(p)  # an int compares exactly, one past a float's range too
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"Werner parameter must lie in [0, 1], got {p}")
     # rho_ij = p * psi_i psi_j + (1 - p) * delta_ij / 4, psi = (0, s, -s, 0), rounded as that formula rounds:

@@ -7,7 +7,7 @@ run without numpy can import this one (see README).
 import math
 
 from spinbounds.criteria import steering_test
-from spinbounds.incompat import _ROWS, _float, _split
+from spinbounds.incompat import _float, _split
 from spinbounds.linalg3 import HERMITIAN_TOL, PSD_TOL
 
 HUGE = 10**400  # an int too large for a float
@@ -53,15 +53,26 @@ def dot(p, q):
     return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
 
 
+def variance_sum(directions, r):
+    """The variance sum at the Bloch vector r, sum_i |n_i|^2 - (n_i . r)^2,
+    added left to right from 0.0: the tests' reference for the bound's physics."""
+    total = 0.0
+    for n in directions:
+        total += dot(n, n) - dot(n, r) ** 2
+    return total
+
+
 def matvec(b, x):
     return (dot(b[0], x), dot(b[1], x), dot(b[2], x))
 
 
 def bits(x):
-    """Every float in nested tuples, lists and reports, as hex: -0.0 and 0.0
-    differ, nan matches."""
+    """Every float in nested tuples, lists, reports and states, a complex
+    number's two parts too, as hex: -0.0 and 0.0 differ, nan matches."""
     if hasattr(x, "__dict__"):
         x = tuple(vars(x).values())
+    if isinstance(x, complex):
+        x = (x.real, x.imag)
     if isinstance(x, (tuple, list)):
         return [h for y in x for h in bits(y)]
     return [repr(x)] if isinstance(x, bool) else [float.hex(x)]
@@ -127,8 +138,7 @@ def sym3_certificate(a, lams) -> tuple[tuple, float]:
     lambda_max alone; the tests keep it as the full-spectrum reference.
     """
     try:
-        if not isinstance(a, _ROWS):  # an ndarray: compute on Python floats
-            a = [list(map(_float, row)) for row in a]
+        a = [[x if type(x) is float else _float(x) for x in row] for row in a]  # each entry as a float, as the kernels read it
         (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
         l0, l1, l2 = float(lams[0]), float(lams[1]), float(lams[2])
         top = l0 - l1 >= l1 - l2

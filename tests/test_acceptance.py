@@ -22,14 +22,8 @@ from spinbounds.incompat import (
 )
 from spinbounds.linalg3 import sym3_eigen_jacobi
 from spinbounds.oracle import sphere_grid_min
-from spinbounds.states import (
-    QubitState,
-    product_state,
-    singlet,
-    uncertainty_sum,
-    werner,
-)
-from support import EXAMPLE4, XYZ, XYZ_SETTINGS, inference_variance, random_set, random_unit
+from spinbounds.states import product_state, singlet, werner
+from support import EXAMPLE4, XYZ, XYZ_SETTINGS, inference_variance, random_set, random_unit, variance_sum
 
 # Published reference values for the theta3 = pi/3 grid over
 # theta1, theta2 in {pi/9, 2pi/9, pi/3, 4pi/9, 5pi/9} (rows: theta2).
@@ -164,7 +158,7 @@ def test_criterion_03_orthonormal_triple():
     rng = np.random.default_rng(303)
     worst = 0.0
     for _ in range(100):
-        s = uncertainty_sum(XYZ, QubitState(random_unit(rng)))
+        s = variance_sum(XYZ, random_unit(rng))
         worst = max(worst, abs(s - 2.0))
     ok = ok and worst <= 1e-12
     report(3, ok, f"bound {value}, max pure-state deviation {worst:.2e}")
@@ -206,7 +200,7 @@ def test_criterion_06_optimizer_realization():
     for _ in range(500):
         dirs = random_set(rng, int(rng.integers(1, 7)))
         res = incompatibility(dirs)
-        achieved = uncertainty_sum(dirs, QubitState(res.optimizer))
+        achieved = variance_sum(dirs, res.optimizer)
         worst = max(worst, abs(achieved - res.value))
     ok = worst <= 1e-9
     report(6, ok, f"max realization gap {worst:.2e} over 500 sets")
@@ -296,6 +290,53 @@ def test_criterion_09_soundness_sweeps():
 
     ok = witness_ok and floor_ok
     report(9, ok, "1000 product states, 10000 mixed states x 25 sets")
+    assert ok
+
+
+def unit_rows(rows):
+    return [tuple(x / math.sqrt(sum(y * y for y in row)) for x in row) for row in rows]
+
+
+PHI = (1 + math.sqrt(5)) / 2
+# unit tight frames, sum_i n_i n_i^T = (N/3) I
+TIGHT_FRAMES = {
+    "orthogonal triple": XYZ,
+    "orthogonal triple twice": XYZ + XYZ,
+    "tetrahedron": unit_rows([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]),
+    "icosahedron axes": unit_rows([(0, 1, PHI), (0, -1, PHI), (1, PHI, 0), (-1, PHI, 0), (PHI, 0, 1), (PHI, 0, -1)]),
+}
+
+
+def test_criterion_11_maximal_incompatibility_iff_orthogonal():
+    """The paper's claim: N unit directions are maximally incompatible iff orthogonal.
+
+    tr A = N, so the bound N - lambda_max is at most 2N/3, with equality iff
+    A = (N/3) I: for N = 3 an orthogonal triple, for N > 3 a tight frame. Two
+    directions span a plane, so lambda_max >= 1: their bound 1 - |n1 . n2| is
+    at most 1, with equality iff they are orthogonal. Every other set falls
+    short of its cap by at least ||A - (N/3) I||_F / sqrt(6) (N >= 3), the
+    least that the top eigenvalue can exceed the mean of three that sum to N.
+    """
+    rng = np.random.default_rng(1111)
+    worst = 0.0  # |bound - cap| / N at the caps, under random orthogonal maps
+    for _ in range(20):
+        q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        worst = max(worst, abs(incompatibility(np.eye(3)[:2] @ q.T).value - 1.0) / 2)
+        for frame in TIGHT_FRAMES.values():
+            worst = max(worst, abs(incompatibility(np.asarray(frame) @ q.T).value - 2 * len(frame) / 3) / len(frame))
+    gap_ok, smallest = True, math.inf
+    for _ in range(2000):
+        n = int(rng.integers(2, 9))
+        dirs = random_set(rng, n, unit=True)
+        if n == 2:
+            cap, floor = 1.0, abs(float(np.dot(dirs[0], dirs[1])))
+        else:
+            cap, floor = 2 * n / 3, float(np.linalg.norm(np.array(moment_matrix(dirs)[0]) - n / 3 * np.eye(3))) / math.sqrt(6)
+        gap = cap - incompatibility(dirs).value
+        smallest = min(smallest, gap)
+        gap_ok = gap_ok and gap > 0.0 and gap >= floor - 1e-12 * n
+    ok = worst <= 1e-12 and gap_ok
+    report(11, ok, f"caps met to {worst:.1e} N; 2000 random sets (N = 2-8) each below the cap, by at least {smallest:.1e}")
     assert ok
 
 

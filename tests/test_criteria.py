@@ -181,11 +181,10 @@ def test_steering_rejects_empty_settings():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: states.QubitState((HUGE, 0, 0)),
     lambda: product_state((0, 0, 1), (0, HUGE, 0)),
     lambda: entanglement_witness(singlet(), [(0, 0, HUGE)], [(0, 0, 1)]),
     lambda: steering_test(singlet(), [((HUGE, 0, 0), (1, 0, 0))]),
-], ids=["QubitState", "product_state", "entanglement_witness", "steering_test"])
+], ids=["product_state", "entanglement_witness", "steering_test"])
 def test_overflowing_vector_is_a_value_error(call):
     # as `validate_directions` does for a direction set
     with pytest.raises(ValueError, match="expected a 3-vector: int too large to convert to float"):
@@ -217,7 +216,6 @@ BAD_SETTINGS = {  # where (alice, bob) pairs are expected
     "text": [["100", "100"], ["010", "010"]],
 }
 PARITY = [(name, case, bad[case], call, as_array) for name, bad, call, as_array in [
-    ("QubitState", BAD_VECTORS, lambda x: states.QubitState(x), np.array),
     ("product_state", BAD_VECTORS, lambda x: product_state(Z, x), np.array),
     ("inference_variance_min-alice", BAD_VECTORS, lambda x: inference_variance(singlet(), x, Z), np.array),
     ("inference_variance_min-bob", BAD_VECTORS, lambda x: inference_variance(singlet(), Z, x), np.array),

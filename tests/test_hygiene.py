@@ -194,7 +194,7 @@ EXPORTS = {
     ),
     "linalg3": ("hermitian_psd_check", "sym3_eigen_jacobi"),
     "oracle": ("CubicCoefficients", "OracleResult", "cubic_coefficients_unit", "sphere_grid_min"),
-    "states": ("QubitState", "TwoQubitState", "product_state", "singlet", "uncertainty_sum", "werner"),
+    "states": ("TwoQubitState", "product_state", "singlet", "werner"),
 }
 
 
@@ -215,10 +215,11 @@ sys.meta_path.insert(0, BlockNumpy())
 
 
 def run_without_numpy(code: str) -> str:
-    """Run `code` in a child interpreter with numpy blocked; its last line of output."""
+    """Run `code` in a child interpreter with numpy blocked, the package and the
+    tests' `support` on its path; its last line of output."""
     proc = subprocess.run(
         [sys.executable, "-c", BLOCK_NUMPY + code], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join((str(SRC), str(TESTS)))},
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
@@ -238,13 +239,14 @@ def test_incompat_table_and_verify_never_import_numpy(tmp_path):
     child = (
         "from math import pi\n"
         "from spinbounds import (\n"
-        "    QubitState, cli, directions_from_angles, incompatibility, incompatibility_from_angles,\n"
-        "    incompatibility_pair, moment_matrix, sphere_grid_min, sym3_eigen_jacobi, uncertainty_sum)\n"
+        "    cli, directions_from_angles, incompatibility, incompatibility_from_angles,\n"
+        "    incompatibility_pair, moment_matrix, sphere_grid_min, sym3_eigen_jacobi)\n"
+        "from support import variance_sum\n"
         f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
         "dirs = [(1, 0, 0), (0.5, 0.5, 0.5), (0, 0, 2)]\n"
         "res = incompatibility(dirs)\n"
         "checks = [\n"
-        "    abs(uncertainty_sum(dirs, QubitState(res.optimizer)) - res.value) < 1e-9,\n"
+        "    abs(variance_sum(dirs, res.optimizer) - res.value) < 1e-9,\n"
         "    abs(incompatibility_pair((1, 0, 0), (0, 1, 0)) - 1.0) < 1e-12,\n"
         "    abs(incompatibility_from_angles(pi / 2, pi / 2, pi / 2) - 2.0) < 1e-12,\n"
         "    abs(incompatibility(directions_from_angles(pi / 3, pi / 4, pi / 2)).value\n"

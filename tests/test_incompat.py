@@ -23,8 +23,8 @@ from spinbounds import incompat
 from spinbounds.criteria import entanglement_witness, steering_test
 from spinbounds.linalg3 import sym3_eigen_jacobi
 from spinbounds.oracle import cubic_coefficients_unit
-from spinbounds.states import QubitState, TwoQubitState, uncertainty_sum, werner
-from support import EXAMPLE4, XYZ, random_set, random_unit, sym3_certificate
+from spinbounds.states import TwoQubitState, werner
+from support import EXAMPLE4, XYZ, random_set, random_unit, sym3_certificate, variance_sum
 
 
 def random_rotation(rng):
@@ -285,7 +285,7 @@ def test_optimal_bloch_examples():
     # degenerate case: any unit vector is fine as long as it attains the bound
     v = optimal_bloch(XYZ)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
-    assert uncertainty_sum(XYZ, QubitState(v)) == pytest.approx(2.0, abs=1e-9)
+    assert variance_sum(XYZ, v) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_optimal_bloch_achieves_bound():
@@ -293,7 +293,7 @@ def test_optimal_bloch_achieves_bound():
     for _ in range(300):
         dirs = random_set(rng, int(rng.integers(1, 7)))
         res = incompatibility(dirs)
-        achieved = uncertainty_sum(dirs, QubitState(res.optimizer))
+        achieved = variance_sum(dirs, res.optimizer)
         assert achieved == pytest.approx(res.value, abs=1e-9)
 
 
@@ -452,7 +452,7 @@ def test_degenerate_families_under_rotation(name, x, seed):
     d = d @ random_rotation(np.random.default_rng(seed)).T
     res = incompatibility(d)
     assert res.value == pytest.approx(exact, abs=1e-12 * res.traces[0])
-    achieved = uncertainty_sum(d, QubitState(res.optimizer))
+    achieved = variance_sum(d, res.optimizer)
     assert achieved == pytest.approx(res.value, abs=1e-12 * res.traces[0])
 
 

@@ -39,7 +39,7 @@ from spinbounds.incompat import (
     validate_directions,
 )
 from spinbounds.linalg3 import PSD_TOL, hermitian_psd_check
-from spinbounds.states import QubitState, TwoQubitState, as_vec3, product_state, uncertainty_sum, werner
+from spinbounds.states import TwoQubitState, as_vec3, product_state, werner
 from support import bits, dot, matvec, outcome, reference_psd_check, shift, sum311, sym3_certificate
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -381,7 +381,6 @@ def test_complex_array_rows_raise_the_lists_message():
             lambda: moment_matrix(rows),
             lambda: moment_matrix(tuple(rows)),
             lambda: moment_matrix(iter(rows)),
-            lambda: uncertainty_sum(rows, QubitState((0.0, 0.0, 1.0))),
             lambda: validate_directions(rows),
         ):
             with warnings.catch_warnings():

@@ -8,8 +8,7 @@ import pytest
 
 from spinbounds.incompat import incompatibility
 from spinbounds.oracle import sphere_grid_min
-from spinbounds.states import QubitState, uncertainty_sum
-from support import EXAMPLE4, XYZ
+from support import EXAMPLE4, XYZ, variance_sum
 
 
 def scaled(v, s):
@@ -153,7 +152,7 @@ def test_grid_min_four_directions():
 def test_grid_min_argmin_consistency():
     res = sphere_grid_min(EXAMPLE4, 5000)
     assert math.hypot(*res.argmin) == pytest.approx(1.0, abs=1e-10)
-    achieved = uncertainty_sum(EXAMPLE4, QubitState(res.argmin))
+    achieved = variance_sum(EXAMPLE4, res.argmin)
     assert achieved == pytest.approx(res.value, abs=1e-10)
 
 

@@ -4,19 +4,19 @@ A number is an int, a float or a complex (a bool counts as an int); text is
 refused, "1" included, and so is an int past a float's range. The fuzz feeds
 nested JSON values, bounded in size, and where numpy is present ndarrays and
 numpy scalars on the real paths and numpy scalars, complex ones too, in a plain
-4x4 list, to every public function that reads
+4x4 or 3x3 list, to every public function that reads
 directions, a vector or a matrix. Each call must return, or raise ValueError
 or TypeError: never OverflowError, ZeroDivisionError or IndexError, and never
 a warning. It is derandomized, as the CLI's fuzz is.
 
-The `sym3_*` kernels take rows of Python numbers as given, as the bound hands
-them over: they are fuzzed with JSON rows and, where numpy is present,
-ndarrays; a finite matrix whose closed-form eigenvalues leave a float's range
-is a ValueError there too. Left out: numpy scalars in their plain lists, which compute in
-numpy's arithmetic and warn where it overflows; and the scalar parameters
-(the angles, `werner`'s p and `sphere_grid_min`'s num_points), which
-`float()` and plain comparisons still read as given. Both stay open under
-ROADMAP item 13.
+The `sym3_*` kernels read the six entries of the upper triangle, each
+through `_float` unless all six are Python floats (the bound hands them
+floats). They are fuzzed with JSON rows and, where numpy is present, numpy
+scalars in plain lists and ndarrays; a finite matrix whose closed-form
+eigenvalues leave a float's range is a ValueError there too. The scalar
+parameters, the angles and `werner`'s p, are checked case by case on text,
+ints past a float's range and numpy scalars. Left out: `sphere_grid_min`'s
+num_points, which plain comparisons still read as given (ROADMAP item 13).
 
 The module imports no numpy at module level, so it runs in the numpy-free CI
 job as well; without numpy its fuzz feeds only the JSON values.
@@ -32,12 +32,13 @@ from hypothesis import strategies as st
 from spinbounds import linalg3, states
 from spinbounds.criteria import entanglement_witness, steering_test
 from spinbounds.incompat import (
-    incompatibility, incompatibility_pair, moment_matrix, sym3_spectrum, sym3_traces, validate_directions,
+    directions_from_angles, incompatibility, incompatibility_from_angles, incompatibility_pair, moment_matrix,
+    sym3_spectrum, sym3_traces, validate_directions,
 )
 from spinbounds.linalg3 import hermitian_psd_check, sym3_eigen_jacobi
 from spinbounds.oracle import cubic_coefficients_unit, sphere_grid_min
-from spinbounds.states import QubitState, TwoQubitState, as_vec3, product_state, uncertainty_sum, werner
-from support import HUGE, sym3_certificate
+from spinbounds.states import TwoQubitState, as_vec3, product_state, werner
+from support import HUGE, bits, outcome, sym3_certificate
 
 try:
     import numpy as np
@@ -81,7 +82,6 @@ VECTOR = UNIT | st.lists(READER_SCALARS, min_size=3, max_size=3) | READER_JSON
 DIRECTIONS = st.lists(VECTOR, min_size=1, max_size=5) | READER_JSON
 MATRIX4 = rows_of(4, READER_SCALARS) | READER_JSON
 MATRIX3 = rows_of(3, READER_SCALARS) | READER_JSON
-KERNEL3 = MATRIX3  # the sym3_* kernels: JSON rows on their list path, and ndarrays where numpy is present
 
 if np is not None:  # numpy scalars and ndarrays on the real paths
     NP_SCALARS = st.builds(lambda kind, x: kind(x), st.sampled_from([np.float64, np.float32, np.int64]),
@@ -102,8 +102,7 @@ if np is not None:  # numpy scalars and ndarrays on the real paths
     VECTOR |= st.lists(REAL_ENTRIES, min_size=3, max_size=3) | st.lists(REAL_ENTRIES, min_size=3, max_size=3).map(as_array)
     DIRECTIONS |= st.lists(VECTOR, min_size=1, max_size=5).map(as_array) | st.lists(VECTOR.map(as_array), max_size=4)
     MATRIX4 |= rows_of(4, READER_SCALARS).map(as_array) | rows_of(4, REAL_ENTRIES | NP_COMPLEX)
-    MATRIX3 |= rows_of(3, REAL_ENTRIES) | rows_of(3, REAL_ENTRIES).map(as_array)
-    KERNEL3 |= rows_of(3, REAL_ENTRIES).map(as_array)
+    MATRIX3 |= rows_of(3, REAL_ENTRIES) | rows_of(3, NP_SCALARS | NP_COMPLEX) | rows_of(3, REAL_ENTRIES).map(as_array)
 
 STATE = werner(0.8)
 IDENTITY3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -112,7 +111,6 @@ CALLS = {
     "moment_matrix": (moment_matrix, DIRECTIONS),
     "validate_directions": (validate_directions, DIRECTIONS),
     "incompatibility_pair": (incompatibility_pair, VECTOR, VECTOR),
-    "uncertainty_sum": (lambda d, v: uncertainty_sum(d, QubitState(v)), DIRECTIONS, VECTOR),
     "as_vec3": (as_vec3, VECTOR),
     "product_state": (product_state, VECTOR, VECTOR),
     "TwoQubitState": (TwoQubitState, MATRIX4),
@@ -120,9 +118,9 @@ CALLS = {
     "entanglement_witness": (lambda a, b: entanglement_witness(STATE, a, b), DIRECTIONS, DIRECTIONS),
     "steering_test": (lambda s: steering_test(STATE, s), st.lists(st.tuples(VECTOR, VECTOR), max_size=3) | READER_JSON),
     "sym3_eigen_jacobi": (sym3_eigen_jacobi, MATRIX3),
-    "sym3_traces": (sym3_traces, KERNEL3),
-    "sym3_spectrum": (sym3_spectrum, KERNEL3),
-    "sym3_certificate": (lambda a: sym3_certificate(a, (1.0, 1.0, 1.0)), KERNEL3),
+    "sym3_traces": (sym3_traces, MATRIX3),
+    "sym3_spectrum": (sym3_spectrum, MATRIX3),
+    "sym3_certificate": (lambda a: sym3_certificate(a, (1.0, 1.0, 1.0)), MATRIX3),
     "sphere_grid_min": (sphere_grid_min, DIRECTIONS),
     "cubic_coefficients_unit": (cubic_coefficients_unit, st.lists(UNIT | VECTOR, min_size=1, max_size=8) | READER_JSON),
 }
@@ -148,8 +146,6 @@ TEXT_CALLS = {
     "moment_matrix-iterator": lambda v: moment_matrix(iter([v, [0, 1, 0]])),
     "validate_directions": lambda v: validate_directions([v]),
     "incompatibility_pair": lambda v: incompatibility_pair(v, [0, 1, 0]),
-    "uncertainty_sum": lambda v: uncertainty_sum([v], QubitState((0.0, 0.0, 1.0))),
-    "QubitState": QubitState,
     "as_vec3": as_vec3,
     "product_state": lambda v: product_state(v, (0, 0, 1)),
     "criteria._unit": lambda v: steering_test(STATE, [(v, (1, 0, 0))]),
@@ -239,6 +235,80 @@ def test_an_int_past_a_floats_range_is_a_value_error_in_the_kernels(at):
     for call in calls:
         with pytest.raises(ValueError, match=r"^expected a 3x3 matrix in a float's range: int too large to convert to float$"):
             call()
+
+
+KERNELS = {"sym3_traces": sym3_traces, "sym3_spectrum": sym3_spectrum,
+           "sym3_certificate": lambda a: sym3_certificate(a, (1.0, 1.0, 1.0))}
+KERNEL_SCALARS = {"float32": ("float32", 2.0), "float32-tenth": ("float32", 0.1), "float16": ("float16", 0.3),
+                  "float64-1e300": ("float64", 1e300), "int8": ("int8", -128), "bool": ("bool_", True)}
+
+
+@pytest.mark.parametrize("at", [(2, 2), (0, 1)], ids=["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("name", KERNEL_SCALARS)
+def test_the_kernels_read_a_numpy_scalar_in_a_list_as_a_python_float(name, at):
+    # they computed in its arithmetic: float32 eigenvalues, and an overflow warning for 1e300 or int8
+    np = pytest.importorskip("numpy", exc_type=ImportError)
+    kind, x = KERNEL_SCALARS[name]
+    given = [[1.0, 0.25, 0.0], [0.25, 1.0, 0.0], [0.0, 0.0, 2.0]]
+    given[at[0]][at[1]] = given[at[1]][at[0]] = getattr(np, kind)(x)
+    floats = [[float(x) for x in row] for row in given]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel in KERNELS.values():
+            assert outcome(kernel, given) == outcome(kernel, floats)
+
+
+@pytest.mark.parametrize("kind", ["complex", "complex128", "complex64"])
+def test_the_kernels_refuse_a_complex_entry_in_a_list(kind):
+    # sym3_traces returned complex traces for a numpy complex, with no error
+    z = 2 + 1j if kind == "complex" else getattr(pytest.importorskip("numpy", exc_type=ImportError), kind)(2 + 1j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel in KERNELS.values():
+            with pytest.raises(TypeError, match=r"^float\(\) argument must be a string or a real number, not 'complex'$"):
+                kernel([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, z]])
+
+
+# the scalar parameters, each with the message for an int past a float's range
+SCALAR_CALLS = {
+    "werner": (werner, r"Werner parameter must lie in \[0, 1\], got -?10{400}"),
+    "incompatibility_from_angles": (lambda t: incompatibility_from_angles(1.0, t, 1.0),
+                                    "angle theta2 is not in a float's range: int too large to convert to float"),
+    "directions_from_angles": (lambda t: directions_from_angles(1.0, 1.0, t),
+                               "angle theta3 is not in a float's range: int too large to convert to float"),
+}
+
+
+@pytest.mark.parametrize("x", ["0.5", b"0.5", bytearray(b"0.5"), HUGE, -HUGE], ids=["str", "bytes", "bytearray", "huge", "-huge"])
+@pytest.mark.parametrize("name", SCALAR_CALLS)
+def test_a_scalar_parameter_is_a_number_in_a_floats_range(name, x):
+    # the angles raised TypeError for text and OverflowError for the int; werner TypeError for text
+    call, huge = SCALAR_CALLS[name]
+    expected = huge if isinstance(x, int) else r"could not convert string to float: (b'0.5'|bytearray\(b'0.5'\)|'0.5')"
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        call(x)
+
+
+@pytest.mark.parametrize("kind, x", [("float32", 0.8), ("float16", 0.3), ("float64", 0.5), ("int64", 1), ("bool_", True)])
+@pytest.mark.parametrize("name", SCALAR_CALLS)
+def test_a_numpy_scalar_parameter_gives_the_bits_of_its_python_float(name, kind, x):
+    # werner computed in the scalar's precision: float32(0.8) gave trace 0.999999970198, a ValueError
+    np = pytest.importorskip("numpy", exc_type=ImportError)
+    call, z = SCALAR_CALLS[name][0], getattr(np, kind)(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bits(call(z)) == bits(call(float(z)))
+
+
+@pytest.mark.parametrize("kind", ["complex", "complex128", "complex64"])
+@pytest.mark.parametrize("name", SCALAR_CALLS)
+def test_a_complex_scalar_parameter_is_a_type_error_without_a_warning(name, kind):
+    # werner built a complex state from a numpy complex, and the angles cut it to its real part with a warning
+    z = 0.5 + 1j if kind == "complex" else getattr(pytest.importorskip("numpy", exc_type=ImportError), kind)(0.5 + 1j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError, match=r"^float\(\) argument must be a string or a real number, not 'complex'$"):
+            SCALAR_CALLS[name][0](z)
 
 
 # finite symmetric matrices whose closed form overflows: an eigenvalue past a float's range, or B = A - (tr A / 3) I

@@ -5,15 +5,8 @@ import pytest
 
 from spinbounds import states
 from spinbounds.incompat import incompatibility
-from spinbounds.states import (
-    QubitState,
-    TwoQubitState,
-    product_state,
-    singlet,
-    uncertainty_sum,
-    werner,
-)
-from support import XYZ, random_unit
+from spinbounds.states import TwoQubitState, product_state, singlet, werner
+from support import XYZ, random_unit, variance_sum
 
 # The Pauli matrices, written out: the reference the two-qubit tests check against.
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -22,75 +15,40 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def random_mixed(rng):
-    return QubitState(random_unit(rng) * rng.uniform(0.0, 1.0))
+    """The Bloch vector of a random mixed qubit state."""
+    return random_unit(rng) * rng.uniform(0.0, 1.0)
 
 
-
-
-def test_qubit_state_validation():
-    with pytest.raises(ValueError):
-        QubitState((1.0, 1.0, 0.0))
-
-
-def test_qubit_state_stores_its_bloch_vector_as_floats():
-    for bloch in ((0, 0, 1), np.array([0.0, 0.0, 1.0])):
-        a = QubitState(bloch)
-        assert a.bloch == (0.0, 0.0, 1.0) and all(type(x) is float for x in a.bloch)
-
-
-
-
-def test_uncertainty_sum_examples():
+def test_variance_sum_examples():
     rng = np.random.default_rng(2)
     for _ in range(20):
         r = random_unit(rng)
-        assert uncertainty_sum(XYZ, QubitState(r)) == pytest.approx(2.0, abs=1e-12)
-    assert uncertainty_sum(XYZ, QubitState((0, 0, 0))) == pytest.approx(3.0)
+        assert variance_sum(XYZ, r) == pytest.approx(2.0, abs=1e-12)
+    assert variance_sum(XYZ, (0, 0, 0)) == pytest.approx(3.0)
 
     n1 = np.array([1.0, 0.0, 0.0])
     n2 = np.array([0.5, math.sqrt(3) / 2, 0.0])
-    got = uncertainty_sum([n1, n2], QubitState(n1))
+    got = variance_sum([n1, n2], n1)
     assert got == pytest.approx(1.0 - float(np.dot(n1, n2)) ** 2, abs=1e-12)
 
-    # the same directions as a list of lists and as an ndarray give the same Python float
-    for dirs in ([n1.tolist(), n2.tolist()], np.array([n1, n2])):
-        got = uncertainty_sum(dirs, QubitState(n1))
-        assert type(got) is float
-        assert got == pytest.approx(1.0 - float(np.dot(n1, n2)) ** 2, abs=1e-12)
 
-
-def test_uncertainty_sum_never_undercuts_bound():
+def test_variance_sum_never_undercuts_bound():
     rng = np.random.default_rng(13)
     for _ in range(2000):
         dirs = [random_unit(rng) * rng.uniform(0.2, 2.0) for _ in range(int(rng.integers(1, 6)))]
         bound = incompatibility(dirs).value
-        assert uncertainty_sum(dirs, random_mixed(rng)) >= bound - 1e-10
+        assert variance_sum(dirs, random_mixed(rng)) >= bound - 1e-10
 
 
 def test_variance_concavity_in_state():
     rng = np.random.default_rng(37)
     for _ in range(500):
         dirs = [random_unit(rng) for _ in range(3)]
-        r1, r2 = np.asarray(random_mixed(rng).bloch), np.asarray(random_mixed(rng).bloch)
+        r1, r2 = random_mixed(rng), random_mixed(rng)
         p = rng.uniform()
-        mixed = QubitState(p * r1 + (1 - p) * r2)
-        lhs = uncertainty_sum(dirs, mixed)
-        rhs = p * uncertainty_sum(dirs, QubitState(r1)) + (1 - p) * uncertainty_sum(
-            dirs, QubitState(r2)
-        )
+        lhs = variance_sum(dirs, p * r1 + (1 - p) * r2)
+        rhs = p * variance_sum(dirs, r1) + (1 - p) * variance_sum(dirs, r2)
         assert lhs >= rhs - 1e-10
-
-
-
-
-
-
-
-
-
-
-
-
 
 
 def test_make_state_fixtures():

@@ -1,12 +1,12 @@
 """The package's float sums add left to right from 0.0, on every CPython.
 
-`steering_test`'s total and `uncertainty_sum` are compared as `float.hex`
-with references that add in an explicit loop, on a panel drawn from a
-seeded `random.Random`. `sum()` of floats is compensated from Python 3.12
-on, so a result that went through `sum()` would match these references on
-3.10 and 3.11 only; shadowing `sum` with `math.fsum` in the package's
-namespaces must not move a bit on any version. This module imports no
-numpy, so it runs on a CPython without it (see README).
+`steering_test`'s total is compared as `float.hex` with a reference that
+adds in an explicit loop, on a panel drawn from a seeded `random.Random`.
+`sum()` of floats is compensated from Python 3.12 on, so a result that went
+through `sum()` would match this reference on 3.10 and 3.11 only; shadowing
+`sum` with `math.fsum` in the package's namespaces must not move a bit on
+any version. This module imports no numpy, so it runs on a CPython without
+it (see README).
 """
 
 import math
@@ -15,8 +15,8 @@ import random
 from spinbounds import criteria, incompat, states
 from spinbounds.oracle import cubic_coefficients_unit
 from spinbounds.criteria import entanglement_witness, steering_test
-from spinbounds.states import QubitState, TwoQubitState, product_state, uncertainty_sum, werner
-from support import dot, inference_variance, sum311
+from spinbounds.states import TwoQubitState, product_state, werner
+from support import inference_variance, sum311
 
 
 def unit(rng):
@@ -52,18 +52,6 @@ def two_qubit_panel(seed=16):
             yield state, [(unit(rng), unit(rng)) for _ in range(n)]
 
 
-def qubit_panel(seed=17):
-    rng = random.Random(seed)
-    for _ in range(500):
-        n = rng.randint(1, 12)
-        dirs = []
-        for _ in range(n):
-            scale = 10.0 ** rng.uniform(-1.0, 1.0)
-            x, y, z = unit(rng)
-            dirs.append((scale * x, scale * y, scale * z))
-        yield dirs, QubitState(ball(rng))
-
-
 def unit_panel(seed=18):
     rng = random.Random(seed)
     for _ in range(300):
@@ -84,12 +72,6 @@ def test_steering_total_adds_left_to_right():
         assert report.violated == (total < report.bound - 1e-10)
 
 
-def test_uncertainty_sum_adds_left_to_right():
-    for dirs, state in qubit_panel():
-        r = state.bloch
-        assert hexes(uncertainty_sum(dirs, state)) == hexes(sum311(dot(n, n) - dot(n, r) ** 2 for n in dirs))
-
-
 def panel_bits():
     out = []
     for state, settings in two_qubit_panel():
@@ -98,8 +80,6 @@ def panel_bits():
         witness = entanglement_witness(state, alice, bob)
         out += hexes(*state.a, *state.b, *(x for row in state.T for x in row))
         out += hexes(report.total, report.bound, witness.variance_sum, witness.bound)
-    for dirs, state in qubit_panel():
-        out += hexes(uncertainty_sum(dirs, state))
     for dirs in unit_panel():
         out += hexes(*cubic_coefficients_unit(dirs))
     return out
