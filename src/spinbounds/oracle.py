@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import atan2, cos, pi, sin, sqrt
+from operator import index
 from typing import NamedTuple
 
 from .incompat import _UNIT_TOL, _dot, validate_directions
@@ -87,6 +88,10 @@ def sphere_grid_min(directions, num_points: int = 120) -> OracleResult:
     circle's minimum stays at the pole: the pole at or near the middle
     eigenvector of Q, which e_z and e_x cannot both be. points_evaluated
     counts every evaluation: about num_points for the seeds, then the refinement's."""
+    try:  # an integer, a numpy one as its int, in a float's range, where pi / (num_points // 6) reads it
+        float(num_points := index(num_points))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"num_points must be an integer in a float's range: {exc}") from None
     if num_points < 12:
         raise ValueError("need num_points >= 12: num_points // 6 seed circles about each of two poles")
     variance_sum = _variance_form(directions)

@@ -329,7 +329,8 @@ def test_steering_statistics_match_dense_reference(kind):
             assert abs(inference_variance(state, a, b) - expected) <= 1e-12
 
 
-def test_werner_checks_positivity_once(monkeypatch):
+def test_the_builders_skip_the_positivity_check_and_a_matrix_runs_it_once(monkeypatch):
+    # the builders' states are PSD by construction (tests/test_builders.py); a matrix given by the caller is checked
     calls = []
 
     def counting(m):
@@ -338,8 +339,11 @@ def test_werner_checks_positivity_once(monkeypatch):
 
     check = states.hermitian_psd_check
     monkeypatch.setattr(states, "hermitian_psd_check", counting)
-    werner(0.5)
-    assert len(calls) == 1
+    builders = [lambda: werner(0.5), singlet, lambda: product_state((0.1, 0.2, 0.3), XYZ[2])]
+    for make, count in [(make, 0) for make in builders] + [(lambda: TwoQubitState(werner(0.5).rho), 1)]:
+        calls.clear()
+        make()
+        assert len(calls) == count
 
 
 def test_witness_computes_one_bound_when_bob_equals_alice(monkeypatch):

@@ -15,8 +15,8 @@ floats). They are fuzzed with JSON rows and, where numpy is present, numpy
 scalars in plain lists and ndarrays; a finite matrix whose closed-form
 eigenvalues leave a float's range is a ValueError there too. The scalar
 parameters, the angles and `werner`'s p, are checked case by case on text,
-ints past a float's range and numpy scalars. Left out: `sphere_grid_min`'s
-num_points, which plain comparisons still read as given (ROADMAP item 13).
+ints past a float's range and numpy scalars, and so is `sphere_grid_min`'s
+num_points, which is read as an integer: a float, a numpy float and text are refused.
 
 The module imports no numpy at module level, so it runs in the numpy-free CI
 job as well; without numpy its fuzz feeds only the JSON values.
@@ -38,7 +38,7 @@ from spinbounds.incompat import (
 from spinbounds.linalg3 import hermitian_psd_check, sym3_eigen_jacobi
 from spinbounds.oracle import cubic_coefficients_unit, sphere_grid_min
 from spinbounds.states import TwoQubitState, as_vec3, product_state, werner
-from support import HUGE, bits, outcome, sym3_certificate
+from support import EXAMPLE4, HUGE, bits, outcome, sym3_certificate
 
 try:
     import numpy as np
@@ -311,6 +311,28 @@ def test_a_complex_scalar_parameter_is_a_type_error_without_a_warning(name, kind
             SCALAR_CALLS[name][0](z)
 
 
+# sphere_grid_min's num_points is an integer in a float's range (pi / (num_points // 6) reads it), a numpy one as its int
+NUM_POINTS_REFUSED = {
+    "float": 100.5, "str": "100", "bytes": b"100", "huge": HUGE, "-huge": -HUGE, "float32": ("float32", 300),
+}
+
+
+@pytest.mark.parametrize("x", NUM_POINTS_REFUSED.values(), ids=NUM_POINTS_REFUSED)
+def test_num_points_is_an_integer_in_a_floats_range(x):
+    # the float, the text and float32 raised assorted TypeErrors, and the int past a float's range an OverflowError
+    if isinstance(x, tuple):
+        x = getattr(pytest.importorskip("numpy", exc_type=ImportError), x[0])(x[1])
+    with pytest.raises(ValueError, match=r"^num_points must be an integer in a float's range: "):
+        sphere_grid_min([(1.0, 0.0, 0.0)], x)
+
+
+@pytest.mark.parametrize("kind", ["int64", "int32", "uint16"])
+def test_a_numpy_integer_num_points_gives_the_bits_of_its_int(kind):
+    z = getattr(pytest.importorskip("numpy", exc_type=ImportError), kind)(120)
+    res, ref = sphere_grid_min(EXAMPLE4, z), sphere_grid_min(EXAMPLE4, 120)
+    assert (bits(res[:2]), res.points_evaluated) == (bits(ref[:2]), ref.points_evaluated)
+
+
 # finite symmetric matrices whose closed form overflows: an eigenvalue past a float's range, or B = A - (tr A / 3) I
 OVERFLOWING_SPECTRA = {
     "eigenvalue_3.4e308": [[1.7e308, 1.7e308, 0.0], [1.7e308, 1.7e308, 0.0], [0.0, 0.0, 1.0]],
@@ -353,11 +375,13 @@ def test_the_state_converts_each_entry_once_and_the_check_none(monkeypatch):
     for module in counts:
         monkeypatch.setattr(module, "complex", counting(module), raising=False)
     rows = [[0.25, 0.0, 0.0, 0.1j], [0.0, 0.25, 0.0, 0.0], [0.0, 0.0, 0.25, 0.0], [-0.1j, 0.0, 0.0, 0.25]]
-    for make, built in ((lambda: TwoQubitState(rows), 1), (lambda: werner(0.3), 1),
-                        (lambda: TwoQubitState(werner(0.6).rho), 2)):
+    werner_rows = werner(0.6).rho
+    # werner converts its three distinct entries q, d and x, and runs no check
+    for make, converted in ((lambda: TwoQubitState(rows), 16), (lambda: werner(0.3), 3),
+                            (lambda: TwoQubitState(werner_rows), 16)):
         counts.update(dict.fromkeys(counts, 0))
         make()
-        assert counts == {states: 16 * built, linalg3: 0}
+        assert counts == {states: converted, linalg3: 0}
     # a row with a number that is no Python float or complex (here an int) is read once more, by the check
     counts.update(dict.fromkeys(counts, 0))
     TwoQubitState([[0.25, 0.0, 0.0, 0.1j], [0.0, 0.25, 0, 0.0], [0.0, 0.0, 0.25, 0.0], [-0.1j, 0.0, 0.0, 0.25]])
