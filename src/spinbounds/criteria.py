@@ -41,13 +41,14 @@ def _unit(v, what: str) -> tuple[float, float, float]:
 
 
 def _bound(units) -> float:
-    """incompatibility(units).value, to the bit, for unit 3-tuples: A adds row by row from 0.0, as in moment_matrix."""
+    """incompatibility(units).value, to the bit, for unit 3-tuples: A adds row by row from 0.0, as in moment_matrix,
+    and `_certified_spectrum` brackets lambda_max by two LDL^T inertia tests; it builds no eigenvector."""
     xx = xy = xz = yy = yz = zz = 0.0
     for x, y, z in units:
         xx, xy, xz = xx + x * x, xy + x * y, xz + x * z
         yy, yz, zz = yy + y * y, yz + y * z, zz + z * z
     trace = xx + yy + zz
-    return trace - _certified_spectrum(((xx, xy, xz), (xy, yy, yz), (xz, yz, zz)), trace)[0].lam_max
+    return trace - _certified_spectrum(((xx, xy, xz), (xy, yy, yz), (xz, yz, zz)), trace, vector=False)[0].lam_max
 
 
 def entanglement_witness(state: TwoQubitState, alice_dirs, bob_dirs) -> WitnessReport:

@@ -6,10 +6,11 @@ sum_i Var(n_i . sigma) equals tau1 - lambda_max(A), where
 A = sum_i n_i n_i^T and tau1 = tr A. lambda_max has a closed form via the
 trigonometric solution of the depressed characteristic cubic: the kernel
 `sym3_spectrum`, at the end of this module, on rows of Python numbers.
-`_certified_spectrum` certifies lambda_max alone, not the whole spectrum:
-an LDL^T upper bound and the optimizer's Rayleigh quotient bracket it
-within 1e-9 tr A. `import spinbounds` compiles this module alone; the
-reference checkers in `linalg3` load on first use.
+`_certified_spectrum` certifies lambda_max alone, not the whole spectrum,
+within 1e-9 tr A: an LDL^T inertia test (`_pd`) bounds it above, and the
+optimizer's Rayleigh quotient bounds it below, or, for the criteria, which
+need no optimizer, a second inertia test. `import spinbounds` compiles this
+module alone; the reference checkers in `linalg3` load on first use.
 """
 
 from __future__ import annotations
@@ -159,29 +160,41 @@ def optimal_bloch(directions) -> tuple[float, float, float]:
     return incompatibility(directions).optimizer
 
 
-def _certified_spectrum(a, trace: float) -> tuple[Sym3Spectrum, tuple[float, float, float]]:
-    """`sym3_spectrum(a)` and its top unit eigenvector v, or ArithmeticError.
+def _pd(a, t: float) -> bool:
+    """tI - A is positive definite: the LDL^T pivots of tI - A are all positive. They are
+    in ratio form, as a01 * a01 underflows where A is ~1e-160; a NaN fails each test."""
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
+    d0 = t - a00
+    if not d0 > 0.0:
+        return False
+    r1, r2 = a01 / d0, a02 / d0
+    d1, c = t - a11 - r1 * a01, a12 + r2 * a01
+    return d1 > 0.0 and t - a22 - r2 * a02 - c / d1 * c > 0.0
 
-    With tol = 1e-9 tr A: the LDL^T pivots of (l0 + tol) I - A are all
-    positive, so no eigenvalue exceeds l0 + tol (Sylvester's law of
-    inertia); v's Rayleigh quotient, at most lambda_max, is at least
-    l0 - tol; l0 + l1 + l2 is tr A within tol; and alpha and beta are
-    finite. No spectral gap enters.
+
+def _certified_spectrum(a, trace: float, vector: bool = True) -> tuple[Sym3Spectrum, tuple | None]:
+    """`sym3_spectrum(a)` and its top unit eigenvector v (None unless `vector`), or ArithmeticError.
+
+    With tol = 1e-9 tr A: `_pd(a, l0 + tol)`, so no eigenvalue exceeds
+    l0 + tol (Sylvester's law of inertia); some eigenvalue reaches l0 - tol:
+    v's Rayleigh quotient, at most lambda_max, is at least l0 - tol, or,
+    without v, `_pd(a, l0 - tol)` fails; l0 + l1 + l2 is tr A within tol; and
+    alpha and beta are finite. No spectral gap enters.
     v is `_eigvec`'s for l0 when l0 - l1 >= l1 - l2, else `_split`'s p for l2.
     """
     spec = sym3_spectrum(a)
     l0, l1, l2, alpha, beta = spec
-    (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
     tol = _CERTIFICATE_RTOL * trace
-    d0 = l0 + tol - a00  # the pivots in ratio form: a01 * a01 underflows where A is ~1e-160
-    if d0 > 0.0 and abs(l0 + l1 + l2 - trace) <= tol and 0.0 * alpha * beta == 0.0:  # a NaN fails each test
-        x, y, z = v = _eigvec(a, l0)[0] if l0 - l1 >= l1 - l2 else _split(a, l2)[1]
-        r1, r2 = a01 / d0, a02 / d0
-        d1, c = l0 + tol - a11 - r1 * a01, a12 + r2 * a01
-        if (d1 > 0.0 and l0 + tol - a22 - r2 * a02 - c / d1 * c > 0.0
-                and x * (a00 * x + a01 * y + a02 * z) + y * (a01 * x + a11 * y + a12 * z)
-                + z * (a02 * x + a12 * y + a22 * z) >= (l0 - tol) * (x * x + y * y + z * z)):
-            return spec, v
+    if abs(l0 + l1 + l2 - trace) <= tol and 0.0 * alpha * beta == 0.0 and _pd(a, l0 + tol):  # a NaN fails each test
+        if not vector:
+            if not _pd(a, l0 - tol):
+                return spec, None
+        else:
+            x, y, z = v = _eigvec(a, l0)[0] if l0 - l1 >= l1 - l2 else _split(a, l2)[1]
+            (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
+            if (x * (a00 * x + a01 * y + a02 * z) + y * (a01 * x + a11 * y + a12 * z)
+                    + z * (a02 * x + a12 * y + a22 * z) >= (l0 - tol) * (x * x + y * y + z * z)):
+                return spec, v
     raise ArithmeticError(f"closed-form eigenvalue {l0!r} fails its residual certificate: lambda_max is not bracketed, "
                           f"or the spectrum does not sum to tr A, within {_CERTIFICATE_RTOL} * tr A, or alpha or beta "
                           f"is not finite")

@@ -434,3 +434,74 @@ def test_a_failed_certificate_raises_arithmetic_error_from_both_tests(monkeypatc
     for call in calls:
         with pytest.raises(ArithmeticError, match="^closed-form eigenvalue .* fails its residual certificate: "):
             call()
+
+
+# unit sets whose A is diag(3, 1, 2) rolled (x three times, y once, z twice): at t = lambda_max - tol the first,
+# second or third LDL^T pivot of tI - A is the one that goes negative, so each decides one honest lower test
+ROLLED_UNITS = {f"top_{axis}": [e for e, n in zip(XYZ, np.roll([3, 1, 2], k)) for _ in range(n)]
+                for k, axis in enumerate("xyz")}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("name", list(ROLLED_UNITS))
+def test_a_lambda_max_off_by_1e8_of_tr_a_whose_spectrum_keeps_its_sum_raises_from_both_tests(name, sign, monkeypatch):
+    # lam_min moves the other way, so the sum test passes: only the lower (sign +1) or upper (sign -1) test rejects
+    units = ROLLED_UNITS[name]
+    value = incompat.incompatibility(units).value
+    state = werner(0.8)
+    calls = (lambda: entanglement_witness(state, units, units), lambda: entanglement_witness(state, units, units[::-1]),
+             lambda: steering_test(state, list(zip(units, units))))
+    assert [call().bound for call in calls] == [2.0 * value, value + incompat.incompatibility(units[::-1]).value, value]
+
+    kernel = incompat.sym3_spectrum
+
+    def wrong_kernel(a):
+        spec = kernel(a)
+        delta = sign * 1e-8 * (a[0][0] + a[1][1] + a[2][2])
+        return spec._replace(lam_max=spec.lam_max + delta, lam_min=spec.lam_min - delta)
+
+    monkeypatch.setattr(incompat, "sym3_spectrum", wrong_kernel)
+    for call in calls:
+        with pytest.raises(ArithmeticError, match="^closed-form eigenvalue .* fails its residual certificate: "):
+            call()
+
+
+def test_neither_criterion_builds_an_eigenvector(monkeypatch):
+    # the kernel's own deflation calls _split near a double root (the pair); only calls from outside it count
+    calls, in_kernel = [], []
+    kernel = incompat.sym3_spectrum
+
+    def spectrum(a):
+        in_kernel.append(a)
+        try:
+            return kernel(a)
+        finally:
+            in_kernel.pop()
+
+    def counted(name):
+        fn = getattr(incompat, name)
+
+        def call(*args):
+            if not in_kernel:
+                calls.append(name)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(incompat, "sym3_spectrum", spectrum)
+    for name in ("_eigvec", "_split"):
+        monkeypatch.setattr(incompat, name, counted(name))
+    rng = np.random.default_rng(33)
+    sets = [XYZ, XYZ[:2], *ROLLED_UNITS.values()]
+    sets += [[tuple(random_unit(rng).tolist()) for _ in range(n)] for n in (1, 2, 3, 4) for _ in range(5)]
+    seen = set()
+    for units in sets:
+        calls.clear()
+        incompat.incompatibility(units)  # builds its optimizer: the counters see it
+        seen.update(calls)
+        calls.clear()
+        for state in (werner(0.8), random_state(rng, "mixed")):
+            entanglement_witness(state, units, units)
+            entanglement_witness(state, units, units[::-1])
+            steering_test(state, list(zip(units, units[::-1])))
+        assert calls == []
+    assert seen == {"_eigvec", "_split"}

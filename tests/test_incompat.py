@@ -24,7 +24,7 @@ from spinbounds.criteria import entanglement_witness, steering_test
 from spinbounds.linalg3 import sym3_eigen_jacobi
 from spinbounds.oracle import cubic_coefficients_unit
 from spinbounds.states import TwoQubitState, werner
-from support import EXAMPLE4, XYZ, random_set, random_unit, sym3_certificate, variance_sum
+from support import EXAMPLE4, XYZ, bits, random_set, random_unit, sym3_certificate, variance_sum
 
 
 def random_rotation(rng):
@@ -602,6 +602,19 @@ def test_a_kernel_returning_nan_in_any_field_raises_arithmetic_error(name, field
     for call in calls:
         with pytest.raises(ArithmeticError, match="^closed-form eigenvalue .* fails its residual certificate: "):
             call()
+
+
+@PROPERTY_SETTINGS
+@given(d=direction_sets())
+def test_the_criteria_certify_every_family_and_keep_the_bits_of_incompatibility(d):
+    # normalized, every degenerate family is a double or a triple top, where a two-sided test could reject a
+    # correct kernel: neither criterion may raise there, and each bound is incompatibility's value to the bit
+    units = [tuple(row) for row in (d / np.linalg.norm(d, axis=1)[:, None]).tolist()]
+    value, reversed_value = incompatibility(units).value, incompatibility(units[::-1]).value
+    state = werner(0.8)
+    assert bits(entanglement_witness(state, units, units).bound) == bits(2.0 * value)
+    assert bits(entanglement_witness(state, units, units[::-1]).bound) == bits(value + reversed_value)
+    assert bits(steering_test(state, list(zip(units, units))).bound) == bits(value)
 
 
 def test_optimizer_has_no_negative_zero_and_a_positive_lead():
