@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import sys
 from itertools import chain
-from math import acos, atan2, copysign, cos, frexp, hypot, isfinite, ldexp, pi, sin, sqrt
+from math import acos, atan2, copysign, cos, frexp, hypot, inf, isfinite, ldexp, pi, sin, sqrt
 from typing import NamedTuple
 
 _UNIT_TOL = 2e-9  # | |n|^2 - 1 | allowed where a direction must be unit length
@@ -28,6 +28,7 @@ _TWO_PI_3 = 2.0 * pi / 3.0
 # Deflate when 1 - |beta/alpha^3| falls below this: outside the band the
 # trig roots of the closest pair lose at most ~1e-16/sqrt(band) of alpha.
 _DEFLATE_BAND = 1e-4
+_FEW_ROWS = 12  # an ndarray of at most this many rows is checked on its tolist(): faster than numpy up to N ~ 12
 _ROWS = (list, tuple)  # the readers take these as they are and any other sequence (an ndarray) through `_plain`
 
 
@@ -98,18 +99,22 @@ def validate_directions(directions) -> list[tuple[float, float, float]]:
 
 
 def moment_matrix(directions) -> tuple[tuple, tuple[float, float, float]]:
-    """Second-moment matrix A = sum_i n_i n_i^T = D^T D, as rows of floats,
-    and its trace powers, in one pass: a real 2-D ndarray takes D^T D, other
-    input is summed in floats as its rows are read. A non-finite diagonal, a
-    row that is not 3 numbers, a zero row or no row at all sends the input to
-    `validate_directions`, which words the rejection."""
+    """Second-moment matrix A = sum_i n_i n_i^T = D^T D, as rows of floats, and its
+    trace powers, in one pass: a real 2-D ndarray takes D^T D, its rows checked on
+    its tolist() up to _FEW_ROWS rows, else by numpy; other input is summed as its
+    rows are read. A non-finite diagonal, a row that is not 3 numbers, a zero row or
+    no row at all sends the input to `validate_directions`, which words the rejection."""
     np = sys.modules.get("numpy")
     array = np is not None and isinstance(directions, np.ndarray)
-    # D^T D takes ~9-12 us at any N; tolist() and the float loop take 3 us at N = 2 but 37 us at N = 128 (timeit)
+    # timeit: numpy's checks ~6.5 us at any N, the row check 5 us at N = 4 + 0.3 us a row, the loop 3-37 us (N 2-128)
     if array and directions.ndim == 2 and directions.dtype.kind in "biuf":
         d = np.asarray(directions, dtype=float)
-        with np.errstate(invalid="ignore", over="ignore"):  # syrk: exactly symmetric; the checks below catch inf
-            a = (d.T @ d).tolist() if d.shape[1] == 3 and np.count_nonzero(d.any(axis=1)) == len(d) else None
+        rows = d.tolist() if len(d) <= _FEW_ROWS and d.shape[1] == 3 else ()
+        if rows and all(map(any, rows)) and sum(map(abs, chain.from_iterable(rows))) < 1e150:  # a NaN fails too
+            a = (d.T @ d).tolist()  # no zero row, no inf or NaN, and |A_ij| < 1e300: no check or errstate needed
+        else:
+            with np.errstate(invalid="ignore", over="ignore"):  # syrk: exactly symmetric; the checks below catch inf
+                a = (d.T @ d).tolist() if d.shape[1] == 3 and np.count_nonzero(d.any(axis=1)) == len(d) else None
     else:  # validate_directions reads an iterable once, and any other ndarray through tolist()
         d = directions if isinstance(directions, _ROWS) else validate_directions(directions)
         a = None
@@ -217,7 +222,7 @@ def incompatibility(directions) -> IncompatibilityResult:
     (lam, _, _, alpha, beta), (x, y, z) = _certified_spectrum(a, traces[0])
     sign = -1.0 if (x or y or z) < 0.0 else 1.0
     optimizer = (sign * x + 0.0, sign * y + 0.0, sign * z + 0.0)  # + 0.0 turns -0.0 into 0.0
-    return IncompatibilityResult(traces[0] - lam, lam, optimizer, alpha, beta, traces)
+    return tuple.__new__(IncompatibilityResult, (traces[0] - lam, lam, optimizer, alpha, beta, traces))
 
 
 def incompatibility_pair(n1, n2) -> float:
@@ -292,8 +297,8 @@ def sym3_traces(a) -> tuple[float, float, float]:
     upper triangle read): unless its six entries are all Python floats, each
     is read through `_float`, so an ndarray, an int or a numpy scalar computes
     in float arithmetic. Computed directly from the entries, not via
-    eigenvalues. Raises ValueError when tr A^3 overflows, or an entry (an int)
-    lies past a float's range.
+    eigenvalues. Raises ValueError when tr A^3 overflows (a +inf diagonal entry
+    reads so), an entry is NaN or infinite, or an int lies past a float's range.
     """
     try:
         (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
@@ -306,8 +311,10 @@ def sym3_traces(a) -> tuple[float, float, float]:
               + 3.0 * (d2[0] * (a00 + a11) + d2[1] * (a00 + a22) + d2[2] * (a11 + a22)) + 6.0 * a01 * a02 * a12)
     except OverflowError as exc:  # an int past a float's range in a list
         raise ValueError(f"expected a 3x3 matrix in a float's range: {exc}") from None
-    if not isfinite(t3):
-        raise ValueError("tr A^3 overflows: entries of A above ~5.6e102 (directions longer than ~2.4e51)")
+    if not isfinite(t3):  # so is t3 for a NaN or an infinite entry; tr A = inf where the sums of D^T D overflowed
+        raise ValueError("tr A^3 overflows: entries of A above ~5.6e102 (directions longer than ~2.4e51)"
+                         if t1 == inf or all(map(isfinite, (a00, a01, a02, a11, a12, a22)))
+                         else "expected a 3x3 matrix of finite entries: an entry is NaN or infinite")
     return t1, t2, t3
 
 
@@ -337,9 +344,10 @@ def sym3_spectrum(a) -> Sym3Spectrum:
     nearly coincide and acos turns roundoff into an error of ~1e-8 alpha;
     there only the well-separated root is taken from the trig formula, and
     the other two come exactly from the 2x2 block of B on its eigenvector's
-    orthogonal complement (Kopp, arXiv:physics/0610206). A non-finite eigenvalue
-    raises ValueError; beta = s^3 det(B / s) / 2, returned as it is, overflows
-    past s ~ 5.6e102 (inf, or NaN where det B = 0) with finite eigenvalues.
+    orthogonal complement (Kopp, arXiv:physics/0610206), by `_block`, without
+    `_split`'s rotation. A NaN entry or a non-finite eigenvalue raises ValueError;
+    beta = s^3 det(B / s) / 2, returned as it is, overflows past s ~ 5.6e102
+    (inf, or NaN where det B = 0) with finite eigenvalues.
     """
     try:
         (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
@@ -348,8 +356,10 @@ def sym3_spectrum(a) -> Sym3Spectrum:
         shift = (a00 + a11 + a22) / 3.0
         b00, b11, b22 = a00 - shift, a11 - shift, a22 - shift
         s = max(abs(b00), abs(b11), abs(b22), abs(a01), abs(a02), abs(a12))
-        if s == 0.0:
-            return Sym3Spectrum(shift, shift, shift, 0.0, 0.0)
+        if s == 0.0:  # A = shift I, unless max() skipped a NaN (one not its first argument): it goes on as s
+            if a01 == a02 == a12:
+                return tuple.__new__(Sym3Spectrum, (shift, shift, shift, 0.0, 0.0))
+            s = a01 + a02 + a12
         b00, b11, b22, b01, b02, b12 = b00 / s, b11 / s, b22 / s, a01 / s, a02 / s, a12 / s
         alpha = sqrt((b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * (b01 * b01 + b02 * b02 + b12 * b12)) / 6.0)
         beta = 0.5 * (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02) + b02 * (b01 * b12 - b11 * b02))
@@ -357,12 +367,12 @@ def sym3_spectrum(a) -> Sym3Spectrum:
         roots = cubic_roots(alpha, ratio)
         if abs(ratio) > 1.0 - _DEFLATE_BAND:
             z = roots[0] if ratio > 0.0 else roots[2]
-            hi, lo = _split(((b00, b01, b02), (b01, b11, b12), (b02, b12, b22)), z)[3:]
+            hi, lo = _block(((b00, b01, b02), (b01, b11, b12), (b02, b12, b22)), z)[-2:]
             roots = (z, hi, lo) if ratio > 0.0 else (hi, lo, z)
         l0, l1, l2 = shift + s * roots[0], shift + s * roots[1], shift + s * roots[2]
         if 0.0 * l0 * l1 * l2 != 0.0:  # +-0.0 times x stays +-0.0 only while x is finite
             raise ValueError("expected a 3x3 matrix in a float's range: an eigenvalue is not finite")
-        return Sym3Spectrum(l0, l1, l2, s * alpha, s * s * s * beta)
+        return tuple.__new__(Sym3Spectrum, (l0, l1, l2, s * alpha, s * s * s * beta))  # the namedtuple's own call
     except OverflowError as exc:  # an int past a float's range in a list
         raise ValueError(f"expected a 3x3 matrix in a float's range: {exc}") from None
 
@@ -393,15 +403,11 @@ def _eigvec(b, z):
     return ((vx * f, vy * f, vz * f) if length else (0.0, 0.0, 1.0)), b, 0
 
 
-def _split(b, z):
-    """(v, p, q, hi, lo): v is `_eigvec`'s eigenvector of symmetric B (rows
-    `b`) for its simple eigenvalue z, and (hi, p), (lo, q) are the
-    eigenpairs of B on v's orthogonal complement.
-
-    The 2x2 block on the complement (u, w), of the B that v was computed on,
-    is solved with hypot, so a near-double pair keeps its tiny gap; a scalar
-    block keeps p = u.
-    """
+def _block(b, z):
+    """(v, u, w, m_uu - m_ww, m_uw, hi, lo): `_eigvec`'s unit eigenvector v of symmetric B (rows `b`)
+    for its simple eigenvalue z, an orthonormal basis (u, w) of its complement, and of the 2x2 block
+    M of that B (the one v was computed on) on (u, w) its diagonal difference, off-diagonal entry and
+    eigenvalues hi >= lo, solved with hypot, so a near-double pair keeps its tiny gap."""
     (vx, vy, vz), b, e = _eigvec(b, z)
     (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
     ux, uy, uz = (-vz, 0.0, vx) if abs(vx) > abs(vy) else (0.0, vz, -vy)
@@ -412,11 +418,19 @@ def _split(b, z):
     bwx, bwy, bwz = b00 * wx + b01 * wy + b02 * wz, b10 * wx + b11 * wy + b12 * wz, b20 * wx + b21 * wy + b22 * wz
     m_uu, m_ww, m_uw = ux * bux + uy * buy + uz * buz, wx * bwx + wy * bwy + wz * bwz, wx * bux + wy * buy + wz * buz
     mean, half_gap = 0.5 * (m_uu + m_ww), hypot(0.5 * (m_uu - m_ww), m_uw)
-    t = 0.5 * atan2(2.0 * m_uw, m_uu - m_ww)  # the rotation that diagonalizes the block
+    hi, lo = ldexp(mean + half_gap, -e), ldexp(mean - half_gap, -e)
+    return (vx, vy, vz), (ux, uy, uz), (wx, wy, wz), m_uu - m_ww, m_uw, hi, lo
+
+
+def _split(b, z):
+    """(v, p, q, hi, lo): `_block`'s v, and (hi, p), (lo, q) the eigenpairs of B on v's orthogonal
+    complement: `_block` rotated onto the eigenvectors of its block; a scalar block keeps p = u."""
+    v, (ux, uy, uz), (wx, wy, wz), diff, m_uw, hi, lo = _block(b, z)
+    t = 0.5 * atan2(2.0 * m_uw, diff)  # the rotation that diagonalizes the block
     cs, sn = cos(t), sin(t)
     p = (cs * ux + sn * wx, cs * uy + sn * wy, cs * uz + sn * wz)
     q = (cs * wx - sn * ux, cs * wy - sn * uy, cs * wz - sn * uz)
-    return (vx, vy, vz), p, q, ldexp(mean + half_gap, -e), ldexp(mean - half_gap, -e)
+    return v, p, q, hi, lo
 
 
 def _dot(p, q) -> float:

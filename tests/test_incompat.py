@@ -1,6 +1,8 @@
 import math
 import re
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from spinbounds.criteria import entanglement_witness, steering_test
 from spinbounds.linalg3 import sym3_eigen_jacobi
 from spinbounds.oracle import cubic_coefficients_unit
 from spinbounds.states import TwoQubitState, werner
-from support import EXAMPLE4, XYZ, bits, random_set, random_unit, sym3_certificate, variance_sum
+from support import EXAMPLE4, XYZ, bits, outcome, random_set, random_unit, sym3_certificate, variance_sum
 
 
 def random_rotation(rng):
@@ -626,3 +628,133 @@ def test_optimizer_has_no_negative_zero_and_a_positive_lead():
         assert type(opt) is tuple and len(opt) == 3
         assert next(x for x in opt if x != 0.0) > 0.0
         assert all(math.copysign(1.0, x) > 0.0 for x in opt if x == 0.0)
+
+
+# --- a small ndarray is checked on its rows before one BLAS D^T D
+
+SMALL = incompat._FEW_ROWS
+OVERFLOW = "tr A^3 overflows: entries of A above ~5.6e102 (directions longer than ~2.4e51)"
+
+
+def _small_arrays():
+    """(array, the message that numpy's checks gave it, or None where they accepted it): each takes
+    the row check or, where that fails, numpy's checks; an accepted array's A is (D^T D).tolist()."""
+    d = np.random.default_rng(34).normal(size=(5, 3))
+    for row in (0, 2, 4):
+        x = d.copy()
+        x[row] = 0.0
+        yield pytest.param(x, f"direction {row} has zero length", id=f"zero-row-{row}")
+    for bad in (math.nan, math.inf, -math.inf, 1e200, -1e200):
+        x = d.copy()
+        x[2, 1] = bad
+        message = "directions have non-finite components" if not math.isfinite(bad) else OVERFLOW
+        yield pytest.param(x, message, id=f"{bad:g}")
+    yield pytest.param(np.array([[1, 0, -2], [3, 4, 0], [0, 0, 5]]), None, id="int")
+    yield pytest.param(np.array([[1, 0, -2], [0, 0, 0]]), "direction 1 has zero length", id="int-zero-row")
+    yield pytest.param(np.array([[True, False, False], [False, True, True]]), None, id="bool")
+    yield pytest.param(np.array([[True, False, False], [False, False, False]]), "direction 1 has zero length",
+                       id="bool-zero-row")
+    yield pytest.param(d[:, :2], "expected N x 3 directions, got shape (5, 2)", id="shape-(5,2)")
+    yield pytest.param(np.zeros((0, 3)), "need at least one direction", id="shape-(0,3)")
+    for n in (SMALL, SMALL + 1):
+        x = np.random.default_rng(n).normal(size=(n, 3))
+        yield pytest.param(x, None, id=f"n{n}")
+        zero, nan = x.copy(), x.copy()
+        zero[-1], nan[-1, 0] = 0.0, math.nan
+        yield pytest.param(zero, f"direction {n - 1} has zero length", id=f"n{n}-zero-last")
+        yield pytest.param(nan, "directions have non-finite components", id=f"n{n}-nan-last")
+
+
+def numpy_moment_matrix(d):
+    """A = (D^T D).tolist() of the float array and its traces, as numpy's checks take an array they accept."""
+    d = np.asarray(d, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = (d.T @ d).tolist()
+    return a, incompat.sym3_traces(a)
+
+
+@pytest.mark.parametrize("d, message", list(_small_arrays()))
+def test_a_small_ndarray_keeps_its_rejection_and_raises_no_warning(d, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if message is None:
+            assert bits(moment_matrix(d)) == bits(numpy_moment_matrix(d))
+        else:
+            for fn in (moment_matrix, incompatibility):
+                with pytest.raises(ValueError) as info:
+                    fn(d)
+                assert str(info.value) == message
+
+
+def test_only_a_small_clean_ndarray_skips_errstate(monkeypatch):
+    entered = []
+    errstate = np.errstate
+    monkeypatch.setattr(np, "errstate", lambda **kw: entered.append(kw) or errstate(**kw))
+    d = np.random.default_rng(9).normal(size=(SMALL, 3))
+    moment_matrix(d)
+    assert entered == []
+    trips = {"more-rows": np.vstack([d, d[:1]]), "zero-row": np.vstack([d[:-1], np.zeros((1, 3))]),
+             "nan": np.where(np.eye(SMALL, 3, dtype=bool), math.nan, d), "guard": d / np.abs(d).sum() * 1e150}
+    for name, x in trips.items():
+        entered.clear()
+        try:
+            moment_matrix(x)
+        except ValueError:
+            pass
+        assert len(entered) == 1, name
+
+
+@PROPERTY_SETTINGS
+@given(seed=SEEDS, n=st.integers(1, SMALL + 1), k=st.floats(-9.0, 9.0),
+       guard=st.sampled_from([None, 1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52, 1e3, 1e10]))
+def test_a_small_ndarray_takes_the_bits_of_d_t_d(seed, n, k, guard):
+    # the scale 10^k, or one that puts the sum of |d_ij| just below, at or above the row check's 1e150,
+    # or at 1e160, where D^T D overflows
+    d = np.random.default_rng(seed).normal(size=(n, 3))
+    d = d * 10.0**k if guard is None else d / np.abs(d).sum() * (guard * 1e150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert outcome(moment_matrix, d) == outcome(numpy_moment_matrix, d)
+
+
+# --- the kernel's deflation solves the 2x2 block for its eigenvalues alone
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
+
+
+def test_the_deflation_takes_the_eigenvalues_of_split_without_its_rotation(monkeypatch):
+    # on every pool input whose kernel deflates, the two eigenvalues of the block are _split's to the bit
+    calls = []
+    block = incompat._block
+    monkeypatch.setattr(incompat, "_block", lambda b, z: calls.append((b, z)) or block(b, z))
+    deflated = 0
+    for seed in (7919, 41, 42):
+        for item in workloads.direction_sets(seed).passes[0]:
+            a = moment_matrix(item.args[0])[0]
+            calls.clear()
+            spec = sym3_spectrum(a)
+            if not calls:
+                continue
+            deflated += 1
+            (b, z), = calls
+            (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
+            shift = (a00 + a11 + a22) / 3.0
+            s = max(abs(a00 - shift), abs(a11 - shift), abs(a22 - shift), abs(a01), abs(a02), abs(a12))
+            hi, lo = incompat._split(b, z)[3:]
+            pair = spec[1:3] if spec.lam_max == shift + s * z else spec[0:2]
+            assert bits(pair) == bits((shift + s * hi, shift + s * lo))
+    assert deflated > 100
+
+
+def test_the_deflation_calls_no_atan2(monkeypatch):
+    calls = []
+    monkeypatch.setattr(incompat, "atan2", lambda y, x: calls.append((y, x)) or math.atan2(y, x))
+    # an orthogonal pair and x, x, y, z, rotated: spectra (1, 1, 0) and (2, 1, 1), the ratio -1 and +1 branches
+    for d in (np.eye(3)[:2], np.eye(3)[[0, 0, 1, 2]]):
+        a = moment_matrix(d @ random_rotation(np.random.default_rng(3)).T)[0]
+        sym3_spectrum(a)
+        assert calls == []
+        incompat._split(a, sym3_spectrum(a).lam_max)
+        assert len(calls) == 1
+        calls.clear()

@@ -356,6 +356,29 @@ def test_beta_past_a_floats_range_leaves_the_eigenvalues_finite():
     assert math.isnan(beta) and (lam_max, lam_min) == pytest.approx((1e103, -1e103), rel=1e-15) and abs(lam_mid) < 1e88
 
 
+UPPER_TRIANGLE = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+
+
+@pytest.mark.parametrize("diagonal", [1.0, 0.0], ids=["identity", "zero"])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("at", UPPER_TRIANGLE, ids=[f"{r}{c}" for r, c in UPPER_TRIANGLE])
+def test_a_nan_or_infinite_entry_is_a_value_error_in_the_kernels(at, x, diagonal):
+    # max() skips a NaN that is not its first argument, so the kernel took a NaN off-diagonal entry for A = I:
+    # it returned (1, 1, 1, 0, 0) over the identity and zeros over a zero diagonal
+    a = [[diagonal if r == c else 0.0 for c in range(3)] for r in range(3)]
+    a[at[0]][at[1]] = x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^expected a 3x3 matrix in a float's range: an eigenvalue is not finite$"):
+            sym3_spectrum(a)
+        # +inf on the diagonal is what D^T D holds where its sums overflowed: it keeps moment_matrix's wording
+        overflowed = x == math.inf and at[0] == at[1]
+        with pytest.raises(ValueError) as info:
+            sym3_traces(a)
+    assert str(info.value) == ("tr A^3 overflows: entries of A above ~5.6e102 (directions longer than ~2.4e51)"
+                               if overflowed else "expected a 3x3 matrix of finite entries: an entry is NaN or infinite")
+
+
 @pytest.mark.parametrize("at", [(0, 0), (1, 2), (2, 1)])
 def test_an_int_past_a_floats_range_is_a_value_error_in_jacobi(at):
     a = [[HUGE if (r, c) == at else float(r == c) for c in range(3)] for r in range(3)]
