@@ -5,7 +5,9 @@ For directions n_1..n_N the minimum over all qubit states of
 sum_i Var(n_i . sigma) equals tau1 - lambda_max(A), where
 A = sum_i n_i n_i^T and tau1 = tr A. lambda_max has a closed form via the
 trigonometric solution of the depressed characteristic cubic: the kernel
-`sym3_spectrum`, at the end of this module, on rows of Python numbers.
+`sym3_spectrum`, at the end of this module, on rows of Python numbers, takes
+its three trigonometric roots inline, and `incompatibility_from_angles` calls
+it once on the Gram matrix of an angle triple.
 `_certified_spectrum` certifies lambda_max alone, not the whole spectrum,
 within 1e-9 tr A: an LDL^T inertia test (`_pd`) bounds it above, and the
 optimizer's Rayleigh quotient bounds it below, or, for the criteria, which
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import sys
 from itertools import chain
-from math import acos, atan2, copysign, cos, frexp, hypot, inf, isfinite, ldexp, pi, sin, sqrt
+from math import acos, atan2, cos, frexp, hypot, inf, isfinite, ldexp, pi, sin, sqrt
 from typing import NamedTuple
 
 _UNIT_TOL = 2e-9  # | |n|^2 - 1 | allowed where a direction must be unit length
@@ -28,6 +30,7 @@ _TWO_PI_3 = 2.0 * pi / 3.0
 # Deflate when 1 - |beta/alpha^3| falls below this: outside the band the
 # trig roots of the closest pair lose at most ~1e-16/sqrt(band) of alpha.
 _DEFLATE_BAND = 1e-4
+_DEFLATE_EDGE = 1.0 - _DEFLATE_BAND  # |beta/alpha^3| past which the kernel deflates
 _FEW_ROWS = 12  # an ndarray of at most this many rows is checked on its tolist(): faster than numpy up to N ~ 12
 _ROWS = (list, tuple)  # the readers take these as they are and any other sequence (an ndarray) through `_plain`
 
@@ -155,7 +158,7 @@ def lambda_max_from_traces(traces: tuple[float, float, float]) -> float:
     if alpha <= 1e-12 * abs(t1):  # a triple eigenvalue tau1/3: beta/alpha^3 would be 0/0
         return t1 / 3.0
     beta = t1 * t1 * t1 / 27.0 + t3 / 6.0 - t1 * t2 / 6.0
-    return t1 / 3.0 + cubic_roots(alpha, beta / alpha**3)[0]
+    return t1 / 3.0 + 2.0 * alpha * cos(acos(min(1.0, max(-1.0, beta / alpha**3))) / 3.0)
 
 
 def optimal_bloch(directions) -> tuple[float, float, float]:
@@ -238,10 +241,14 @@ def incompatibility_pair(n1, n2) -> float:
     return 0.5 * s1 + 0.5 * s2 - hypot(0.5 * (s1 - s2), dot)
 
 
-def _gram_spectrum(theta1: float, theta2: float, theta3: float) -> Sym3Spectrum:
-    """Spectrum of the Gram matrix of three unit vectors with the given
-    pairwise angles; raises unless every angle is a finite real number and
-    the Gram matrix is PSD (the triple is realizable)."""
+def incompatibility_from_angles(theta1: float, theta2: float, theta3: float) -> float:
+    """Bound for three unit directions given only their pairwise angles.
+
+    The moment matrix and the Gram matrix share their nonzero spectrum, so
+    the bound is 3 - lambda_max(Gram), without reconstructing vectors.
+    Rejects a non-finite angle and angle triples not realizable by unit
+    vectors in 3-space (Gram matrix not PSD).
+    """
     if not (type(theta1) is type(theta2) is type(theta3) is float
             and isfinite(theta1) and isfinite(theta2) and isfinite(theta3)):  # else read each, up to the first bad one
         for i, theta in enumerate((theta1, theta2, theta3), 1):
@@ -252,44 +259,35 @@ def _gram_spectrum(theta1: float, theta2: float, theta3: float) -> Sym3Spectrum:
             if not isfinite(theta):
                 raise ValueError(f"angle theta{i} = {theta} is not finite")
     c1, c2, c3 = cos(theta1), cos(theta2), cos(theta3)
-    spec = sym3_spectrum(((1.0, c3, c2), (c3, 1.0, c1), (c2, c1, 1.0)))
-    if spec.lam_min < -_GRAM_PSD_TOL:
-        raise ValueError(
-            f"angle triple is not realizable by unit vectors: "
-            f"Gram eigenvalue {spec.lam_min:.6g} < 0"
-        )
-    return spec
-
-
-def incompatibility_from_angles(theta1: float, theta2: float, theta3: float) -> float:
-    """Bound for three unit directions given only their pairwise angles.
-
-    The moment matrix and the Gram matrix share their nonzero spectrum, so
-    the bound is 3 - lambda_max(Gram), without reconstructing vectors.
-    Rejects a non-finite angle and angle triples not realizable by unit
-    vectors in 3-space (Gram matrix not PSD).
-    """
-    return 3.0 - _gram_spectrum(theta1, theta2, theta3).lam_max
+    lam_max, _, lam_min, _, _ = sym3_spectrum(((1.0, c3, c2), (c3, 1.0, c1), (c2, c1, 1.0)))
+    if lam_min < -_GRAM_PSD_TOL:
+        raise ValueError(f"angle triple is not realizable by unit vectors: Gram eigenvalue {lam_min:.6g} < 0")
+    return 3.0 - lam_max
 
 
 def directions_from_angles(theta1: float, theta2: float, theta3: float) -> list[tuple[float, float, float]]:
     """Explicit unit vectors (rows) with the given pairwise angles (one choice).
 
     Raises for non-finite angles and non-realizable triples, same
-    conditions as `incompatibility_from_angles`.
+    conditions as `incompatibility_from_angles`. The frame is built on the
+    pair whose angle has the largest |sin| (n1, n2 on a tie): that pair
+    spans the xy-plane, its first vector along x, and the third vector's
+    y-component divides by that sine. A third row that rounding leaves
+    longer than 1 is scaled to unit length in the xy-plane.
     """
-    _gram_spectrum(theta1, theta2, theta3)
-    c1, c2, c3 = cos(theta1), cos(theta2), cos(theta3)
-    n1 = (1.0, 0.0, 0.0)
-    s3 = sqrt(max(1.0 - c3 * c3, 0.0))
-    if s3 == 0.0:
-        n2 = (copysign(1.0, c3), 0.0, 0.0)
-    else:
-        n2 = (c3, s3, 0.0)
-    x = c2
-    y = (c1 - c3 * c2) / s3 if s3 > 0.0 else 0.0
-    z = sqrt(max(1.0 - x * x - y * y, 0.0))
-    return [n1, n2, (x, y, z)]
+    incompatibility_from_angles(theta1, theta2, theta3)
+    cosines, sines = (cos(theta1), cos(theta2), cos(theta3)), (abs(sin(theta1)), abs(sin(theta2)), abs(sin(theta3)))
+    k = max((2, 1, 0), key=sines.__getitem__)  # theta_{k+1} is the angle between n_i and n_j, the rows other than k
+    i, j = ((1, 2), (0, 2), (0, 1))[k]
+    c, s, x = cosines[k], sines[k], cosines[j]  # x = cos of the angle between n_i and n_k
+    y = (cosines[i] - c * x) / s if s else 0.0  # s = 0 only where every angle is 0
+    zz = 1.0 - x * x - y * y
+    if zz < 0.0:  # a triple accepted within the Gram tolerance
+        h = hypot(x, y)
+        x, y, zz = x / h, y / h, 0.0
+    rows = [None] * 3
+    rows[i], rows[j], rows[k] = (1.0, 0.0, 0.0), (c, s, 0.0), (x, y, sqrt(zz))
+    return rows
 
 
 def sym3_traces(a) -> tuple[float, float, float]:
@@ -316,22 +314,6 @@ def sym3_traces(a) -> tuple[float, float, float]:
                          if t1 == inf or all(map(isfinite, (a00, a01, a02, a11, a12, a22)))
                          else "expected a 3x3 matrix of finite entries: an entry is NaN or infinite")
     return t1, t2, t3
-
-
-def cubic_roots(alpha: float, ratio: float) -> tuple[float, float, float]:
-    """Roots, descending, of z^3 - 3 alpha^2 z - 2 alpha^3 ratio.
-
-    Trigonometric solution z_k = 2 alpha cos((acos(ratio) - 2 pi k)/3);
-    the ratio is clamped to [-1, 1] because roundoff can push it
-    marginally outside the all-real-roots region.
-    """
-    phi = acos(min(1.0, max(-1.0, ratio))) / 3.0
-    two_alpha = 2.0 * alpha
-    return (
-        two_alpha * cos(phi),
-        two_alpha * cos(phi - _TWO_PI_3),
-        two_alpha * cos(phi + _TWO_PI_3),
-    )
 
 
 def sym3_spectrum(a) -> Sym3Spectrum:
@@ -364,12 +346,18 @@ def sym3_spectrum(a) -> Sym3Spectrum:
         alpha = sqrt((b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * (b01 * b01 + b02 * b02 + b12 * b12)) / 6.0)
         beta = 0.5 * (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02) + b02 * (b01 * b12 - b11 * b02))
         ratio = beta / alpha**3
-        roots = cubic_roots(alpha, ratio)
-        if abs(ratio) > 1.0 - _DEFLATE_BAND:
-            z = roots[0] if ratio > 0.0 else roots[2]
-            hi, lo = _block(((b00, b01, b02), (b01, b11, b12), (b02, b12, b22)), z)[-2:]
-            roots = (z, hi, lo) if ratio > 0.0 else (hi, lo, z)
-        l0, l1, l2 = shift + s * roots[0], shift + s * roots[1], shift + s * roots[2]
+        # the trig roots z_k = 2 alpha cos((acos(ratio) - 2 pi k) / 3), descending; roundoff can push the ratio
+        # marginally outside [-1, 1], so it is clamped (a NaN to -1)
+        phi = acos(ratio if -1.0 <= ratio <= 1.0 else 1.0 if ratio > 1.0 else -1.0) / 3.0
+        two_alpha = 2.0 * alpha
+        z0, z1, z2 = two_alpha * cos(phi), two_alpha * cos(phi - _TWO_PI_3), two_alpha * cos(phi + _TWO_PI_3)
+        if abs(ratio) > _DEFLATE_EDGE:  # a NaN ratio skips the deflation
+            b = ((b00, b01, b02), (b01, b11, b12), (b02, b12, b22))
+            if ratio > 0.0:  # the top root is the separated one
+                z1, z2 = _block(b, z0)[-2:]
+            else:
+                z0, z1 = _block(b, z2)[-2:]
+        l0, l1, l2 = shift + s * z0, shift + s * z1, shift + s * z2
         if 0.0 * l0 * l1 * l2 != 0.0:  # +-0.0 times x stays +-0.0 only while x is finite
             raise ValueError("expected a 3x3 matrix in a float's range: an eigenvalue is not finite")
         return tuple.__new__(Sym3Spectrum, (l0, l1, l2, s * alpha, s * s * s * beta))  # the namedtuple's own call

@@ -7,12 +7,14 @@ run without numpy can import this one (see README).
 import math
 
 from spinbounds.criteria import steering_test
-from spinbounds.incompat import _float, _split
+from spinbounds.incompat import Sym3Spectrum, _block, _float, _split
 from spinbounds.linalg3 import HERMITIAN_TOL, PSD_TOL
 
 HUGE = 10**400  # an int too large for a float
 XYZ = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
 XYZ_SETTINGS = [(d, d) for d in XYZ]
+TWO_PI_3 = 2.0 * math.pi / 3.0
+DEFLATE_BAND = 1e-4  # the kernel deflates where 1 - |beta/alpha^3| falls below this
 EXAMPLE4 = [  # the paper's four-direction example
     (1.0, 0.0, 0.0),
     (0.5, math.sqrt(3) / 2, 0.0),
@@ -60,6 +62,10 @@ def variance_sum(directions, r):
     for n in directions:
         total += dot(n, n) - dot(n, r) ** 2
     return total
+
+
+def cross(p, q):
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
 
 
 def matvec(b, x):
@@ -156,4 +162,52 @@ def sym3_certificate(a, lams) -> tuple[tuple, float]:
         g_norm = math.sqrt(g0 * g0 + g1 * g1 + g2 * g2 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12))
         return vecs, e_norm + (abs(a00) + abs(a11) + abs(a22)) * g_norm
     except OverflowError as exc:  # an int past a float's range in a list, or an eigenvalue past it
+        raise ValueError(f"expected a 3x3 matrix in a float's range: {exc}") from None
+
+
+def cubic_roots(alpha: float, ratio: float) -> tuple[float, float, float]:
+    """Roots, descending, of z^3 - 3 alpha^2 z - 2 alpha^3 ratio.
+
+    Trigonometric solution z_k = 2 alpha cos((acos(ratio) - 2 pi k)/3);
+    the ratio is clamped to [-1, 1] because roundoff can push it
+    marginally outside the all-real-roots region.
+    """
+    phi = math.acos(min(1.0, max(-1.0, ratio))) / 3.0
+    two_alpha = 2.0 * alpha
+    return (
+        two_alpha * math.cos(phi),
+        two_alpha * math.cos(phi - TWO_PI_3),
+        two_alpha * math.cos(phi + TWO_PI_3),
+    )
+
+
+def reference_sym3_spectrum(a) -> Sym3Spectrum:
+    """`sym3_spectrum` as it was while it took its roots from `cubic_roots`: the
+    same operations in the same order, so its five floats and its rejections are
+    the bits the kernel must keep."""
+    try:
+        (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
+        if not (type(a00) is type(a01) is type(a02) is type(a11) is type(a12) is type(a22) is float):
+            a00, a01, a02, a11, a12, a22 = map(_float, (a00, a01, a02, a11, a12, a22))
+        shift = (a00 + a11 + a22) / 3.0
+        b00, b11, b22 = a00 - shift, a11 - shift, a22 - shift
+        s = max(abs(b00), abs(b11), abs(b22), abs(a01), abs(a02), abs(a12))
+        if s == 0.0:  # A = shift I, unless max() skipped a NaN (one not its first argument): it goes on as s
+            if a01 == a02 == a12:
+                return tuple.__new__(Sym3Spectrum, (shift, shift, shift, 0.0, 0.0))
+            s = a01 + a02 + a12
+        b00, b11, b22, b01, b02, b12 = b00 / s, b11 / s, b22 / s, a01 / s, a02 / s, a12 / s
+        alpha = math.sqrt((b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * (b01 * b01 + b02 * b02 + b12 * b12)) / 6.0)
+        beta = 0.5 * (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02) + b02 * (b01 * b12 - b11 * b02))
+        ratio = beta / alpha**3
+        roots = cubic_roots(alpha, ratio)
+        if abs(ratio) > 1.0 - DEFLATE_BAND:
+            z = roots[0] if ratio > 0.0 else roots[2]
+            hi, lo = _block(((b00, b01, b02), (b01, b11, b12), (b02, b12, b22)), z)[-2:]
+            roots = (z, hi, lo) if ratio > 0.0 else (hi, lo, z)
+        l0, l1, l2 = shift + s * roots[0], shift + s * roots[1], shift + s * roots[2]
+        if 0.0 * l0 * l1 * l2 != 0.0:  # +-0.0 times x stays +-0.0 only while x is finite
+            raise ValueError("expected a 3x3 matrix in a float's range: an eigenvalue is not finite")
+        return tuple.__new__(Sym3Spectrum, (l0, l1, l2, s * alpha, s * s * s * beta))  # the namedtuple's own call
+    except OverflowError as exc:  # an int past a float's range in a list
         raise ValueError(f"expected a 3x3 matrix in a float's range: {exc}") from None

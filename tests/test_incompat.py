@@ -26,6 +26,7 @@ from spinbounds.criteria import entanglement_witness, steering_test
 from spinbounds.linalg3 import sym3_eigen_jacobi
 from spinbounds.oracle import cubic_coefficients_unit
 from spinbounds.states import TwoQubitState, werner
+import support
 from support import EXAMPLE4, XYZ, bits, outcome, random_set, random_unit, sym3_certificate, variance_sum
 
 
@@ -758,3 +759,127 @@ def test_the_deflation_calls_no_atan2(monkeypatch):
         incompat._split(a, sym3_spectrum(a).lam_max)
         assert len(calls) == 1
         calls.clear()
+
+
+# --- the kernel takes its trigonometric roots inline: every float and every rejection of the kernel
+# --- that took them from `cubic_roots`, which `support.reference_sym3_spectrum` keeps
+
+
+def assert_kernel_bits(a):
+    assert outcome(sym3_spectrum, a) == outcome(support.reference_sym3_spectrum, a)
+
+
+def reference_from_angles(theta1, theta2, theta3):
+    c1, c2, c3 = math.cos(theta1), math.cos(theta2), math.cos(theta3)
+    spec = support.reference_sym3_spectrum(((1.0, c3, c2), (c3, 1.0, c1), (c2, c1, 1.0)))
+    if spec.lam_min < -1e-9:
+        raise ValueError(f"angle triple is not realizable by unit vectors: Gram eigenvalue {spec.lam_min:.6g} < 0")
+    return 3.0 - spec.lam_max
+
+
+def test_the_angle_bound_keeps_its_bits_and_messages_on_the_angle_grid_pools():
+    for seed in (7919, 41):
+        for item in workloads.angle_grid(seed).passes[0]:
+            assert outcome(incompatibility_from_angles, *item.args) == outcome(reference_from_angles, *item.args)
+
+
+@PROPERTY_SETTINGS
+@given(cell=st.tuples(*[st.integers(0, 11)] * 3), jitter=st.tuples(*[st.floats(0.0, 1.0)] * 3))
+def test_the_kernel_keeps_its_bits_on_the_gram_matrices_of_a_jittered_angle_sweep(cell, jitter):
+    # realizable or not: about two thirds of the [0, pi]^3 cells are not
+    angles = [(i + u) * math.pi / 12.0 for i, u in zip(cell, jitter)]
+    c1, c2, c3 = map(math.cos, angles)
+    assert_kernel_bits(((1.0, c3, c2), (c3, 1.0, c1), (c2, c1, 1.0)))
+    assert outcome(incompatibility_from_angles, *angles) == outcome(reference_from_angles, *angles)
+
+
+@PROPERTY_SETTINGS
+@given(name=st.sampled_from(DEGENERATE_FAMILIES + ("rank_one", "spectrum_211")), x=st.floats(0.01, 4.0),
+       seed=SEEDS, k=st.floats(-9.0, 9.0))
+def test_the_kernel_keeps_its_bits_on_rotated_degenerate_families_at_every_scale(name, x, seed, k):
+    d = {"rank_one": np.eye(3)[:1], "spectrum_211": np.eye(3)[[0, 0, 1, 2]]}.get(name)
+    d = degenerate_family(name, x)[0] if d is None else d
+    a = moment_matrix(d @ random_rotation(np.random.default_rng(seed)).T * 10.0**k)[0]
+    assert_kernel_bits(a)
+
+
+def near_unit_ratio(sign, delta, seed, k, shift):
+    """Rows of 10^k (R diag(z) R^T + shift I), z the roots for alpha = 1 and ratio sign (1 - delta)."""
+    phi = math.acos(sign * (1.0 - delta)) / 3.0
+    z = [2.0 * math.cos(phi - 2.0 * math.pi * j / 3.0) for j in range(3)]
+    r = random_rotation(np.random.default_rng(seed))
+    return (((r * z) @ r.T + shift * np.eye(3)) * 10.0**k).tolist()
+
+
+@PROPERTY_SETTINGS
+@given(sign=st.sampled_from((1.0, -1.0)), delta=st.floats(0.0, 2e-4), seed=SEEDS, k=st.floats(-9.0, 9.0),
+       shift=st.floats(-3.0, 3.0))
+def test_the_kernel_keeps_its_bits_where_the_ratio_is_near_one(sign, delta, seed, k, shift):
+    assert_kernel_bits(near_unit_ratio(sign, delta, seed, k, shift))
+
+
+def test_the_near_unit_ratios_lie_on_both_sides_of_the_band_edge(monkeypatch):
+    calls = []
+    block = incompat._block
+    monkeypatch.setattr(incompat, "_block", lambda b, z: calls.append(z) or block(b, z))
+    sides = set()
+    for sign in (1.0, -1.0):
+        for delta in (0.0, 1e-12, 5e-5, 0.99e-4, 1.01e-4, 2e-4):
+            calls.clear()
+            a = near_unit_ratio(sign, delta, 5, 0.0, 0.5)
+            assert_kernel_bits(a)
+            sides.add((sign, delta < 1e-4, len(calls)))
+    assert sides == {(s, near, int(near)) for s in (1.0, -1.0) for near in (True, False)}
+
+
+@PROPERTY_SETTINGS
+@given(bad=st.sampled_from((math.nan, math.inf, -math.inf)), where=st.sets(st.integers(0, 5), min_size=1),
+       seed=SEEDS, scalar=st.booleans())
+def test_the_kernel_keeps_its_rejections_of_nan_and_infinite_entries(bad, where, seed, scalar):
+    # a scalar diagonal with a NaN past max()'s first argument goes on as s = NaN
+    rng = np.random.default_rng(seed)
+    m = np.eye(3) * rng.normal() if scalar else rng.normal(size=(3, 3))
+    m = (m + m.T).tolist()
+    for p in where:
+        i, j = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))[p]
+        m[i][j] = m[j][i] = bad
+    assert_kernel_bits(m)
+
+
+@PROPERTY_SETTINGS
+@given(kind=st.sampled_from(("int", "huge_int", "bool", "float64", "float32", "int64", "ndarray")), seed=SEEDS)
+def test_the_kernel_keeps_its_bits_on_int_and_numpy_scalar_entries(kind, seed):
+    rng = np.random.default_rng(seed)
+    ints = rng.integers(-4, 5, size=(3, 3))
+    m = (ints + ints.T).tolist()
+    if kind == "huge_int":
+        m[0][1] = m[1][0] = support.HUGE
+    elif kind == "bool":
+        m = [[bool(x % 2) for x in row] for row in m]
+    elif kind == "ndarray":
+        m = np.array(m, dtype=float) * rng.uniform(0.1, 10.0)
+    elif kind != "int":
+        m = [[getattr(np, kind)(x) * getattr(np, kind)(rng.uniform(0.1, 10.0)) for x in row] for row in m]
+    assert_kernel_bits(m)
+
+
+def test_the_kernel_and_the_angle_bound_call_no_cubic_roots(monkeypatch):
+    roots, kernel = support.cubic_roots, incompat.sym3_spectrum
+    root_calls, kernel_calls = [], []
+    monkeypatch.setattr(support, "cubic_roots", lambda *args: root_calls.append(args) or roots(*args))
+    monkeypatch.setattr(incompat, "sym3_spectrum", lambda a: kernel_calls.append(a) or kernel(a))
+    gram = ((1.0, 0.5, 0.5), (0.5, 1.0, 0.5), (0.5, 0.5, 1.0))
+    support.reference_sym3_spectrum(gram)
+    assert len(root_calls) == 1  # the counter sees the reference's call
+    root_calls.clear()
+    kernel(gram)
+    assert root_calls == [] and not hasattr(incompat, "cubic_roots")
+    for angles, realizable in (((1.0, 1.2, 1.5), True), ((math.pi / 9, math.pi / 9, math.pi / 3), False)):
+        for fn in (incompatibility_from_angles, directions_from_angles):
+            kernel_calls.clear()
+            if realizable:
+                fn(*angles)
+            else:
+                with pytest.raises(ValueError, match="not realizable"):
+                    fn(*angles)
+            assert len(kernel_calls) == 1 and root_calls == []

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbounds.incompat import _split, cubic_roots, sym3_spectrum, sym3_traces
+from spinbounds.incompat import _split, sym3_spectrum, sym3_traces
 from spinbounds.linalg3 import PSD_TOL, hermitian_psd_check, sym3_eigen_jacobi
 from spinbounds.states import TwoQubitState
-from support import bits, dot, matvec, sym3_certificate
+from support import bits, cross, cubic_roots, dot, matvec, sym3_certificate
 
 
 def random_sym3(rng):
@@ -275,10 +275,6 @@ def test_spectrum_and_traces_of_an_ndarray_are_python_floats():
 # return must keep its bits, signed zeros included
 
 
-def _cross(p, q):
-    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
-
-
 def _scale(p, f):
     return (p[0] * f, p[1] * f, p[2] * f)
 
@@ -286,7 +282,7 @@ def _scale(p, f):
 def reference_split(b, z):
     (b00, b01, b02), (_, b11, b12), (_, _, b22) = b
     r0, r1, r2 = (b00 - z, b01, b02), (b01, b11 - z, b12), (b02, b12, b22 - z)
-    crosses = (_cross(r0, r1), _cross(r0, r2), _cross(r1, r2))
+    crosses = (cross(r0, r1), cross(r0, r2), cross(r1, r2))
     lengths = [dot(x, x) for x in crosses]
     length = max(lengths)
     e = 0 if 1e-250 < length < 1e250 else -math.frexp(max(map(abs, r0 + r1 + r2)))[1]
@@ -296,7 +292,7 @@ def reference_split(b, z):
     v = _scale(crosses[lengths.index(length)], 1.0 / math.sqrt(length)) if length else (0.0, 0.0, 1.0)
     u = (-v[2], 0.0, v[0]) if abs(v[0]) > abs(v[1]) else (0.0, v[2], -v[1])
     u = _scale(u, 1.0 / math.sqrt(dot(u, u)))
-    w = _cross(v, u)
+    w = cross(v, u)
     bu, bw = matvec(b, u), matvec(b, w)
     m_uu, m_ww, m_uw = dot(u, bu), dot(w, bw), dot(w, bu)
     mean, half_gap = 0.5 * (m_uu + m_ww), math.hypot(0.5 * (m_uu - m_ww), m_uw)

@@ -13,6 +13,9 @@ The reference sums with `sum311`, which adds as `sum()` does on CPython
 `direction_sets` and `two_qubit` pools come from the benchmark's own
 generators in `bench/workloads.py`; on the `two_qubit` pools the PSD check
 also keeps the verdict of the n x n loop it replaced (`reference_psd_check`).
+The reference computes the trace powers itself (`reference_traces`, with
+its own overflow message) and takes the spectrum from the frozen kernel
+`support.reference_sym3_spectrum`, so it calls no kernel of the package.
 """
 
 import math
@@ -34,13 +37,13 @@ from spinbounds.incompat import (
     incompatibility,
     incompatibility_pair,
     moment_matrix,
-    sym3_spectrum,
-    sym3_traces,
     validate_directions,
 )
 from spinbounds.linalg3 import PSD_TOL, hermitian_psd_check
 from spinbounds.states import TwoQubitState, as_vec3, product_state, werner
-from support import bits, dot, matvec, outcome, reference_psd_check, shift, sum311, sym3_certificate
+from support import (
+    bits, dot, matvec, outcome, reference_psd_check, reference_sym3_spectrum, shift, sum311, sym3_certificate,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
@@ -84,12 +87,26 @@ def reference_moment_matrix(directions):
         a = ((sum311(map(mul, x, x)), xy, xz), (xy, sum311(map(mul, y, y)), yz), (xz, yz, sum311(map(mul, z, z))))
     else:
         a = (d.T @ d).tolist()
-    return a, sym3_traces(a)
+    return a, reference_traces(a)
+
+
+def reference_traces(a):
+    """`sym3_traces` on A's rows of Python floats, its operations in its order. The directions
+    were finite, so a tr A^3 past a float's range is an overflow of A's sums."""
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
+    d01, d02, d12 = a01 * a01, a02 * a02, a12 * a12
+    t1 = a00 + a11 + a22
+    t2 = a00 * a00 + a11 * a11 + a22 * a22 + 2.0 * (d01 + d02 + d12)
+    t3 = (a00 * a00 * a00 + a11 * a11 * a11 + a22 * a22 * a22
+          + 3.0 * (d01 * (a00 + a11) + d02 * (a00 + a22) + d12 * (a11 + a22)) + 6.0 * a01 * a02 * a12)
+    if not math.isfinite(t3):
+        raise ValueError("tr A^3 overflows: entries of A above ~5.6e102 (directions longer than ~2.4e51)")
+    return t1, t2, t3
 
 
 def reference_incompatibility(directions):
     a, traces = reference_moment_matrix(directions)
-    spec = sym3_spectrum(a)
+    spec = reference_sym3_spectrum(a)
     vecs, bound = sym3_certificate(a, spec[:3])
     if not bound <= 1e-9 * traces[0]:
         raise ArithmeticError(f"closed-form eigenvalue {spec.lam_max!r} fails its residual certificate")
